@@ -52,8 +52,10 @@ from .kernel import (
     build_evolution_operators,
     enaqt_step,
     evolve_trajectory,
+    propagate,
     single_jump_kraus,
     single_jump_step,
+    step_transfer_matrix,
     tunable_step,
 )
 from .lindblad import (

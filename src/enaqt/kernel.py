@@ -15,10 +15,18 @@ second order in dt because U does not commute with the projectors.
 
 Jump probabilities are per-step values gamma = Gamma * dt supplied by the
 caller; the kernel never sees rates and time steps separately.
+
+Trajectories are stepped by the transfer matrix T of the step map,
+vec(rho') = T vec(rho), in the row-major convention vec(rho)[a*d + b] = rho[a, b]:
+
+    T_full = diag(s (x) s) (U (x) conj(U)),  T_full[n(d+1), m(d+1)] += gamma[m, n],
+
+and the chi-blended step is T = (1 - chi) (U (x) conj(U)) + chi T_full.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,16 +100,14 @@ class StepConfig:
 class EvolutionOperators:
     """Evolution operators for one step: jumps plus unitary evolution.
 
-    diagonal_ops[M] = s_M |M><M| U  (survival branch, evolves coherently),
-    jump_ops, in lexicographic (M, N) order with N != M, are the rank-one
-    sqrt(gamma_MN) |N><M| (jump branch, no coherent factor).
+    The survival branch evolves coherently under the Kraus operators
+    s_M |M><M| U; the jump branch applies the rank-one sqrt(gamma_MN) |N><M|
+    with no coherent factor.
     """
 
     unitary: np.ndarray
     rates: JumpRateSpec
     survival: np.ndarray
-    diagonal_ops: list = field(repr=False)
-    jump_ops: list = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -139,27 +145,7 @@ def build_evolution_operators(rates: JumpRateSpec, u: np.ndarray) -> EvolutionOp
         raise DimensionMismatchError(
             f"unitary shape {u.shape} does not match rate dimension {d}"
         )
-    surv = rates.survival_amplitudes()
-    diagonal_ops = []
-    for m in range(d):
-        op = np.zeros((d, d), dtype=complex)
-        op[m, :] = surv[m] * u[m, :]        # s_M |M><M| U
-        diagonal_ops.append(op)
-    jump_ops = []
-    for m in range(d):
-        for n in range(d):
-            if n == m or rates.gamma[m, n] == 0.0:
-                continue
-            op = np.zeros((d, d), dtype=complex)
-            op[n, m] = np.sqrt(rates.gamma[m, n])
-            jump_ops.append(op)
-    return EvolutionOperators(
-        unitary=u,
-        rates=rates,
-        survival=surv,
-        diagonal_ops=diagonal_ops,
-        jump_ops=jump_ops,
-    )
+    return EvolutionOperators(unitary=u, rates=rates, survival=rates.survival_amplitudes())
 
 
 def enaqt_step(rho: np.ndarray, ops: EvolutionOperators) -> np.ndarray:
@@ -230,52 +216,80 @@ class Trajectory:
         return int(np.argmin(np.abs(self.times - t_fs)))
 
 
-def evolve_trajectory(
-    rho0: np.ndarray,
-    ops: EvolutionOperators,
-    cfg: StepConfig,
-    steps: int,
-    observers: np.ndarray,
-    psd_tol: float = 1e-6,
-) -> Trajectory:
-    """Iterate the step map, recording projector populations per step.
+def step_transfer_matrix(ops: EvolutionOperators, chi: float) -> np.ndarray:
+    """Row-major transfer matrix of tunable_step, in the module docstring's closed form."""
+    coh = np.kron(ops.unitary, ops.unitary.conj())
+    if chi == 0.0:
+        return coh
+    full = np.kron(ops.survival, ops.survival)[:, None] * coh
+    pops = np.arange(ops.dim) * (ops.dim + 1)  # vec indices of the diagonal
+    full[np.ix_(pops, pops)] += ops.rates.gamma.T
+    if chi == 1.0:
+        return full
+    return (1.0 - chi) * coh + chi * full
 
-    observers is an (n_obs, d, d) stack of hermitian projectors; populations
-    are Re tr(P_i rho_k). Raises StateInvalidError if the state loses
-    hermiticity or positivity beyond psd_tol (a symptom of gamma/dt
-    misconfiguration), since the raw map is only first-order accurate.
+
+CHUNK = 128  # rows stepped and checked per batch in propagate
+
+
+def propagate(
+    t: np.ndarray, rho0: np.ndarray, dt: float, steps: int, observers: np.ndarray,
+    psd_tol: float = 1e-6, renormalize: bool = False,
+) -> Trajectory:
+    """Iterate vec(rho) <- t @ vec(rho), recording projector populations per step.
+
+    t is a row-major d^2 x d^2 transfer matrix, observers an (n_obs, d, d) stack
+    of hermitian projectors; populations are Re tr(P_i rho_k). renormalize
+    divides each new state by its real trace. States are stepped and checked
+    CHUNK rows at a time, never held as the whole (steps+1, d^2) stack. Raises
+    StateInvalidError at the first step whose state loses hermiticity or
+    positivity beyond psd_tol (a symptom of gamma/dt misconfiguration).
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    rho = np.asarray(rho0, dtype=complex).copy()
+    t = np.asarray(t, dtype=complex)
+    v = np.asarray(rho0, dtype=complex).reshape(-1)
     obs = np.asarray(observers, dtype=complex)
-    d = ops.dim
-    if rho.shape != (d, d):
-        raise DimensionMismatchError(f"state shape {rho.shape} does not match dim {d}")
-    if obs.ndim != 3 or obs.shape[1:] != (d, d):
-        raise DimensionMismatchError(
-            f"observers must be (n_obs, {d}, {d}), got {obs.shape}"
-        )
+    d = math.isqrt(t.shape[0])
+    if t.shape != (d * d, d * d) or np.shape(rho0) != (d, d) or obs.shape[1:] != (d, d):
+        raise DimensionMismatchError(f"state {np.shape(rho0)} and observers {obs.shape} "
+                                     f"do not match the transfer matrix {t.shape}")
 
-    n_obs = obs.shape[0]
-    times = np.arange(steps + 1) * cfg.dt
-    populations = np.empty((steps + 1, n_obs))
+    # tr(P rho) = vec(P^T) . vec(rho)
+    obs_cols = obs.transpose(0, 2, 1).reshape(len(obs), d * d).T
+    times = np.arange(steps + 1) * dt
+    populations = np.empty((steps + 1, len(obs)))
     trace = np.empty(steps + 1)
     min_eig = np.empty(steps + 1)
-
-    def record(k: int):
-        populations[k] = np.einsum("oij,ji->o", obs, rho).real
-        trace[k] = np.trace(rho).real
-        min_eig[k] = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
-        if min_eig[k] < -psd_tol or herm > psd_tol:
+    buf = np.empty((min(CHUNK, steps + 1), d * d), dtype=complex)
+    buf[0] = v
+    for start in range(0, steps + 1, CHUNK):
+        n = min(CHUNK, steps + 1 - start)
+        for i in range(1 if start == 0 else 0, n):
+            np.dot(t, v, out=buf[i])
+            if renormalize:
+                buf[i] /= buf[i, :: d + 1].sum().real
+            v = buf[i]
+        rows, mats = slice(start, start + n), buf[:n].reshape(n, d, d)
+        populations[rows] = (buf[:n] @ obs_cols).real
+        trace[rows] = buf[:n, :: d + 1].sum(axis=1).real
+        adj = mats.conj().transpose(0, 2, 1)
+        min_eig[rows] = np.linalg.eigvalsh(0.5 * (mats + adj)).min(axis=1)
+        herm = np.abs(mats - adj).max(axis=(1, 2))
+        bad = np.flatnonzero((min_eig[rows] < -psd_tol) | (herm > psd_tol))
+        if bad.size:
+            k = start + bad[0]
             raise StateInvalidError(
                 f"state invalid at step {k}: min eigenvalue {min_eig[k]:.3e}, "
-                f"hermiticity defect {herm:.3e} (tolerance {psd_tol:.1e})"
+                f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {psd_tol:.1e})"
             )
-
-    record(0)
-    for k in range(1, steps + 1):
-        rho = tunable_step(rho, ops, cfg)
-        record(k)
     return Trajectory(times=times, populations=populations, trace=trace, min_eig=min_eig)
+
+
+def evolve_trajectory(
+    rho0: np.ndarray, ops: EvolutionOperators, cfg: StepConfig, steps: int,
+    observers: np.ndarray, psd_tol: float = 1e-6,
+) -> Trajectory:
+    """Iterate tunable_step from rho0 through its transfer matrix; see propagate."""
+    t = step_transfer_matrix(ops, cfg.chi)
+    return propagate(t, rho0, cfg.dt, steps, observers, psd_tol, cfg.renormalize_trace)

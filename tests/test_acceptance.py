@@ -205,14 +205,13 @@ def test_criterion_8_invariant_suite(shipped):
     start = time.perf_counter()
     model, basis, rates, unitary, ops = shipped
 
-    # Kraus completeness of the underlying operator family
-    total = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for op in ops.diagonal_ops:
-        bare = op @ unitary.conj().T
-        total += bare.conj().T @ bare
-    for op in ops.jump_ops:
-        total += op.conj().T @ op
-    completeness = np.max(np.abs(total - np.eye(basis.dim)))
+    # Kraus completeness of the underlying (U = 1) operator family is trace
+    # preservation of its channel: sum_n T[n(d+1), :] = vec(1)
+    d = basis.dim
+    bare = kernel.step_transfer_matrix(
+        kernel.build_evolution_operators(rates, np.eye(d, dtype=complex)), 1.0
+    )
+    completeness = np.max(np.abs(bare[:: d + 1].sum(axis=0) - np.eye(d).reshape(-1)))
     assert completeness <= 1e-12
 
     # hermiticity defect per step and positivity along the shipped run

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from enaqt import cli, fmo
+from enaqt import circuit, cli, fmo, kernel
 
 
 def run_cli(args):
@@ -104,6 +104,44 @@ class TestSimulate:
         gap = np.max(np.abs(outs["operator"][:, 1:8] - outs["circuit"][:, 1:8]))
         assert gap <= 6e-3
 
+    @pytest.mark.parametrize("chi,renormalize", [(1.0, False), (0.5, True)])
+    def test_circuit_backend_matches_step_loop(self, default_config, tmp_path, chi, renormalize):
+        # reference: the circuit backend's former stepping loop, one step and
+        # one einsum / eigvalsh per row
+        steps, dt = 300, 10.0
+        args = ["simulate", "--config", default_config, "--backend", "circuit",
+                "--steps", str(steps), "--chi", str(chi)]
+        args += ["--renormalize"] if renormalize else []
+        out = tmp_path / "circuit.csv"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        _, _, rows = read_rows(out)
+
+        runner = cli._Runner(cli.RunConfig(model=default_config))
+        d = runner.basis.dim
+        layout = circuit.QubitLayout(d)
+        gates = circuit.build_step_circuit(runner.rates, runner.unitary, layout)
+        step_t = circuit.channel_transfer_matrix(
+            lambda r: circuit.apply_circuit(r, gates, layout), d
+        )
+        if chi != 1.0:
+            coh_t = circuit.channel_transfer_matrix(
+                lambda r: runner.unitary @ r @ runner.unitary.conj().T, d
+            )
+            step_t = (1.0 - chi) * coh_t + chi * step_t
+        rho = runner.initial_state().reshape(-1)
+        expected = []
+        for k in range(steps + 1):
+            if k:
+                rho = step_t @ rho
+                if renormalize:
+                    rho = rho / np.trace(rho.reshape(d, d)).real
+            mat = rho.reshape(d, d)
+            pops = np.einsum("oij,ji->o", runner.observers, mat).real
+            min_eig = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
+            expected.append([k * dt, *pops, np.trace(mat).real, min_eig])
+        assert rows.shape == (steps + 1, d + 3)
+        assert np.max(np.abs(rows - np.array(expected))) <= 1e-12
+
     def test_lindblad_oracle_backend(self, default_config, tmp_path):
         out = tmp_path / "t.csv"
         assert run_cli(
@@ -152,6 +190,35 @@ class TestSimulate:
             ["simulate", "--config", default_config, "--temperature", "300",
              "--steps", "20", "--out", str(out)]
         ) == 0
+
+
+class TestCsvBytes:
+    SPECIALS = [0.0, -0.0, 5e-324, 1e308, 0.1 + 0.2, -2.2e-16, np.nan, np.inf, -np.inf]
+
+    def test_rows_match_format_17g(self, default_config):
+        n = 2 * kernel.CHUNK + 5
+        cycle = np.resize(np.array(self.SPECIALS), (n, 10))
+        traj = kernel.Trajectory(
+            times=np.arange(n) * 2.5, populations=cycle[:, :7],
+            trace=cycle[:, 8], min_eig=cycle[:, 9],
+        )
+        lines = list(cli._trajectory_csv(cli.RunConfig(model=default_config), traj, 7))
+        data = [line for line in lines if not line.startswith("#")][1:]
+        expected = [
+            ",".join(format(float(x), ".17g") for x in (t, *pops, tr, me))
+            for t, pops, tr, me in zip(traj.times, traj.populations, traj.trace, traj.min_eig)
+        ]
+        assert data == expected
+
+    def test_emit_writes_the_joined_lines(self, tmp_path, capsys):
+        lines = ["# enaqt", "t_fs,site1", "0,-0", "5e-324,nan", "inf,-2.2000000000000001e-16"]
+        expected = "\n".join(lines) + "\n"
+        out = tmp_path / "out.csv"
+        out.write_text("stale\n" * 100)
+        cli._emit(iter(lines), str(out))
+        assert out.read_bytes() == expected.encode()
+        cli._emit(iter(lines), None)
+        assert capsys.readouterr().out == expected
 
 
 class TestSweepChi:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from enaqt import kernel, linalg
+from enaqt import circuit, kernel, linalg
 from enaqt.errors import (
     DimensionMismatchError,
     ProbabilityOutOfRangeError,
@@ -49,6 +51,29 @@ def assemble_step_terms(gamma, u, rho):
             m_mn = np.sqrt(gamma[m, n]) * np.outer(basis[n], basis[m])
             out += m_mn @ rho @ m_mn.conj().T
     return out
+
+
+def kraus_transfer(kraus):
+    """Row-major transfer matrix sum_k K (x) conj(K) of a Kraus family."""
+    return sum(np.kron(k, k.conj()) for k in kraus)
+
+
+def documented_kraus(gamma, u):
+    """The step's Kraus family from the documented formulas.
+
+    The survival branch s_M |M><M| U enters summed over M (its cross terms
+    are part of the step), the jump branch as the rank-one sqrt(gamma_MN) |N><M|.
+    """
+    d = gamma.shape[0]
+    basis = np.eye(d, dtype=complex)
+    survival = sum(
+        np.sqrt(1.0 - gamma[m].sum()) * np.outer(basis[m], basis[m]) @ u for m in range(d)
+    )
+    jumps = [
+        np.sqrt(gamma[m, n]) * np.outer(basis[n], basis[m])
+        for m in range(d) for n in range(d) if n != m
+    ]
+    return survival, jumps
 
 
 class TestSingleJumpKraus:
@@ -141,8 +166,11 @@ class TestBuildEvolutionOperators:
         d = 4
         u = linalg.evolution_unitary(np.diag([0.0, 10.0, 20.0, 30.0]) + 5.0, 10.0)
         ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((d, d))), u)
-        assert ops.jump_ops == []
-        assert np.max(np.abs(sum(ops.diagonal_ops) - u)) <= 1e-15
+        survival, jumps = documented_kraus(np.zeros((d, d)), u)
+        t = kernel.step_transfer_matrix(ops, 1.0)
+        assert np.max(np.abs(t - kraus_transfer([survival, *jumps]))) <= 1e-15
+        # no jump term: the survival branch alone is U rho U^dag
+        assert np.max(np.abs(t - np.kron(u, u.conj()))) <= 1e-15
 
     def test_two_level_operators(self):
         p, q = 0.2, 0.05
@@ -151,31 +179,37 @@ class TestBuildEvolutionOperators:
             JumpRateSpec(np.array([[0.0, p], [q, 0.0]])), u
         )
         e0, e1 = np.eye(2)[0], np.eye(2)[1]
-        assert np.allclose(ops.diagonal_ops[0], np.sqrt(1 - p) * np.outer(e0, e0) @ u)
-        assert np.allclose(ops.diagonal_ops[1], np.sqrt(1 - q) * np.outer(e1, e1) @ u)
-        assert np.allclose(ops.jump_ops[0], np.sqrt(p) * np.outer(e1, e0))
-        assert np.allclose(ops.jump_ops[1], np.sqrt(q) * np.outer(e0, e1))
+        kraus = [
+            np.sqrt(1 - p) * np.outer(e0, e0) @ u + np.sqrt(1 - q) * np.outer(e1, e1) @ u,
+            np.sqrt(p) * np.outer(e1, e0),
+            np.sqrt(q) * np.outer(e0, e1),
+        ]
+        t = kernel.step_transfer_matrix(ops, 1.0)
+        assert np.allclose(t, kraus_transfer(kraus))
 
     def test_completeness_dim7(self):
         d = 7
         u = linalg.evolution_unitary(np.diag(RNG.normal(size=d) * 100), 10.0)
         rates = random_rates(d, scale=0.1)
         ops = kernel.build_evolution_operators(rates, u)
-        # completeness is a property of the unprimed operators: undo U first
-        total = np.zeros((d, d), dtype=complex)
-        for op in ops.diagonal_ops:
-            bare = op @ u.conj().T
-            total += bare.conj().T @ bare
-        for op in ops.jump_ops:
-            total += op.conj().T @ op
-        assert np.max(np.abs(total - np.eye(d))) <= 1e-12
+        # completeness is a property of the unprimed operators: undo U first;
+        # then sum M^dag M = 1 is trace preservation, sum_n T[n(d+1), :] = vec(1)
+        bare = kernel.step_transfer_matrix(replace(ops, unitary=np.eye(d, dtype=complex)), 1.0)
+        assert np.max(np.abs(bare[:: d + 1].sum(axis=0) - np.eye(d).reshape(-1))) <= 1e-12
 
     def test_jump_ops_rank_one(self):
-        ops = kernel.build_evolution_operators(
-            random_rates(5, scale=0.05), np.eye(5, dtype=complex)
-        )
-        for op in ops.jump_ops:
+        d = 5
+        rates = random_rates(d, scale=0.05)
+        ops = kernel.build_evolution_operators(rates, np.eye(d, dtype=complex))
+        survival, jumps = documented_kraus(rates.gamma, np.eye(d, dtype=complex))
+        for op in jumps:
             assert np.linalg.matrix_rank(op) == 1
+        # with U = 1 the jump branch is the channel minus its survival branch;
+        # its Choi matrix is that of the rank-one family above
+        t = kernel.step_transfer_matrix(ops, 1.0) - kraus_transfer([survival])
+        choi = circuit.channel_choi(lambda r: (t @ r.reshape(-1)).reshape(d, d), d)
+        vecs = [k.T.reshape(-1) for k in jumps]  # Choi index (c, a) holds K[a, c]
+        assert np.max(np.abs(choi - sum(np.outer(v, v.conj()) for v in vecs))) <= 1e-15
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -358,3 +392,78 @@ class TestEvolveTrajectory:
 
         with pytest.raises(TimeOutOfRangeError):
             traj.index_at(11.0)
+
+
+class TestPropagate:
+    def _shipped_like(self, d=4):
+        h = RNG.normal(size=(d, d))
+        u = linalg.evolution_unitary(0.5 * (h + h.T) * 60, 10.0)
+        return kernel.build_evolution_operators(random_rates(d, scale=0.05), u)
+
+    def _observers(self, d):
+        return np.stack([np.diag(row).astype(complex) for row in np.eye(d)])
+
+    @pytest.mark.parametrize("chi", [0.0, 0.06, 0.5, 1.0])
+    def test_transfer_matrix_matches_tunable_step(self, chi):
+        ops = self._shipped_like()
+        cfg = StepConfig(dt=10.0, chi=chi)
+        reference = circuit.channel_transfer_matrix(
+            lambda r: kernel.tunable_step(r, ops, cfg), ops.dim
+        )
+        assert np.max(np.abs(kernel.step_transfer_matrix(ops, chi) - reference)) <= 1e-14
+
+    def test_chi_zero_is_bare_unitary_product(self):
+        ops = self._shipped_like()
+        assert np.array_equal(
+            kernel.step_transfer_matrix(ops, 0.0), np.kron(ops.unitary, ops.unitary.conj())
+        )
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_matches_manual_tunable_step_loop(self, renormalize):
+        d = 4
+        ops = self._shipped_like(d)
+        cfg = StepConfig(dt=10.0, chi=0.5, renormalize_trace=renormalize)
+        steps = 2 * kernel.CHUNK + 3
+        rho = random_density(d)
+        obs = self._observers(d)
+        traj = kernel.propagate(
+            kernel.step_transfer_matrix(ops, cfg.chi), rho, cfg.dt, steps, obs,
+            renormalize=renormalize,
+        )
+        assert traj.populations.shape == (steps + 1, d)
+        manual = rho.copy()
+        for k in range(steps + 1):
+            if k:
+                manual = kernel.tunable_step(manual, ops, cfg)
+            herm = 0.5 * (manual + manual.conj().T)
+            assert np.max(np.abs(traj.populations[k] - np.diag(manual).real)) <= 1e-12
+            assert abs(traj.trace[k] - np.trace(manual).real) <= 1e-12
+            assert abs(traj.min_eig[k] - np.linalg.eigvalsh(herm).min()) <= 1e-12
+        assert traj.times[-1] == pytest.approx(steps * cfg.dt)
+
+    def test_names_first_invalid_step_in_second_chunk(self):
+        # not completely positive: each step moves 1/300 of the trace from
+        # |1><1| to |0><0|, so from diag(0.5, 0.5) the |1> population reaches
+        # 0 at step 150 and is negative from step 151, inside the second chunk
+        a = 1.0 / 300.0
+        t = np.eye(4, dtype=complex)
+        t[0, [0, 3]] += a
+        t[3, [0, 3]] -= a
+        first_bad = 151
+        assert kernel.CHUNK <= first_bad < 2 * kernel.CHUNK
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        message = rf"at step {first_bad}: min eigenvalue -3\.3"
+        with pytest.raises(StateInvalidError, match=message):
+            kernel.propagate(t, rho, 1.0, 3 * kernel.CHUNK, self._observers(2))
+        traj = kernel.propagate(t, rho, 1.0, first_bad - 1, self._observers(2))
+        assert traj.min_eig[-1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_mismatched_shapes(self):
+        ops = self._shipped_like(3)
+        t = kernel.step_transfer_matrix(ops, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            kernel.propagate(t, np.eye(2), 1.0, 1, self._observers(3))
+        with pytest.raises(DimensionMismatchError):
+            kernel.propagate(t, np.eye(3) / 3, 1.0, 1, self._observers(2))
+        with pytest.raises(DimensionMismatchError):
+            kernel.propagate(t[:8], np.eye(3) / 3, 1.0, 1, self._observers(3))
