@@ -93,6 +93,8 @@ from .circuit import (
     build_step_circuit,
     channel_choi,
     channel_transfer_matrix,
+    choi_from_transfer,
+    circuit_transfer_matrix,
     compare_step_channels,
     export_gates,
     gate_count,

@@ -21,10 +21,17 @@ reset after each, applies the coherent gate C = |0><0|_B1 (x) U + |1><1|_B1
 (x) 1 at the end, and traces out B1. The resulting channel is exactly trace
 preserving and completely positive, unlike the raw one-shot step map, and
 agrees with it to first order in the jump probabilities.
+
+apply_circuit runs a stack of states at once: rotations and permutations act
+on their two rows and columns only, and the B2 reset is a reshape-sum. One
+call per row of the d^2 basis elements builds the step's row-major transfer
+matrix T (circuit_transfer_matrix); its Choi matrix is a reshuffle of T.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +62,14 @@ class QubitLayout:
     dim: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim < 2:
             raise LayoutMismatchError(f"need dim >= 2, got {self.dim}")
 
     @property
     def n_system(self) -> int:
-        return int(np.ceil(np.log2(self.dim)))
+        """ceil(log2 dim), in integer arithmetic."""
+        return (self.dim - 1).bit_length()
 
     @property
     def b1_wire(self) -> int:
@@ -235,33 +244,31 @@ def _pad_to_register(layout: QubitLayout, op: np.ndarray) -> np.ndarray:
     return padded
 
 
+def _two_level_indices(gate: Gate, layout: QubitLayout) -> list:
+    """The two simulated-space indices a rotation or permutation gate acts on."""
+    if gate.kind == KIND_CPERM:
+        return [layout.basis_index(0, layout.code_of(gate.src), 1),
+                layout.basis_index(1, layout.code_of(gate.dst), 1)]
+    required = dict(gate.controls)
+    b1 = required.pop(layout.b1_wire)
+    n = layout.n_system
+    code = sum(required[wire] << (n - 1 - b) for b, wire in enumerate(layout.system_wires))
+    return [layout.basis_index(b1, code, 0), layout.basis_index(b1, code, 1)]
+
+
+def _rotation(theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]])
+
+
 def gate_matrix(gate: Gate, layout: QubitLayout) -> np.ndarray:
     """Dense unitary of a gate on the simulated (B1, system, B2) space."""
     dim = layout.sim_dim
-    if gate.kind == KIND_CRY:
+    if gate.kind in (KIND_CRY, KIND_CPERM):
         m = np.eye(dim, dtype=complex)
-        required = dict(gate.controls)
-        b1 = required.pop(layout.b1_wire)
-        n = layout.n_system
-        code = 0
-        for b, wire in enumerate(layout.system_wires):
-            code |= required[wire] << (n - 1 - b)
-        i0 = layout.basis_index(b1, code, 0)
-        i1 = layout.basis_index(b1, code, 1)
-        c, s = np.cos(gate.theta / 2.0), np.sin(gate.theta / 2.0)
-        m[i0, i0] = c
-        m[i1, i0] = s
-        m[i0, i1] = -s
-        m[i1, i1] = c
-        return m
-    if gate.kind == KIND_CPERM:
-        m = np.eye(dim, dtype=complex)
-        a = layout.basis_index(0, layout.code_of(gate.src), 1)
-        b = layout.basis_index(1, layout.code_of(gate.dst), 1)
-        m[a, a] = 0.0
-        m[b, b] = 0.0
-        m[a, b] = 1.0
-        m[b, a] = 1.0
+        block = _rotation(gate.theta) if gate.kind == KIND_CRY else [[0.0, 1.0], [1.0, 0.0]]
+        idx = _two_level_indices(gate, layout)
+        m[np.ix_(idx, idx)] = block
         return m
     if gate.kind == KIND_CUNITARY:
         padded = _pad_to_register(layout, gate.matrix)
@@ -278,52 +285,63 @@ def gate_matrix(gate: Gate, layout: QubitLayout) -> np.ndarray:
     raise LayoutMismatchError(f"gate kind {gate.kind!r} has no unitary matrix")
 
 
-def _reset_b2(sigma: np.ndarray, layout: QubitLayout) -> np.ndarray:
-    """Trace out B2 and re-tensor |0><0|."""
-    half = layout.sim_dim // 2
-    r = sigma.reshape(half, 2, half, 2)
-    traced = np.einsum("aibi->ab", r)
-    out = np.zeros_like(sigma).reshape(half, 2, half, 2)
-    out[:, 0, :, 0] = traced
-    return out.reshape(layout.sim_dim, layout.sim_dim)
-
-
 def apply_circuit(rho_sys: np.ndarray, gates: GateList, layout: QubitLayout | None = None) -> np.ndarray:
-    """Run a compiled circuit on a system state; returns the reduced state.
+    """Run a compiled circuit on a state or a stack (..., d, d); returns the reduced states.
 
-    The state is embedded with B1 = B2 = |0>, unitary gates act by
-    conjugation, resets trace-and-retension B2, and both bath qubits are
-    traced out at the end. The channel is exactly trace preserving.
+    Each state is embedded with B1 = B2 = |0>. Rotations mix, and
+    permutations swap, their two rows and columns; the other unitary gates
+    act by dense conjugation; resets trace-and-retension B2; both bath
+    qubits are traced out at the end. The channel is exactly trace preserving.
     """
     if layout is None:
         layout = gates.layout
     d = layout.dim
     rho_sys = np.asarray(rho_sys, dtype=complex)
-    if rho_sys.shape != (d, d):
+    if rho_sys.shape[-2:] != (d, d):
         raise LayoutMismatchError(
             f"state shape {rho_sys.shape} does not fit layout dim {d}"
         )
-    n_full = 2 ** layout.n_system
-    codes = layout.codes()
-    reg = np.zeros((n_full, n_full), dtype=complex)
-    reg[np.ix_(codes, codes)] = rho_sys
-    p0 = np.zeros((2, 2), dtype=complex)
-    p0[0, 0] = 1.0
-    sigma = np.kron(np.kron(p0, reg), p0)
+    batch = rho_sys.shape[:-2]
+    n_full, half = 2 ** layout.n_system, layout.sim_dim // 2
+    codes = np.array(layout.codes())
+    sigma = np.zeros(batch + (layout.sim_dim, layout.sim_dim), dtype=complex)
+    embed = codes << 1  # basis_index(0, code, 0)
+    sigma[..., embed[:, None], embed] = rho_sys
+    b2 = sigma.reshape(batch + (half, 2, half, 2))  # a view: B2 is the last bit
 
     for pos, gate in enumerate(gates):
         if gate.kind == KIND_RESET_B2:
-            sigma = _reset_b2(sigma, layout)
+            b2[..., 0, :, 0] += b2[..., 1, :, 1]
+            b2[..., 1, :, :] = 0.0
+            b2[..., 0, :, 1] = 0.0
         elif gate.kind == KIND_TRACE_B1:
             if pos != len(gates.gates) - 1:
                 raise LayoutMismatchError("trace-out-b1 must be the final gate")
+        elif gate.kind == KIND_CRY:
+            idx, r = _two_level_indices(gate, layout), _rotation(gate.theta)
+            sigma[..., idx, :] = r @ sigma[..., idx, :]
+            sigma[..., :, idx] = sigma[..., :, idx] @ r.T
+        elif gate.kind == KIND_CPERM:
+            idx = _two_level_indices(gate, layout)
+            sigma[..., idx, :] = sigma[..., idx[::-1], :]
+            sigma[..., :, idx] = sigma[..., :, idx[::-1]]
         else:
             m = gate_matrix(gate, layout)
-            sigma = m @ sigma @ m.conj().T
+            sigma[...] = m @ sigma @ m.conj().T
 
-    r = sigma.reshape(2, n_full, 2, 2, n_full, 2)
-    reduced = np.einsum("xiyxjy->ij", r)
-    return reduced[np.ix_(codes, codes)]
+    r = sigma.reshape(batch + (2, n_full, 2, 2, n_full, 2))
+    reduced = np.einsum("...xiyxjy->...ij", r)
+    return reduced[..., codes[:, None], codes]
+
+
+def circuit_transfer_matrix(gates: GateList, layout: QubitLayout | None = None) -> np.ndarray:
+    """Row-major transfer matrix T of a compiled step, from apply_circuit on the d^2 basis
+    elements: one call per row a takes |a><b| for all b, so d registers are held, not d^2.
+    """
+    d = (gates.layout if layout is None else layout).dim
+    rows = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    out = np.concatenate([apply_circuit(row, gates, layout) for row in rows])
+    return out.reshape(d * d, d * d).T.copy()
 
 
 def sequential_kraus_step(rho: np.ndarray, rates: JumpRateSpec, u: np.ndarray) -> np.ndarray:
@@ -358,6 +376,21 @@ def sequential_kraus_step(rho: np.ndarray, rates: JumpRateSpec, u: np.ndarray) -
     return sigma[:d, :d] + sigma[d:, d:]
 
 
+def channel_transfer_matrix(apply_channel, dim: int) -> np.ndarray:
+    """Row-major superoperator T with vec(E(rho)) = T @ vec(rho)."""
+    basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    return np.stack([np.asarray(apply_channel(e), dtype=complex).reshape(-1) for e in basis], axis=1)
+
+
+def choi_from_transfer(t: np.ndarray) -> np.ndarray:
+    """Choi matrix of the channel with row-major transfer matrix t, a reshuffle of t.
+
+    choi[a*d + i, b*d + j] = E(|a><b|)[i, j] = t[i*d + j, a*d + b].
+    """
+    d = math.isqrt(t.shape[0])
+    return t.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
 def channel_choi(apply_channel, dim: int) -> np.ndarray:
     """Choi matrix sum_ab |a><b| (x) E(|a><b|) of a linear channel.
 
@@ -365,24 +398,7 @@ def channel_choi(apply_channel, dim: int) -> np.ndarray:
     CPTP channels give a PSD Choi matrix whose partial trace over the output
     factor is the identity.
     """
-    c = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[a, b] = 1.0
-            c += np.kron(e, np.asarray(apply_channel(e), dtype=complex))
-    return c
-
-
-def channel_transfer_matrix(apply_channel, dim: int) -> np.ndarray:
-    """Row-major superoperator T with vec(E(rho)) = T @ vec(rho)."""
-    t = np.empty((dim * dim, dim * dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[a, b] = 1.0
-            t[:, a * dim + b] = np.asarray(apply_channel(e), dtype=complex).reshape(-1)
-    return t
+    return choi_from_transfer(channel_transfer_matrix(apply_channel, dim))
 
 
 @dataclass
@@ -420,7 +436,7 @@ def compare_step_channels(
         u = evolution_unitary(hamiltonian, s * dt)
         gates = build_step_circuit(gam, u, layout)
         ops = build_evolution_operators(gam, u)
-        choi_circuit = channel_choi(lambda r: apply_circuit(r, gates, layout), d)
+        choi_circuit = choi_from_transfer(circuit_transfer_matrix(gates, layout))
         choi_map = channel_choi(lambda r: enaqt_step(r, ops), d)
         report.rows.append((float(s), frob_dist(choi_circuit, choi_map)))
     return report

@@ -22,10 +22,11 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import itertools
 import json
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -110,8 +111,18 @@ def _config_lines(cfg: RunConfig, extra: dict | None = None) -> list:
 
 
 def _emit(lines, out_path: str | None):
-    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+    """Write lines to out_path, or to stdout without one, overwriting a file in place.
+
+    A regular file is cut to length after the write, because truncating it on
+    open makes ext4 (auto_da_alloc) flush its old pages first.
+    """
+    if not out_path:
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        return
+    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.writelines(f"{line}\n" for line in lines)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 class _Runner:
@@ -152,9 +163,7 @@ class _Runner:
     def _circuit_trajectory(self, rho0, step_cfg: kernel.StepConfig) -> kernel.Trajectory:
         layout = circuit.QubitLayout(self.basis.dim)
         gates = circuit.build_step_circuit(self.rates, self.unitary, layout)
-        step_t = circuit.channel_transfer_matrix(
-            lambda r: circuit.apply_circuit(r, gates, layout), self.basis.dim
-        )
+        step_t = circuit.circuit_transfer_matrix(gates, layout)
         if step_cfg.chi != 1.0:
             coh_t = np.kron(self.unitary, self.unitary.conj())
             step_t = (1.0 - step_cfg.chi) * coh_t + step_cfg.chi * step_t
@@ -255,9 +264,7 @@ def cmd_circuit_verify(args) -> int:
     d = runner.basis.dim
     layout = circuit.QubitLayout(d)
     gates = circuit.build_step_circuit(runner.rates, runner.unitary, layout)
-    choi_circuit = circuit.channel_choi(
-        lambda r: circuit.apply_circuit(r, gates, layout), d
-    )
+    choi_circuit = circuit.choi_from_transfer(circuit.circuit_transfer_matrix(gates, layout))
     choi_seq = circuit.channel_choi(
         lambda r: circuit.sequential_kraus_step(r, runner.rates, runner.unitary), d
     )

@@ -241,7 +241,8 @@ def propagate(
     t is a row-major d^2 x d^2 transfer matrix, observers an (n_obs, d, d) stack
     of hermitian projectors; populations are Re tr(P_i rho_k). renormalize
     divides each new state by its real trace. States are stepped and checked
-    CHUNK rows at a time, never held as the whole (steps+1, d^2) stack. Raises
+    CHUNK rows at a time, never held as the whole (steps+1, d^2) stack; the
+    last one is kept as metadata["final_state"]. Raises
     StateInvalidError at the first step whose state loses hermiticity or
     positivity beyond psd_tol (a symptom of gamma/dt misconfiguration).
     """
@@ -283,7 +284,8 @@ def propagate(
                 f"state invalid at step {k}: min eigenvalue {min_eig[k]:.3e}, "
                 f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {psd_tol:.1e})"
             )
-    return Trajectory(times=times, populations=populations, trace=trace, min_eig=min_eig)
+    return Trajectory(times=times, populations=populations, trace=trace, min_eig=min_eig,
+                      metadata={"final_state": v.reshape(d, d).copy()})
 
 
 def evolve_trajectory(

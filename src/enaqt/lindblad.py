@@ -10,7 +10,10 @@ one whose normalisation terms deplete the state the population leaves.
 
 A fixed-step classical RK4 drives the integration (deliberately not an
 eigendecomposition-based exponential, to stay structurally independent of
-the discrete kernel it cross-checks).
+the discrete kernel it cross-checks). For the linear master equation one RK4
+step of size h is exactly T = 1 + hL (1 + hL/2 (1 + hL/3 (1 + hL/4))), with
+the Liouvillian matrix L built from lindblad_rhs on the d^2 basis elements;
+both T and the kernel's transfer matrix are stepped by matvec.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ class LindbladModel:
     hamiltonian: np.ndarray
     jumps: tuple = ()
     hbar: float = HBAR_CM1_FS
+    # (L, L^dag, Gamma, sum Gamma L^dag L) over the jumps for the rhs; None without jumps
+    _stacked: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -53,6 +58,13 @@ class LindbladModel:
             jumps.append((op, float(rate)))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", tuple(jumps))
+        stacked = None
+        if jumps:
+            L = np.stack([op for op, _ in jumps])
+            g = np.array([rate for _, rate in jumps])[:, None, None]
+            Ld = L.conj().transpose(0, 2, 1)
+            stacked = (L, Ld, g, np.sum(g * (Ld @ L), axis=0))
+        object.__setattr__(self, "_stacked", stacked)
 
     @property
     def dim(self) -> int:
@@ -96,23 +108,6 @@ class LindbladModel:
             rates[m, n] += rate * float(np.abs(op[n, m]) ** 2)
         return rates
 
-    def _stacked(self):
-        """Batched arrays (L, L^dag, Gamma, sum Gamma L^dag L) for the rhs.
-
-        Built once per model; the rhs is evaluated four times per RK4 step.
-        """
-        if not self.jumps:
-            return None
-        cached = getattr(self, "_stacked_cache", None)
-        if cached is None:
-            L = np.stack([op for op, _ in self.jumps])
-            g = np.array([rate for _, rate in self.jumps])[:, None, None]
-            Ld = L.conj().transpose(0, 2, 1)
-            LdL_tot = np.sum(g * (Ld @ L), axis=0)
-            cached = (L, Ld, g, LdL_tot)
-            object.__setattr__(self, "_stacked_cache", cached)
-        return cached
-
 
 def lindblad_rhs(rho: np.ndarray, model: LindbladModel) -> np.ndarray:
     """d(rho)/dt: -(i/hbar)[H, rho] plus the GKSL dissipator."""
@@ -123,9 +118,8 @@ def lindblad_rhs(rho: np.ndarray, model: LindbladModel) -> np.ndarray:
             f"state shape {rho.shape} does not match hamiltonian {h.shape}"
         )
     out = (-1j / model.hbar) * (h @ rho - rho @ h)
-    stacked = model._stacked()
-    if stacked is not None:
-        L, Ld, g, LdL_tot = stacked
+    if model._stacked is not None:
+        L, Ld, g, LdL_tot = model._stacked
         out += np.sum(g * (L @ rho @ Ld), axis=0)
         out -= 0.5 * (LdL_tot @ rho + rho @ LdL_tot)
     return out
@@ -140,54 +134,39 @@ def rk4_integrate(
 ) -> Trajectory:
     """Fixed-step RK4 integration of the master equation.
 
-    The state is re-hermitized ((rho + rho^dag)/2) after every step. Emits
-    StepTooLargeWarning once if ||rhs|| * dt >= 0.1, where the fixed step
-    starts losing its accuracy budget.
+    Steps the RK4 polynomial T of the module docstring through kernel.propagate,
+    which checks the shapes but never raises on the states here (psd_tol =
+    inf); metadata["final_state"] is the hermitized last state. Emits
+    StepTooLargeWarning once if sqrt(||dt L||_1 ||dt L||_inf) >= 0.1, where
+    the fixed step starts losing its accuracy budget; this SVD-free bound on
+    ||dt L||_2 bounds ||rhs|| * dt for every state of Frobenius norm <= 1.
     """
-    rho = np.asarray(rho0, dtype=complex).copy()
-    d = model.dim
-    if rho.shape != (d, d):
-        raise DimensionMismatchError(f"state shape {rho.shape} does not match dim {d}")
-    if observers is None:
-        obs = np.stack([np.diag(e) for e in np.eye(d)]).astype(complex)
-    else:
-        obs = np.asarray(observers, dtype=complex)
-        if obs.ndim != 3 or obs.shape[1:] != (d, d):
-            raise DimensionMismatchError(
-                f"observers must be (n_obs, {d}, {d}), got {obs.shape}"
-            )
-
-    times = np.arange(steps + 1) * dt
-    populations = np.empty((steps + 1, obs.shape[0]))
-    trace = np.empty(steps + 1)
-    min_eig = np.empty(steps + 1)
-    warned = False
-
-    def record(k: int):
-        populations[k] = np.einsum("oij,ji->o", obs, rho).real
-        trace[k] = np.trace(rho).real
-        min_eig[k] = float(np.linalg.eigvalsh(rho).min())
-
-    record(0)
-    for k in range(1, steps + 1):
-        k1 = lindblad_rhs(rho, model)
-        if not warned and np.linalg.norm(k1) * dt >= 0.1:
-            warnings.warn(
-                f"RK4 step {dt} fs is coarse: ||rhs||*dt = "
-                f"{np.linalg.norm(k1) * dt:.3f} >= 0.1",
-                StepTooLargeWarning,
-                stacklevel=2,
-            )
-            warned = True
-        k2 = lindblad_rhs(rho + 0.5 * dt * k1, model)
-        k3 = lindblad_rhs(rho + 0.5 * dt * k2, model)
-        k4 = lindblad_rhs(rho + dt * k3, model)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        record(k)
-    traj = Trajectory(times=times, populations=populations, trace=trace, min_eig=min_eig)
-    traj.metadata["final_state"] = rho
+    obs = np.stack([np.diag(e) for e in np.eye(model.dim)]) if observers is None else observers
+    traj = kernel.propagate(_rk4_transfer_matrix(model, dt), rho0, dt, steps, obs, psd_tol=np.inf)
+    rho = traj.metadata["final_state"]
+    traj.metadata["final_state"] = 0.5 * (rho + rho.conj().T)
     return traj
+
+
+def _rk4_transfer_matrix(model: LindbladModel, dt: float) -> np.ndarray:
+    """The RK4 polynomial T of the module docstring; warns if dt is coarse (see rk4_integrate)."""
+    d = model.dim
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    hl = dt * np.stack([lindblad_rhs(e, model).reshape(-1) for e in basis], axis=1)
+    bound = np.sqrt(np.linalg.norm(hl, 1) * np.linalg.norm(hl, np.inf))  # >= ||dt L||_2
+    if bound >= 0.1:
+        warnings.warn(f"RK4 step {dt} fs is coarse: ||dt L||_2 bound {bound:.3f} >= 0.1",
+                      StepTooLargeWarning, stacklevel=3)
+    one = np.eye(d * d)
+    return one + hl @ (one + hl / 2.0 @ (one + hl / 3.0 @ (one + hl / 4.0)))
+
+
+def _final_state(t: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
+    """rho0 after `steps` matvecs with the row-major transfer matrix t."""
+    v = rho0.reshape(-1)
+    for _ in range(steps):
+        v = t @ v
+    return v.reshape(rho0.shape)
 
 
 @dataclass
@@ -205,17 +184,6 @@ class ConvergenceReport:
             for i in range(len(self.rows) - 1)
             if self.rows[i + 1][1] > 0
         ]
-
-
-def _discrete_final_state(
-    rho0: np.ndarray, model: LindbladModel, rates: np.ndarray, dt: float, steps: int
-) -> np.ndarray:
-    u = evolution_unitary(model.hamiltonian, dt, hbar=model.hbar)
-    ops = kernel.build_evolution_operators(JumpRateSpec(rates * dt), u)
-    rho = np.asarray(rho0, dtype=complex).copy()
-    for _ in range(steps):
-        rho = kernel.enaqt_step(rho, ops)
-    return rho
 
 
 def convergence_report(
@@ -242,14 +210,18 @@ def convergence_report(
     if oracle_dt > min(dt_list) / 10.0 + 1e-12:
         raise ValueError("oracle_dt must be at most min(dt_list)/10")
 
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != model.hamiltonian.shape:
+        raise DimensionMismatchError(f"state shape {rho0.shape} does not match dim {model.dim}")
     oracle_steps = int(round(t_final / oracle_dt))
-    ref = rk4_integrate(rho0, model, t_final / oracle_steps, oracle_steps)
-    ref_state = ref.metadata["final_state"]
+    ref = _final_state(_rk4_transfer_matrix(model, t_final / oracle_steps), rho0, oracle_steps)
+    ref = 0.5 * (ref + ref.conj().T)
 
     rates = model.transition_rate_matrix()
     report = ConvergenceReport(t_final=t_final, oracle_dt=oracle_dt)
     for dt in sorted(dt_list, reverse=True):
-        steps = int(round(t_final / dt))
-        final = _discrete_final_state(rho0, model, rates, dt, steps)
-        report.rows.append((dt, frob_dist(final, ref_state)))
+        u = evolution_unitary(model.hamiltonian, dt, hbar=model.hbar)
+        ops = kernel.build_evolution_operators(JumpRateSpec(rates * dt), u)
+        final = _final_state(kernel.step_transfer_matrix(ops, 1.0), rho0, int(round(t_final / dt)))
+        report.rows.append((dt, frob_dist(final, ref)))
     return report

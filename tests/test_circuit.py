@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,27 @@ def jump_circuit_channel(d, i, j, g):
     return chan
 
 
+def dense_apply_circuit(rho_sys, gates):
+    """Per-state reference: every unitary gate as a dense conjugation by gate_matrix."""
+    layout = gates.layout
+    n_full = 2 ** layout.n_system
+    codes = layout.codes()
+    reg = np.zeros((n_full, n_full), dtype=complex)
+    reg[np.ix_(codes, codes)] = rho_sys
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    sigma = np.kron(np.kron(p0, reg), p0)
+    half = layout.sim_dim // 2
+    for gate in gates:
+        if gate.kind == circuit.KIND_RESET_B2:
+            traced = np.einsum("aibi->ab", sigma.reshape(half, 2, half, 2))
+            sigma = np.kron(traced, p0)
+        elif gate.kind != circuit.KIND_TRACE_B1:
+            m = circuit.gate_matrix(gate, layout)
+            sigma = m @ sigma @ m.conj().T
+    reduced = np.einsum("xiyxjy->ij", sigma.reshape(2, n_full, 2, 2, n_full, 2))
+    return reduced[np.ix_(codes, codes)]
+
+
 class TestQubitLayout:
     def test_dim7(self):
         ly = QubitLayout(7)
@@ -91,6 +114,11 @@ class TestQubitLayout:
     def test_code_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             QubitLayout(7).code_of(7)
+
+    def test_n_system_is_ceil_log2(self):
+        for d in range(2, 65):
+            assert QubitLayout(d).n_system == math.ceil(math.log2(d))
+        assert QubitLayout(np.int64(7)).n_system == 3
 
 
 class TestBuildJumpCircuit:
@@ -219,6 +247,17 @@ class TestApplyCircuit:
         with pytest.raises(LayoutMismatchError):
             circuit.apply_circuit(np.eye(3), GateList(layout=QubitLayout(4)))
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stack_matches_per_state_and_dense_reference(self, d):
+        gates = circuit.build_step_circuit(random_rates(d, scale=0.08), random_unitary(d))
+        stack = np.stack([random_density(d) for _ in range(6)]).reshape(2, 3, d, d)
+        batched = circuit.apply_circuit(stack, gates)
+        assert batched.shape == (2, 3, d, d)
+        for idx in np.ndindex(2, 3):
+            single = circuit.apply_circuit(stack[idx], gates)
+            assert np.max(np.abs(batched[idx] - single)) <= 1e-15
+            assert np.max(np.abs(single - dense_apply_circuit(stack[idx], gates))) <= 1e-15
+
 
 class TestChannelChoi:
     def test_identity_channel(self):
@@ -257,6 +296,33 @@ class TestChannelChoi:
         rho = random_density(d)
         via_t = (t @ rho.reshape(-1)).reshape(d, d)
         assert np.max(np.abs(via_t - circuit.apply_circuit(rho, gates))) <= 1e-12
+
+
+    def test_reshuffle_matches_kron_double_loop(self):
+        # a linear, non-CP, non-hermiticity-preserving map
+        d = 4
+        a, b, c = (RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d)) for _ in range(3))
+
+        def chan(r):
+            return a @ r @ b + c @ r.T
+
+        expected = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = 1.0
+                expected += np.kron(e, chan(e))
+        assert np.max(np.abs(circuit.channel_choi(chan, d) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_circuit_transfer_matrix_matches_per_element_build(self, d):
+        gates = circuit.build_step_circuit(random_rates(d), random_unitary(d))
+        t = circuit.circuit_transfer_matrix(gates)
+        reference = circuit.channel_transfer_matrix(
+            lambda r: circuit.apply_circuit(r, gates), d
+        )
+        assert t.flags.c_contiguous
+        assert np.max(np.abs(t - reference)) <= 1e-15
 
 
 class TestSequentialKraus:

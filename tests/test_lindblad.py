@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from enaqt import lindblad, linalg
+from enaqt import fmo, lindblad, linalg
 from enaqt.errors import DimensionMismatchError, StepTooLargeWarning
 from enaqt.lindblad import LindbladModel
 
@@ -72,7 +74,66 @@ class TestLindbladRhs:
             lindblad.lindblad_rhs(np.eye(2), model)
 
 
+def stage_by_stage_rk4(rho, model, dt, steps):
+    """Reference: four lindblad_rhs stages per step, hermitized after each step."""
+    pops, trace, min_eig = [], [], []
+
+    def record(r):
+        pops.append(np.diag(r).real.copy())
+        trace.append(np.trace(r).real)
+        min_eig.append(np.linalg.eigvalsh(r).min())
+
+    record(rho)
+    for _ in range(steps):
+        k1 = lindblad.lindblad_rhs(rho, model)
+        k2 = lindblad.lindblad_rhs(rho + 0.5 * dt * k1, model)
+        k3 = lindblad.lindblad_rhs(rho + 0.5 * dt * k2, model)
+        k4 = lindblad.lindblad_rhs(rho + dt * k3, model)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        record(rho)
+    return np.array(pops), np.array(trace), np.array(min_eig), rho
+
+
+def shipped_exciton_model(dt):
+    """The shipped FMO model in its exciton basis, rates per fs from the step-dt table."""
+    model = fmo.load_model(fmo.default_model_path())
+    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
+    rates = fmo.jump_rates(basis, model.bath(), dt)
+    h = np.diag(basis.energies_cm1).astype(complex)
+    return LindbladModel.from_rate_matrix(h, rates.gamma / dt)
+
+
 class TestRk4Integrate:
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_matches_stage_by_stage_loop(self, d):
+        h = RNG.normal(size=(d, d)) * 80.0
+        rates = RNG.uniform(0.0, 0.01, size=(d, d))
+        np.fill_diagonal(rates, 0.0)
+        model = LindbladModel.from_rate_matrix(0.5 * (h + h.T), rates)
+        rho = random_density(d)
+        dt, steps = 0.5, 300
+        pops, trace, min_eig, final = stage_by_stage_rk4(rho, model, dt, steps)
+        traj = lindblad.rk4_integrate(rho, model, dt, steps)
+        assert np.max(np.abs(traj.populations - pops)) <= 1e-12
+        assert np.max(np.abs(traj.trace - trace)) <= 1e-12
+        assert np.max(np.abs(traj.min_eig - min_eig)) <= 1e-12
+        assert np.max(np.abs(traj.metadata["final_state"] - final)) <= 1e-12
+        assert np.array_equal(traj.metadata["final_state"], traj.metadata["final_state"].conj().T)
+        assert np.array_equal(traj.times, np.arange(steps + 1) * dt)
+
+    def test_warns_once_on_coarse_step_only(self):
+        coarse = shipped_exciton_model(10.0)
+        rho = np.diag(np.eye(7)[0]).astype(complex)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lindblad.rk4_integrate(rho, coarse, 10.0, 50)
+        assert [w.category for w in caught] == [StepTooLargeWarning]
+        assert caught[0].filename == __file__  # points at the caller of rk4_integrate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lindblad.rk4_integrate(rho, coarse, 0.5, 50)
+
     def test_diagonal_hamiltonian_keeps_populations(self):
         model = LindbladModel(hamiltonian=np.diag([0.0, 150.0, 400.0]))
         rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
