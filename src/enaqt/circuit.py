@@ -31,7 +31,6 @@ matrix T (circuit_transfer_matrix); its Choi matrix is a reshuffle of T.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +61,6 @@ class QubitLayout:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim < 2:
             raise LayoutMismatchError(f"need dim >= 2, got {self.dim}")
 

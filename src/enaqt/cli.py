@@ -22,11 +22,10 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
-import os
-import stat
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -111,18 +110,8 @@ def _config_lines(cfg: RunConfig, extra: dict | None = None) -> list:
 
 
 def _emit(lines, out_path: str | None):
-    """Write lines to out_path, or to stdout without one, overwriting a file in place.
-
-    A regular file is cut to length after the write, because truncating it on
-    open makes ext4 (auto_da_alloc) flush its old pages first.
-    """
-    if not out_path:
-        sys.stdout.writelines(f"{line}\n" for line in lines)
-        return
-    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
         fh.writelines(f"{line}\n" for line in lines)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
 
 
 class _Runner:

@@ -118,7 +118,6 @@ class TestQubitLayout:
     def test_n_system_is_ceil_log2(self):
         for d in range(2, 65):
             assert QubitLayout(d).n_system == math.ceil(math.log2(d))
-        assert QubitLayout(np.int64(7)).n_system == 3
 
 
 class TestBuildJumpCircuit:

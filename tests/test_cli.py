@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -220,39 +219,6 @@ class TestCsvBytes:
         assert out.read_bytes() == expected.encode()
         cli._emit(iter(lines), None)
         assert capsys.readouterr().out == expected
-
-    @pytest.mark.parametrize("stale", ["x" * 1000 + "\n", "x\n", ""],
-                             ids=["longer", "shorter", "empty"])
-    def test_emit_overwrites_in_place(self, tmp_path, stale):
-        lines = ["# enaqt", "t_fs,site1", "0,0.5"]
-        out = tmp_path / "out.csv"
-        out.write_text(stale)
-        inode = out.stat().st_ino
-        cli._emit(iter(lines), str(out))
-        assert out.read_bytes() == b"# enaqt\nt_fs,site1\n0,0.5\n"
-        assert out.stat().st_ino == inode
-
-    def test_emit_writes_through_a_symlink(self, tmp_path):
-        target = tmp_path / "target.csv"
-        target.write_text("old contents, longer than the new ones\n" * 3)
-        inode = target.stat().st_ino
-        link = tmp_path / "link.csv"
-        link.symlink_to(target)
-        cli._emit(iter(["a", "b"]), str(link))
-        assert link.is_symlink()
-        assert target.read_bytes() == b"a\nb\n"
-        assert target.stat().st_ino == inode
-
-    def test_emit_creates_a_missing_file_as_open_does(self, tmp_path):
-        out, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        cli._emit(iter(["a"]), str(out))
-        with open(ref, "w"):
-            pass
-        assert out.read_bytes() == b"a\n"
-        assert out.stat().st_mode == ref.stat().st_mode
-
-    def test_emit_to_a_device(self):
-        cli._emit(iter(["a", "b"]), os.devnull)
 
 
 class TestSweepChi:
