@@ -96,6 +96,7 @@ from .circuit import (
     choi_from_transfer,
     circuit_transfer_matrix,
     compare_step_channels,
+    compile_circuit,
     export_gates,
     gate_count,
     gate_matrix,

@@ -22,10 +22,12 @@ reset after each, applies the coherent gate C = |0><0|_B1 (x) U + |1><1|_B1
 preserving and completely positive, unlike the raw one-shot step map, and
 agrees with it to first order in the jump probabilities.
 
-apply_circuit runs a stack of states at once: rotations and permutations act
-on their two rows and columns only, and the B2 reset is a reshape-sum. One
-call per row of the d^2 basis elements builds the step's row-major transfer
-matrix T (circuit_transfer_matrix); its Choi matrix is a reshuffle of T.
+apply_circuit runs a stack of states through a plan compiled once per circuit
+(compile_circuit): each rotation or permutation acts on its two rows and columns,
+each reset on the few B2 = 1 entries that can be nonzero. A few stacks of the d^2
+basis elements give the step's row-major transfer matrix T (circuit_transfer_matrix);
+its Choi matrix is a reshuffle of T. sequential_kraus_step, the independent Kraus
+route, also runs on a stack, so the reference T takes one call.
 """
 
 from __future__ import annotations
@@ -283,16 +285,46 @@ def gate_matrix(gate: Gate, layout: QubitLayout) -> np.ndarray:
     raise LayoutMismatchError(f"gate kind {gate.kind!r} has no unitary matrix")
 
 
-def apply_circuit(rho_sys: np.ndarray, gates: GateList, layout: QubitLayout | None = None) -> np.ndarray:
-    """Run a compiled circuit on a state or a stack (..., d, d); returns the reduced states.
+def compile_circuit(gates: GateList, layout: QubitLayout) -> tuple:
+    """Compile a GateList once into the steps apply_circuit runs (with the same layout), each
+    (kind, a, b). Rotation: its pair (p, p + 1) as a slice, (R, R^T); permutation: its pair, reversed;
+    dense gate: M, M^dag; B2 reset: the B2 = 1 indices that can be nonzero there, their B2 = 0 partners.
+    """
+    steps, live = [], set()
+    for pos, gate in enumerate(gates):
+        if gate.kind == KIND_RESET_B2:
+            if live:
+                idx = np.array(sorted(live))
+                steps.append((KIND_RESET_B2, idx, idx - 1))
+            live = set()
+        elif gate.kind == KIND_TRACE_B1:
+            if pos != len(gates.gates) - 1:
+                raise LayoutMismatchError("trace-out-b1 must be the final gate")
+        elif gate.kind == KIND_CRY:
+            p = _two_level_indices(gate, layout)[0]  # B2 is the last bit: the pair is (p, p + 1)
+            r = _rotation(gate.theta).astype(complex)
+            steps.append((KIND_CRY, slice(p, p + 2), (r, r.T)))
+            live.add(p + 1)
+        elif gate.kind == KIND_CPERM:
+            idx = _two_level_indices(gate, layout)  # both have B2 = 1
+            steps.append((KIND_CPERM, idx, idx[::-1]))
+            live = {idx[1] if k == idx[0] else idx[0] if k == idx[1] else k for k in live}
+        else:  # 1 on B2: it mixes the B2 = 1 rows only among themselves
+            m = gate_matrix(gate, layout)
+            steps.append((KIND_CUNITARY, m, m.conj().T))
+            live = set(range(1, layout.sim_dim, 2)) if live else live
+    return tuple(steps)
+
+
+def apply_circuit(rho_sys: np.ndarray, gates, layout: QubitLayout | None = None) -> np.ndarray:
+    """Run a GateList, or its compile_circuit plan, on a state or a stack (..., d, d).
 
     Each state is embedded with B1 = B2 = |0>. Rotations mix, and
     permutations swap, their two rows and columns; the other unitary gates
     act by dense conjugation; resets trace-and-retension B2; both bath
     qubits are traced out at the end. The channel is exactly trace preserving.
     """
-    if layout is None:
-        layout = gates.layout
+    layout = gates.layout if layout is None else layout
     d = layout.dim
     rho_sys = np.asarray(rho_sys, dtype=complex)
     if rho_sys.shape[-2:] != (d, d):
@@ -300,84 +332,80 @@ def apply_circuit(rho_sys: np.ndarray, gates: GateList, layout: QubitLayout | No
             f"state shape {rho_sys.shape} does not fit layout dim {d}"
         )
     batch = rho_sys.shape[:-2]
-    n_full, half = 2 ** layout.n_system, layout.sim_dim // 2
+    n_full = 2 ** layout.n_system
     codes = np.array(layout.codes())
     sigma = np.zeros(batch + (layout.sim_dim, layout.sim_dim), dtype=complex)
     embed = codes << 1  # basis_index(0, code, 0)
     sigma[..., embed[:, None], embed] = rho_sys
-    b2 = sigma.reshape(batch + (half, 2, half, 2))  # a view: B2 is the last bit
 
-    for pos, gate in enumerate(gates):
-        if gate.kind == KIND_RESET_B2:
-            b2[..., 0, :, 0] += b2[..., 1, :, 1]
-            b2[..., 1, :, :] = 0.0
-            b2[..., 0, :, 1] = 0.0
-        elif gate.kind == KIND_TRACE_B1:
-            if pos != len(gates.gates) - 1:
-                raise LayoutMismatchError("trace-out-b1 must be the final gate")
-        elif gate.kind == KIND_CRY:
-            idx, r = _two_level_indices(gate, layout), _rotation(gate.theta)
-            sigma[..., idx, :] = r @ sigma[..., idx, :]
-            sigma[..., :, idx] = sigma[..., :, idx] @ r.T
-        elif gate.kind == KIND_CPERM:
-            idx = _two_level_indices(gate, layout)
-            sigma[..., idx, :] = sigma[..., idx[::-1], :]
-            sigma[..., :, idx] = sigma[..., :, idx[::-1]]
-        else:
-            m = gate_matrix(gate, layout)
-            sigma[...] = m @ sigma @ m.conj().T
+    plan = gates if isinstance(gates, tuple) else compile_circuit(gates, layout)
+    work = np.empty((layout.sim_dim, layout.sim_dim), dtype=complex)  # a dense half product
+    for kind, a, b in plan:
+        if kind == KIND_CRY:
+            sigma[..., a, :] = b[0] @ sigma[..., a, :]
+            sigma[..., :, a] = sigma[..., :, a] @ b[1]
+        elif kind == KIND_CPERM:
+            sigma[..., a, :] = sigma[..., b, :]
+            sigma[..., :, a] = sigma[..., :, b]
+        elif kind == KIND_RESET_B2:
+            sigma[..., b[:, None], b] += sigma[..., a[:, None], a]
+            sigma[..., a, :] = 0.0
+            sigma[..., :, a] = 0.0
+        else:  # state by state, so the stack needs no second copy
+            for s in sigma.reshape((-1,) + work.shape):
+                np.matmul(np.matmul(a, s, out=work), b, out=s)
 
     r = sigma.reshape(batch + (2, n_full, 2, 2, n_full, 2))
     reduced = np.einsum("...xiyxjy->...ij", r)
     return reduced[..., codes[:, None], codes]
 
 
+SUBSTACKS = 3  # one stack of all d^2 basis elements is faster but holds 3x the registers
+
+
 def circuit_transfer_matrix(gates: GateList, layout: QubitLayout | None = None) -> np.ndarray:
-    """Row-major transfer matrix T of a compiled step, from apply_circuit on the d^2 basis
-    elements: one call per row a takes |a><b| for all b, so d registers are held, not d^2.
-    """
-    d = (gates.layout if layout is None else layout).dim
-    rows = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
-    out = np.concatenate([apply_circuit(row, gates, layout) for row in rows])
-    return out.reshape(d * d, d * d).T.copy()
+    """Row-major T of a compiled step: apply_circuit runs the d^2 basis elements through the plan,
+    compiled once, in SUBSTACKS stacks."""
+    layout = gates.layout if layout is None else layout
+    plan = compile_circuit(gates, layout)
+    return channel_transfer_matrix(lambda part: apply_circuit(part, plan, layout), layout.dim, SUBSTACKS)
 
 
 def sequential_kraus_step(rho: np.ndarray, rates: JumpRateSpec, u: np.ndarray) -> np.ndarray:
-    """Operator-model reference: the same step evaluated by Kraus algebra.
+    """Operator-model reference: the same step by Kraus algebra, on a state or a stack (..., d, d).
 
     Works on the (B1 x system) space directly (no qubit encoding, no B2),
     applying each jump's Kraus pair in the same lexicographic order, then
     the coherent gate, then the B1 trace. Dual route to apply_circuit for
-    channel-equivalence certification.
+    channel-equivalence certification. Each pair scales row and column i and feeds (d+j, d+j).
     """
     d = rates.dim
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise DimensionMismatchError(f"state shape {rho.shape} does not match dim {d}")
-    u = np.asarray(u, dtype=complex)
-    sigma = np.zeros((2 * d, 2 * d), dtype=complex)
-    sigma[:d, :d] = rho  # B1 = |0> block
+    sigma = np.zeros(rho.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    sigma[..., :d, :d] = rho  # B1 = |0> block
     for i in range(d):
         for j in range(d):
             if i == j:
                 continue
-            g = rates.gamma[i, j]
-            m0 = np.eye(2 * d, dtype=complex)
-            m0[i, i] = np.sqrt(1.0 - g)
-            m1 = np.zeros((2 * d, 2 * d), dtype=complex)
-            m1[d + j, i] = np.sqrt(g)
-            sigma = m0 @ sigma @ m0.conj().T + m1 @ sigma @ m1.conj().T
-    c = np.zeros((2 * d, 2 * d), dtype=complex)
+            s0, s1 = np.sqrt(1.0 - rates.gamma[i, j]), np.sqrt(rates.gamma[i, j])
+            sigma[..., d + j, d + j] += sigma[..., i, i] * s1 * s1
+            sigma[..., i, :] *= s0
+            sigma[..., :, i] *= s0
+    c = np.eye(2 * d, dtype=complex)
     c[:d, :d] = u
-    c[d:, d:] = np.eye(d)
-    sigma = c @ sigma @ c.conj().T
-    return sigma[:d, :d] + sigma[d:, d:]
+    sigma = np.matmul(c @ sigma, c.conj().T, out=sigma)
+    return sigma[..., :d, :d] + sigma[..., d:, d:]
 
 
-def channel_transfer_matrix(apply_channel, dim: int) -> np.ndarray:
-    """Row-major superoperator T with vec(E(rho)) = T @ vec(rho)."""
+def channel_transfer_matrix(apply_channel, dim: int, substacks: int | None = None) -> np.ndarray:
+    """Row-major superoperator T with vec(E(rho)) = T @ vec(rho), from E on each basis element
+    or, given `substacks`, on that many stacks of them."""
     basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-    return np.stack([np.asarray(apply_channel(e), dtype=complex).reshape(-1) for e in basis], axis=1)
+    parts = basis if substacks is None else np.array_split(basis, substacks)
+    out = [np.asarray(apply_channel(p), dtype=complex).reshape(-1, dim * dim) for p in parts]
+    return np.concatenate(out).T.copy()
 
 
 def choi_from_transfer(t: np.ndarray) -> np.ndarray:
@@ -426,17 +454,15 @@ def compare_step_channels(
     effective step (U -> U(s*dt)) shrink together; the two channels agree to
     first order in the step, so the distance falls by ~4x per halving.
     """
-    d = rates.dim
-    layout = QubitLayout(d)
     report = ChannelScalingReport()
     for s in scalings:
         gam = JumpRateSpec(rates.gamma * s)
         u = evolution_unitary(hamiltonian, s * dt)
-        gates = build_step_circuit(gam, u, layout)
         ops = build_evolution_operators(gam, u)
-        choi_circuit = choi_from_transfer(circuit_transfer_matrix(gates, layout))
-        choi_map = channel_choi(lambda r: enaqt_step(r, ops), d)
-        report.rows.append((float(s), frob_dist(choi_circuit, choi_map)))
+        t_circuit = circuit_transfer_matrix(build_step_circuit(gam, u))
+        t_map = channel_transfer_matrix(lambda basis: enaqt_step(basis, ops), rates.dim, 1)
+        dist = frob_dist(choi_from_transfer(t_circuit), choi_from_transfer(t_map))
+        report.rows.append((float(s), dist))
     return report
 
 

@@ -26,6 +26,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -45,7 +46,7 @@ from .errors import (
     SurvivalUnderflowError,
     TraceOutOfToleranceError,
 )
-from .linalg import HBAR_CM1_FS
+from .linalg import HBAR_CM1_FS, frob_dist
 
 CONFIG_ERRORS = (ConfigError, ModelFileError, SpecInvalidError)
 NUMERICAL_ERRORS = (
@@ -81,8 +82,10 @@ class RunConfig:
             raise ConfigError(f"chi must lie in [0, 1], got {self.chi}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if not self.dt_fs > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt_fs}")
+        if not 0 < self.dt_fs < math.inf:
+            raise ConfigError(f"dt must be finite and positive, got {self.dt_fs}")
+        if self.temperature_k is not None and not 0 < self.temperature_k < math.inf:
+            raise ConfigError(f"temperature must be finite and positive, got {self.temperature_k}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
 
@@ -150,9 +153,7 @@ class _Runner:
         return self._oracle_trajectory(rho0)
 
     def _circuit_trajectory(self, rho0, step_cfg: kernel.StepConfig) -> kernel.Trajectory:
-        layout = circuit.QubitLayout(self.basis.dim)
-        gates = circuit.build_step_circuit(self.rates, self.unitary, layout)
-        step_t = circuit.circuit_transfer_matrix(gates, layout)
+        step_t = circuit.circuit_transfer_matrix(circuit.build_step_circuit(self.rates, self.unitary))
         if step_cfg.chi != 1.0:
             coh_t = np.kron(self.unitary, self.unitary.conj())
             step_t = (1.0 - step_cfg.chi) * coh_t + step_cfg.chi * step_t
@@ -190,12 +191,18 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _run_config(args)
     cfg.backend = "lindblad-oracle"
+    dt_list = _positive_floats(args.dt_list, "--dt-list")
+    t_final = args.t_final
+    if not 0 < t_final < math.inf:
+        raise ConfigError(f"--t-final must be finite and positive, got {t_final}")
+    for dt in dt_list:
+        n = t_final / dt
+        if not (n < math.inf and abs(n - round(n)) <= 1e-9):
+            raise ConfigError(f"--dt-list value {dt} fs does not divide --t-final {t_final} fs")
     runner = _Runner(cfg)
     traj = runner.trajectory()
     _emit(_trajectory_csv(cfg, traj, runner.model.hamiltonian.n_sites), args.out)
 
-    dt_list = _parse_floats(args.dt_list)
-    t_final = args.t_final
     rates_per_fs = runner.rates.gamma / cfg.dt_fs
     model = lindblad.LindbladModel.from_rate_matrix(runner.h_exciton, rates_per_fs)
     report = lindblad.convergence_report(
@@ -230,12 +237,13 @@ def cmd_sweep_chi(args) -> int:
 
 
 def cmd_gatecount(args) -> int:
-    dims = [int(d) for d in _parse_floats(args.dims)]
+    dims = _parse_floats(args.dims)
+    for d in dims:
+        if not (d >= 2 and float(d).is_integer()):
+            raise ConfigError(f"gate counting needs integer dims >= 2, got {d}")
     lines = [f"# enaqt {__version__}"]
     lines.append("dim,jumps,per_jump_gates,jump_gates_total,coherent_gates,qubits")
-    for d in dims:
-        if d < 2:
-            raise ConfigError(f"gate counting needs dim >= 2, got {d}")
+    for d in map(int, dims):
         rates = kernel.JumpRateSpec(np.zeros((d, d)))
         gates = circuit.build_step_circuit(rates, np.eye(d, dtype=complex))
         rep = circuit.gate_count(gates)
@@ -249,17 +257,14 @@ def cmd_gatecount(args) -> int:
 
 def cmd_circuit_verify(args) -> int:
     cfg = _run_config(args)
+    scalings = _positive_floats(args.scalings, "--scalings")
     runner = _Runner(cfg)
-    d = runner.basis.dim
-    layout = circuit.QubitLayout(d)
-    gates = circuit.build_step_circuit(runner.rates, runner.unitary, layout)
-    choi_circuit = circuit.choi_from_transfer(circuit.circuit_transfer_matrix(gates, layout))
-    choi_seq = circuit.channel_choi(
-        lambda r: circuit.sequential_kraus_step(r, runner.rates, runner.unitary), d
-    )
-    equiv = float(np.linalg.norm(choi_circuit - choi_seq))
+    t_circuit = circuit.circuit_transfer_matrix(circuit.build_step_circuit(runner.rates, runner.unitary))
+    t_seq = circuit.channel_transfer_matrix(  # the Kraus reference, on one stack of basis elements
+        lambda basis: circuit.sequential_kraus_step(basis, runner.rates, runner.unitary),
+        runner.basis.dim, 1)
+    equiv = frob_dist(circuit.choi_from_transfer(t_circuit), circuit.choi_from_transfer(t_seq))
 
-    scalings = _parse_floats(args.scalings)
     report = circuit.compare_step_channels(
         runner.rates, runner.h_exciton, cfg.dt_fs, scalings
     )
@@ -284,6 +289,13 @@ def _parse_floats(text: str) -> list:
         return [float(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse list {text!r}: {exc}") from exc
+
+
+def _positive_floats(text: str, flag: str) -> list:
+    values = _parse_floats(text)
+    if not values or not all(0 < v < math.inf for v in values):
+        raise ConfigError(f"{flag} needs finite positive values, got {text!r}")
+    return values
 
 
 def _run_config(args) -> RunConfig:

@@ -52,7 +52,9 @@ class HamiltonianSpec:
         n = len(e)
         if v.shape != (n, n):
             raise SpecInvalidError(f"couplings must be {n}x{n}, got {v.shape}")
-        if not np.allclose(v, v.T, atol=0.0):
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(v))):
+            raise SpecInvalidError("site energies and couplings must be finite")
+        if not np.array_equal(v, v.T):
             raise SpecInvalidError("coupling matrix must be exactly symmetric")
         if np.any(np.diag(v) != 0.0):
             raise SpecInvalidError("coupling matrix diagonal must be zero")
@@ -315,8 +317,13 @@ def load_model(path) -> FmoModel:
             )
 
     sink = require("sink_sites")
-    if not sink or any(not 1 <= int(s) <= spec.n_sites for s in sink):
-        raise ModelFileError(f"{path}: sink_sites must be 1..{spec.n_sites} labels")
+    if (not isinstance(sink, list) or not sink
+            or any(type(s) is not int or not 1 <= s <= spec.n_sites for s in sink)):
+        raise ModelFileError(f"{path}: sink_sites must be a list of integer labels 1..{spec.n_sites}")
+    for field in ("lambda_cm1", "omega_c_cm1"):
+        value = bath_raw.get(field)
+        if value is not None and (type(value) not in (int, float) or not np.isfinite(value)):
+            raise ModelFileError(f"{path}: bath.{field} must be a finite number, got {value!r}")
 
     return FmoModel(
         hamiltonian=spec,

@@ -149,7 +149,7 @@ def build_evolution_operators(rates: JumpRateSpec, u: np.ndarray) -> EvolutionOp
 
 
 def enaqt_step(rho: np.ndarray, ops: EvolutionOperators) -> np.ndarray:
-    """Apply one step of the combined jump + unitary evolution.
+    """Apply one step of the combined jump + unitary evolution to a state or a stack (..., d, d).
 
     Equivalent to summing M_MM U rho U^dag M_NN^dag over all ordered pairs
     (M, N) plus the jump terms; evaluated in the algebraically identical
@@ -158,13 +158,13 @@ def enaqt_step(rho: np.ndarray, ops: EvolutionOperators) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     d = ops.dim
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise DimensionMismatchError(f"state shape {rho.shape} does not match dim {d}")
     coh = ops.unitary @ rho @ ops.unitary.conj().T
     out = ops.survival[:, None] * coh * ops.survival[None, :]
     # complex diagonal keeps the map linear on arbitrary (non-hermitian) inputs
-    transfer = np.diagonal(rho) @ ops.rates.gamma
-    out[np.diag_indices(d)] += transfer
+    transfer = np.diagonal(rho, axis1=-2, axis2=-1) @ ops.rates.gamma
+    out[..., np.arange(d), np.arange(d)] += transfer
     return out
 
 
@@ -262,7 +262,9 @@ def propagate(
     populations = np.empty((steps + 1, len(obs)))
     trace = np.empty(steps + 1)
     min_eig = np.empty(steps + 1)
-    buf = np.empty((min(CHUNK, steps + 1), d * d), dtype=complex)
+    rows_held = min(CHUNK, steps + 1)
+    buf = np.empty((rows_held, d * d), dtype=complex)
+    work, mag = np.empty((rows_held, d, d), dtype=complex), np.empty((rows_held, d, d))  # check buffers
     buf[0] = v
     for start in range(0, steps + 1, CHUNK):
         n = min(CHUNK, steps + 1 - start)
@@ -274,9 +276,11 @@ def propagate(
         rows, mats = slice(start, start + n), buf[:n].reshape(n, d, d)
         populations[rows] = (buf[:n] @ obs_cols).real
         trace[rows] = buf[:n, :: d + 1].sum(axis=1).real
-        adj = mats.conj().transpose(0, 2, 1)
-        min_eig[rows] = np.linalg.eigvalsh(0.5 * (mats + adj)).min(axis=1)
-        herm = np.abs(mats - adj).max(axis=(1, 2))
+        scr = np.conjugate(mats.transpose(0, 2, 1), out=work[:n])  # the adjoints
+        np.multiply(np.add(scr, mats, out=scr), 0.5, out=scr)
+        min_eig[rows] = np.linalg.eigvalsh(scr).min(axis=1)
+        np.subtract(mats, np.conjugate(mats.transpose(0, 2, 1), out=scr), out=scr)
+        herm = np.abs(scr, out=mag[:n]).max(axis=(1, 2))
         bad = np.flatnonzero((min_eig[rows] < -psd_tol) | (herm > psd_tol))
         if bad.size:
             k = start + bad[0]

@@ -324,6 +324,54 @@ class TestChannelChoi:
         assert np.max(np.abs(t - reference)) <= 1e-15
 
 
+class TestStackedBuilds:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_plan_transfer_matrix_matches_dense_reference(self, d):
+        gates = circuit.build_step_circuit(random_rates(d, scale=0.08), random_unitary(d))
+        t = circuit.circuit_transfer_matrix(gates)
+        dense = circuit.channel_transfer_matrix(lambda r: dense_apply_circuit(r, gates), d)
+        assert np.max(np.abs(t - dense)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_transfer_matrix_independent_of_substacks_and_plan_reuse(self, d):
+        gates = circuit.build_step_circuit(random_rates(d, scale=0.08), random_unitary(d))
+        t = circuit.circuit_transfer_matrix(gates)
+        plan = circuit.compile_circuit(gates, gates.layout)
+        for k in (1, 3, 7, 1, 3, 7):  # the plan is reused by every build
+            built = circuit.channel_transfer_matrix(
+                lambda p: circuit.apply_circuit(p, plan, gates.layout), d, k)
+            assert np.array_equal(built, t)
+
+    def test_resets_anywhere_match_dense_reference(self):
+        # two jumps share a reset; a basis change moves a lone rotation's B2 = 1
+        # amplitude to other codes before a reset; a reset follows a reset
+        d = 5
+        ly = QubitLayout(d)
+        reset = circuit.Gate(kind=circuit.KIND_RESET_B2, targets=(ly.b2_wire,))
+        coherent = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
+                                controls=((ly.b1_wire, 0),), matrix=random_unitary(d))
+        basis = circuit.basis_change_gate(random_unitary(d), ly)
+        jump = [circuit.build_jump_circuit(i, j, g, ly).gates
+                for i, j, g in ((0, 3, 0.2), (2, 1, 0.35), (4, 0, 0.1), (1, 2, 0.5))]
+        gates = GateList(layout=ly, gates=[
+            *jump[0], *jump[1], coherent, reset, jump[2][0], basis, reset, coherent, reset,
+            *jump[3], coherent, *jump[0], reset,
+        ])
+        stack = np.stack([random_density(d) for _ in range(4)])
+        out = circuit.apply_circuit(stack, gates)
+        for k in range(len(stack)):
+            assert np.max(np.abs(out[k] - dense_apply_circuit(stack[k], gates))) <= 1e-15
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stacked_kraus_step_matches_per_state_calls(self, d):
+        rates, u = random_rates(d, scale=0.08), random_unitary(d)
+        stack = np.stack([random_density(d) for _ in range(6)]).reshape(3, 2, d, d)
+        batched = circuit.sequential_kraus_step(stack, rates, u)
+        assert batched.shape == (3, 2, d, d)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(batched[idx], circuit.sequential_kraus_step(stack[idx], rates, u))
+
+
 class TestSequentialKraus:
     def test_matches_circuit_choi(self):
         for d in (2, 4, 7):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -314,3 +315,70 @@ class TestCircuitVerify:
             if l.startswith("# choi_distance_circuit_vs_operator_model")
         )
         assert float(equiv_line.split(": ")[1]) <= 1e-10
+
+
+def _bump_coupling(m):
+    m["couplings_cm1"][0][1] += 1e-7
+
+
+MODEL_EDITS = {
+    "sink-not-a-number": lambda m: m.update(sink_sites=["x"]),
+    "sink-fractional": lambda m: m.update(sink_sites=[3.7]),
+    "sink-not-a-list": lambda m: m.update(sink_sites="34"),
+    "sink-empty": lambda m: m.update(sink_sites=[]),
+    "nan-site-energy": lambda m: m["site_energies_cm1"].__setitem__(0, float("nan")),
+    "inf-coupling": lambda m: m["couplings_cm1"][2].__setitem__(3, float("inf")),
+    "coupling-asymmetric-1e-7": _bump_coupling,
+    "lambda-not-a-number": lambda m: m["bath"].update(lambda_cm1="a"),
+}
+
+ARG_CASES = {
+    "dt-fs-inf": ["simulate", "--dt-fs", "inf"],
+    "dt-fs-nan": ["simulate", "--dt-fs", "nan"],
+    "temperature-inf": ["simulate", "--temperature", "inf"],
+    "oracle-dt-zero": ["oracle", "--dt-list", "0"],
+    "oracle-dt-not-dividing": ["oracle", "--dt-list", "3"],
+    "oracle-dt-negative": ["oracle", "--dt-list", "-5"],
+    "oracle-dt-empty": ["oracle", "--dt-list", ","],
+    "oracle-dt-inf": ["oracle", "--dt-list", "20,inf"],
+    "oracle-t-final-nan": ["oracle", "--t-final", "nan"],
+    "oracle-t-final-inf": ["oracle", "--t-final", "inf"],
+    "verify-scaling-negative": ["circuit-verify", "--scalings", "1,-0.5"],
+    "verify-scaling-nan": ["circuit-verify", "--scalings", "1,nan"],
+    "verify-scaling-zero": ["circuit-verify", "--scalings", "1,0"],
+    "verify-scaling-inf": ["circuit-verify", "--scalings", "1,inf"],
+}
+
+DIMS_CASES = ["2.5", "nan", "inf", "3,-2"]
+
+
+def assert_one_line_config_error(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert caught == []
+
+
+class TestBadInputCorpus:
+    @pytest.mark.parametrize("edit", MODEL_EDITS.values(), ids=MODEL_EDITS.keys())
+    def test_model_file(self, edit, default_config, tmp_path, capsys):
+        model = json.loads(open(default_config).read())
+        edit(model)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model))
+        assert_one_line_config_error(["simulate", "--config", str(path), "--temperature", "300",
+                                      "--steps", "2", "--out", str(tmp_path / "t.csv")], capsys)
+
+    @pytest.mark.parametrize("args", ARG_CASES.values(), ids=ARG_CASES.keys())
+    def test_run_arguments(self, args, default_config, tmp_path, capsys):
+        argv = [args[0], "--config", default_config, *args[1:], "--steps", "2",
+                "--out", str(tmp_path / "t.csv")]
+        assert_one_line_config_error(argv, capsys)
+
+    @pytest.mark.parametrize("dims", DIMS_CASES)
+    def test_gatecount_dims(self, dims, capsys):
+        assert_one_line_config_error(["gatecount", "--dims", dims], capsys)

@@ -217,6 +217,21 @@ class TestBuildEvolutionOperators:
 
 
 class TestEnaqtStep:
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_stack_matches_per_state_calls(self, d):
+        h = RNG.normal(size=(d, d)) * 60.0
+        ops = kernel.build_evolution_operators(
+            random_rates(d, scale=0.05), linalg.evolution_unitary(0.5 * (h + h.T), 10.0))
+        stack = np.stack([random_density(d) for _ in range(6)]).reshape(2, 3, d, d)
+        batched = kernel.enaqt_step(stack, ops)
+        assert batched.shape == (2, 3, d, d)
+        for idx in np.ndindex(2, 3):
+            assert np.max(np.abs(batched[idx] - kernel.enaqt_step(stack[idx], ops))) <= 1e-15
+        # on the basis elements the stacked call is bit-identical: one transfer term per row
+        basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        stacked = kernel.enaqt_step(basis, ops)
+        assert all(np.array_equal(stacked[k], kernel.enaqt_step(e, ops)) for k, e in enumerate(basis))
+
     def test_coherent_limit(self):
         d = 3
         rho = random_density(d)

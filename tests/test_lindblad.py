@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from enaqt import fmo, lindblad, linalg
+from enaqt import fmo, kernel, lindblad, linalg
 from enaqt.errors import DimensionMismatchError, StepTooLargeWarning
 from enaqt.lindblad import LindbladModel
 
@@ -205,6 +205,29 @@ class TestRateMatrixRoundTrip:
         model = LindbladModel(hamiltonian=np.zeros((2, 2)), jumps=((op, 0.1),))
         with pytest.raises(ValueError):
             model.transition_rate_matrix()
+
+
+class TestFinalState:
+    @staticmethod
+    def matvec_loop(t, rho0, steps):
+        v = rho0.reshape(-1)
+        for _ in range(steps):
+            v = t @ v
+        return v.reshape(rho0.shape)
+
+    @pytest.mark.parametrize("which", ["rk4", "kernel"])
+    def test_powered_matches_matvec_loop(self, which):
+        model = shipped_exciton_model(5.0)
+        if which == "rk4":
+            t = lindblad._rk4_transfer_matrix(model, 0.5)
+        else:
+            u = linalg.evolution_unitary(model.hamiltonian, 5.0)
+            rates = kernel.JumpRateSpec(model.transition_rate_matrix() * 5.0)
+            t = kernel.step_transfer_matrix(kernel.build_evolution_operators(rates, u), 1.0)
+        rho0 = random_density(7)
+        expected = self.matvec_loop(t, rho0, 4000)
+        powered = lindblad._final_state(t, rho0, 4000)
+        assert np.linalg.norm(powered - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestConvergenceReport:
