@@ -3,9 +3,10 @@
 Library layout:
 
 - linalg: dense hermitian eigendecomposition, unitary exponentials,
-  partial trace, density-matrix validation (units: cm^-1 and fs).
+  Frobenius distance (units: cm^-1 and fs).
 - kernel: the one-step operator-sum map combining unitary evolution with
-  incoherent jumps, its tunable-coupling variant, and trajectory driver.
+  incoherent jumps, its tunable-coupling variant, its chi-blended transfer
+  matrix T, and the propagator that steps and checks vec(rho) <- T vec(rho).
 - lindblad: fixed-step RK4 master-equation integrator used as the
   correctness oracle, plus convergence reporting.
 - fmo: 7-site light-harvesting model: site Hamiltonian, exciton basis,
@@ -25,14 +26,12 @@ from .errors import (
     LayoutMismatchError,
     ModelFileError,
     NotHermitianError,
-    NotPositiveError,
     ProbabilityOutOfRangeError,
     SpecInvalidError,
     StateInvalidError,
     StepTooLargeWarning,
     SurvivalUnderflowError,
     TimeOutOfRangeError,
-    TraceOutOfToleranceError,
 )
 from .linalg import (
     HBAR_CM1_FS,
@@ -41,8 +40,6 @@ from .linalg import (
     eigh,
     evolution_unitary,
     frob_dist,
-    partial_trace,
-    validate_density,
 )
 from .kernel import (
     EvolutionOperators,
@@ -53,8 +50,6 @@ from .kernel import (
     enaqt_step,
     evolve_trajectory,
     propagate,
-    single_jump_kraus,
-    single_jump_step,
     step_transfer_matrix,
     tunable_step,
 )
@@ -77,7 +72,6 @@ from .fmo import (
     load_model,
     ohmic_spectral_density,
     site_hamiltonian,
-    site_populations,
     thermal_rate_matrix,
     transfer_efficiency,
 )
@@ -88,7 +82,6 @@ from .circuit import (
     GateList,
     QubitLayout,
     apply_circuit,
-    basis_change_gate,
     build_jump_circuit,
     build_step_circuit,
     channel_choi,

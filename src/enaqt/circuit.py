@@ -49,11 +49,10 @@ from .linalg import evolution_unitary, frob_dist
 KIND_CRY = "controlled-ry"
 KIND_CPERM = "controlled-permutation"
 KIND_CUNITARY = "controlled-unitary"
-KIND_BASIS = "basis-change"
 KIND_RESET_B2 = "reset-b2"
 KIND_TRACE_B1 = "trace-out-b1"
 
-UNITARY_KINDS = (KIND_CRY, KIND_CPERM, KIND_CUNITARY, KIND_BASIS)
+UNITARY_KINDS = (KIND_CRY, KIND_CPERM, KIND_CUNITARY)
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class Gate:
     controls: tuple = ()  # ((wire, required value), ...)
     theta: float | None = None
     matrix: np.ndarray | None = None
-    src: int | None = None  # exciton indices for the permutation gate
+    src: int | None = None  # the jump's exciton indices, on its rotation and permutation gates
     dst: int | None = None
 
     @property
@@ -161,14 +160,14 @@ def build_jump_circuit(i: int, j: int, gamma: float, layout: QubitLayout) -> Gat
         raise IndexOutOfRangeError("jump needs distinct excitons")
     if not np.isfinite(gamma) or gamma < 0.0 or gamma > 1.0:
         raise ProbabilityOutOfRangeError(f"gamma must lie in [0, 1], got {gamma}")
-    code_i = layout.code_of(i)
-    code_j = layout.code_of(j)
     theta = 2.0 * np.arcsin(np.sqrt(gamma))
     rot = Gate(
         kind=KIND_CRY,
         targets=(layout.b2_wire,),
-        controls=((layout.b1_wire, 0),) + _code_controls(layout, code_i),
+        controls=((layout.b1_wire, 0),) + _code_controls(layout, layout.code_of(i)),
         theta=theta,
+        src=i,
+        dst=j,
     )
     perm = Gate(
         kind=KIND_CPERM,
@@ -215,45 +214,13 @@ def build_step_circuit(rates: JumpRateSpec, u: np.ndarray, layout: QubitLayout |
     return out
 
 
-def basis_change_gate(transform: np.ndarray, layout: QubitLayout, to_exciton: bool = True) -> Gate:
-    """Uncontrolled rotation of the system register between bases.
-
-    `transform` holds the exciton states as columns in the site basis; the
-    to_exciton gate (applied once before the first step) is its adjoint, and
-    the inverse (to_exciton=False, applied once before measurement) is the
-    transform itself. Steps in between run entirely in the exciton basis.
-    """
-    m = np.asarray(transform, dtype=complex)
-    if m.shape != (layout.dim, layout.dim):
-        raise LayoutMismatchError(
-            f"transform shape {m.shape} does not fit layout dim {layout.dim}"
-        )
-    return Gate(
-        kind=KIND_BASIS,
-        targets=layout.system_wires,
-        matrix=m.conj().T if to_exciton else m,
-    )
-
-
-def _pad_to_register(layout: QubitLayout, op: np.ndarray) -> np.ndarray:
-    """Embed a dim x dim operator on the system register (identity off-code)."""
-    n_full = 2 ** layout.n_system
-    codes = layout.codes()
-    padded = np.eye(n_full, dtype=complex)
-    padded[np.ix_(codes, codes)] = op
-    return padded
-
-
 def _two_level_indices(gate: Gate, layout: QubitLayout) -> list:
-    """The two simulated-space indices a rotation or permutation gate acts on."""
+    """The two simulated-space indices a rotation or permutation gate of jump src -> dst acts on."""
     if gate.kind == KIND_CPERM:
         return [layout.basis_index(0, layout.code_of(gate.src), 1),
                 layout.basis_index(1, layout.code_of(gate.dst), 1)]
-    required = dict(gate.controls)
-    b1 = required.pop(layout.b1_wire)
-    n = layout.n_system
-    code = sum(required[wire] << (n - 1 - b) for b, wire in enumerate(layout.system_wires))
-    return [layout.basis_index(b1, code, 0), layout.basis_index(b1, code, 1)]
+    code = layout.code_of(gate.src)
+    return [layout.basis_index(0, code, 0), layout.basis_index(0, code, 1)]
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -270,18 +237,16 @@ def gate_matrix(gate: Gate, layout: QubitLayout) -> np.ndarray:
         idx = _two_level_indices(gate, layout)
         m[np.ix_(idx, idx)] = block
         return m
-    if gate.kind == KIND_CUNITARY:
-        padded = _pad_to_register(layout, gate.matrix)
-        n_full = 2 ** layout.n_system
+    if gate.kind == KIND_CUNITARY:  # identity off the codes
+        n_full, codes = 2 ** layout.n_system, layout.codes()
+        padded = np.eye(n_full, dtype=complex)
+        padded[np.ix_(codes, codes)] = gate.matrix
         p0 = np.array([[1.0, 0.0], [0.0, 0.0]])
         p1 = np.array([[0.0, 0.0], [0.0, 1.0]])
         eye2 = np.eye(2)
         return np.kron(np.kron(p0, padded), eye2) + np.kron(
             np.kron(p1, np.eye(n_full)), eye2
         )
-    if gate.kind == KIND_BASIS:
-        padded = _pad_to_register(layout, gate.matrix)
-        return np.kron(np.kron(np.eye(2), padded), np.eye(2))
     raise LayoutMismatchError(f"gate kind {gate.kind!r} has no unitary matrix")
 
 
@@ -363,10 +328,10 @@ def apply_circuit(rho_sys: np.ndarray, gates, layout: QubitLayout | None = None)
 SUBSTACKS = 3  # one stack of all d^2 basis elements is faster but holds 3x the registers
 
 
-def circuit_transfer_matrix(gates: GateList, layout: QubitLayout | None = None) -> np.ndarray:
+def circuit_transfer_matrix(gates: GateList) -> np.ndarray:
     """Row-major T of a compiled step: apply_circuit runs the d^2 basis elements through the plan,
     compiled once, in SUBSTACKS stacks."""
-    layout = gates.layout if layout is None else layout
+    layout = gates.layout
     plan = compile_circuit(gates, layout)
     return channel_transfer_matrix(lambda part: apply_circuit(part, plan, layout), layout.dim, SUBSTACKS)
 
@@ -479,7 +444,7 @@ class GateCountReport:
     raw_gates: int
 
 
-def gate_count(gates: GateList, dim: int | None = None) -> GateCountReport:
+def gate_count(gates: GateList) -> GateCountReport:
     """Count jumps, elementary gates, and qubits for a compiled step.
 
     The elementary count uses the fixed convention that a jump decomposes
@@ -487,13 +452,11 @@ def gate_count(gates: GateList, dim: int | None = None) -> GateCountReport:
     raw_gates counts the logical gate objects actually emitted.
     """
     layout = gates.layout
-    if dim is None:
-        dim = layout.dim
     jumps = sum(1 for g in gates if g.kind == KIND_CRY)
     per_jump = 2 * layout.n_system
     coherent = sum(1 for g in gates if g.kind == KIND_CUNITARY)
     return GateCountReport(
-        dim=dim,
+        dim=layout.dim,
         jumps=jumps,
         per_jump_elementary=per_jump,
         jump_elementary_total=jumps * per_jump,
@@ -535,7 +498,7 @@ def export_gates(gates: GateList) -> str:
         elif gate.kind == KIND_CPERM:
             fields.append(f"src={gate.src}")
             fields.append(f"dst={gate.dst}")
-        elif gate.kind in (KIND_CUNITARY, KIND_BASIS):
+        elif gate.kind == KIND_CUNITARY:
             fields.append("matrix=" + _fmt_matrix(gate.matrix))
         lines.append(" ".join([gate.kind.upper()] + fields))
     return "\n".join(lines) + "\n"

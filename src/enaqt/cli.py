@@ -39,12 +39,10 @@ from .errors import (
     EnaqtError,
     ModelFileError,
     NotHermitianError,
-    NotPositiveError,
     ProbabilityOutOfRangeError,
     SpecInvalidError,
     StateInvalidError,
     SurvivalUnderflowError,
-    TraceOutOfToleranceError,
 )
 from .linalg import HBAR_CM1_FS, frob_dist
 
@@ -52,9 +50,7 @@ CONFIG_ERRORS = (ConfigError, ModelFileError, SpecInvalidError)
 NUMERICAL_ERRORS = (
     SurvivalUnderflowError,
     StateInvalidError,
-    NotPositiveError,
     NotHermitianError,
-    TraceOutOfToleranceError,
     ProbabilityOutOfRangeError,
 )
 
@@ -88,6 +84,9 @@ class RunConfig:
             raise ConfigError(f"temperature must be finite and positive, got {self.temperature_k}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        if self.renormalize and self.backend == "lindblad-oracle":
+            raise ConfigError("--renormalize does not apply to the lindblad-oracle backend, "
+                              "whose RK4 step never renormalizes")
 
 
 def _fmt(x) -> str:
@@ -134,39 +133,27 @@ class _Runner:
         )
         self.observers = self.basis.site_projectors()
 
-    def initial_state(self, site: int | None = None) -> np.ndarray:
-        site = self.cfg.initial_site if site is None else site
+    def initial_state(self) -> np.ndarray:
+        site = self.cfg.initial_site
         rho = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
         rho[site - 1, site - 1] = 1.0
         return self.basis.to_exciton(rho)
 
-    def trajectory(self, chi: float | None = None, initial_site: int | None = None) -> kernel.Trajectory:
+    def trajectory(self, chi: float | None = None) -> kernel.Trajectory:
         cfg = self.cfg
         chi = cfg.chi if chi is None else chi
-        rho0 = self.initial_state(initial_site)
-        step_cfg = kernel.StepConfig(dt=cfg.dt_fs, chi=chi, renormalize_trace=cfg.renormalize)
-        if cfg.backend == "operator":
-            ops = kernel.build_evolution_operators(self.rates, self.unitary)
-            return kernel.evolve_trajectory(rho0, ops, step_cfg, cfg.steps, self.observers)
+        rho0 = self.initial_state()
+        if cfg.backend == "lindblad-oracle":
+            # chi scales the dissipator linearly, so the continuum counterpart of
+            # the blended step is the master equation with rates chi * Gamma
+            model = lindblad.LindbladModel.from_rate_matrix(self.h_exciton, chi * self.rates.gamma / cfg.dt_fs)
+            return lindblad.rk4_integrate(rho0, model, cfg.dt_fs, cfg.steps, self.observers)
+        full = None
         if cfg.backend == "circuit":
-            return self._circuit_trajectory(rho0, step_cfg)
-        return self._oracle_trajectory(rho0)
-
-    def _circuit_trajectory(self, rho0, step_cfg: kernel.StepConfig) -> kernel.Trajectory:
-        step_t = circuit.circuit_transfer_matrix(circuit.build_step_circuit(self.rates, self.unitary))
-        if step_cfg.chi != 1.0:
-            coh_t = np.kron(self.unitary, self.unitary.conj())
-            step_t = (1.0 - step_cfg.chi) * coh_t + step_cfg.chi * step_t
-        return kernel.propagate(step_t, rho0, step_cfg.dt, self.cfg.steps, self.observers,
-                                renormalize=step_cfg.renormalize_trace)
-
-    def _oracle_trajectory(self, rho0) -> kernel.Trajectory:
-        # chi scales the dissipator linearly, so the continuum counterpart of
-        # the blended step is the master equation with rates chi * Gamma
-        cfg = self.cfg
-        rates_per_fs = self.cfg.chi * self.rates.gamma / cfg.dt_fs
-        model = lindblad.LindbladModel.from_rate_matrix(self.h_exciton, rates_per_fs)
-        return lindblad.rk4_integrate(rho0, model, cfg.dt_fs, cfg.steps, self.observers)
+            full = circuit.circuit_transfer_matrix(circuit.build_step_circuit(self.rates, self.unitary))
+        ops = kernel.build_evolution_operators(self.rates, self.unitary)
+        t = kernel.step_transfer_matrix(ops, chi, full)
+        return kernel.propagate(t, rho0, cfg.dt_fs, cfg.steps, self.observers, renormalize=cfg.renormalize)
 
 
 def _trajectory_csv(cfg: RunConfig, traj: kernel.Trajectory, n_sites: int):

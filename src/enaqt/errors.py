@@ -18,14 +18,6 @@ class NotHermitianError(EnaqtError):
     """A matrix required to be hermitian is not, beyond tolerance."""
 
 
-class NotPositiveError(EnaqtError):
-    """A matrix required to be positive semidefinite has a negative eigenvalue."""
-
-
-class TraceOutOfToleranceError(EnaqtError):
-    """A density matrix trace deviates from 1 beyond tolerance."""
-
-
 class ProbabilityOutOfRangeError(EnaqtError):
     """A jump probability lies outside [0, 1]."""
 

@@ -89,10 +89,6 @@ class ExcitonBasis:
         d = self.transform
         return d.conj().T @ np.asarray(rho_site, dtype=complex) @ d
 
-    def to_site(self, rho_exciton: np.ndarray) -> np.ndarray:
-        d = self.transform
-        return d @ np.asarray(rho_exciton, dtype=complex) @ d.conj().T
-
     def site_projectors(self) -> np.ndarray:
         """Stack of projectors |m><m| rotated into the exciton basis."""
         d = self.transform
@@ -206,16 +202,6 @@ def jump_rates(basis: ExcitonBasis, bath: BathSpec, dt: float) -> JumpRateSpec:
     else:
         rates = thermal_rate_matrix(basis, bath)
     return JumpRateSpec(rates * dt)
-
-
-def site_populations(rho_exciton: np.ndarray, basis: ExcitonBasis) -> np.ndarray:
-    """p_m = <m| D rho D^dag |m> for a state expressed in the exciton basis."""
-    rho_exciton = np.asarray(rho_exciton, dtype=complex)
-    if rho_exciton.shape != (basis.dim, basis.dim):
-        raise DimensionMismatchError(
-            f"state shape {rho_exciton.shape} does not match dim {basis.dim}"
-        )
-    return np.diag(basis.to_site(rho_exciton)).real.copy()
 
 
 def transfer_efficiency(traj: Trajectory, sink_sites, at_time_fs: float) -> float:

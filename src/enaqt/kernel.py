@@ -114,29 +114,6 @@ class EvolutionOperators:
         return self.unitary.shape[0]
 
 
-def single_jump_kraus(p: float):
-    """Kraus pair for a single jump |0> -> |1> with probability p.
-
-    M0 = sqrt(1-p)|0><0| + |1><1|,  M1 = sqrt(p)|1><0|.
-    """
-    if not np.isfinite(p) or p < 0.0 or p > 1.0:
-        raise ProbabilityOutOfRangeError(f"jump probability must lie in [0, 1], got {p}")
-    m0 = np.array([[np.sqrt(1.0 - p), 0.0], [0.0, 1.0]], dtype=complex)
-    m1 = np.array([[0.0, 0.0], [np.sqrt(p), 0.0]], dtype=complex)
-    return m0, m1
-
-
-def single_jump_step(rho: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
-    """One step of the two-level toy model: M0 U rho U^dag M0^dag + M1 rho M1^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if rho.shape != (2, 2) or u.shape != (2, 2):
-        raise DimensionMismatchError("single_jump_step works on 2x2 operators")
-    m0, m1 = single_jump_kraus(p)
-    m0u = m0 @ u
-    return m0u @ rho @ m0u.conj().T + m1 @ rho @ m1.conj().T
-
-
 def build_evolution_operators(rates: JumpRateSpec, u: np.ndarray) -> EvolutionOperators:
     """Assemble the step operators from per-step probabilities and a unitary."""
     u = np.asarray(u, dtype=complex)
@@ -202,10 +179,6 @@ class Trajectory:
     min_eig: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
     def index_at(self, t_fs: float) -> int:
         """Index of the grid point nearest to t_fs (must lie on the grid span)."""
         t0, t1 = float(self.times[0]), float(self.times[-1])
@@ -216,14 +189,19 @@ class Trajectory:
         return int(np.argmin(np.abs(self.times - t_fs)))
 
 
-def step_transfer_matrix(ops: EvolutionOperators, chi: float) -> np.ndarray:
-    """Row-major transfer matrix of tunable_step, in the module docstring's closed form."""
+def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray | None = None) -> np.ndarray:
+    """Row-major transfer matrix of tunable_step, in the module docstring's closed form.
+
+    `full` stands in for T_full (the circuit backend passes its circuit's T); chi = 0
+    and chi = 1 return the unblended ends.
+    """
     coh = np.kron(ops.unitary, ops.unitary.conj())
     if chi == 0.0:
         return coh
-    full = np.kron(ops.survival, ops.survival)[:, None] * coh
-    pops = np.arange(ops.dim) * (ops.dim + 1)  # vec indices of the diagonal
-    full[np.ix_(pops, pops)] += ops.rates.gamma.T
+    if full is None:
+        full = np.kron(ops.survival, ops.survival)[:, None] * coh
+        pops = np.arange(ops.dim) * (ops.dim + 1)  # vec indices of the diagonal
+        full[np.ix_(pops, pops)] += ops.rates.gamma.T
     if chi == 1.0:
         return full
     return (1.0 - chi) * coh + chi * full

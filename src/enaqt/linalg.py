@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPositiveError,
-    TraceOutOfToleranceError,
-)
+from .errors import DimensionMismatchError, NotHermitianError
 
 SPEED_OF_LIGHT_CM_FS = 2.99792458e-5
 """Speed of light in cm/fs."""
@@ -51,35 +46,15 @@ def eigh(m: np.ndarray, herm_tol: float = 1e-10):
     return w, v
 
 
-def evolution_unitary(h: np.ndarray, dt: float, hbar: float = HBAR_CM1_FS) -> np.ndarray:
-    """exp(-i*h*dt/hbar) for hermitian h, via eigendecomposition.
+def evolution_unitary(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i*h*dt/hbar) for hermitian h (hbar = HBAR_CM1_FS), via eigendecomposition.
 
     Diagonalizing instead of scaling-and-squaring guarantees the result is
     unitary up to eigensolver error, which the step maps rely on.
     """
     w, v = eigh(h)
-    phases = np.exp(-1j * w * (dt / hbar))
+    phases = np.exp(-1j * w * (dt / HBAR_CM1_FS))
     return (v * phases) @ v.conj().T
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Partial trace of an operator on A (x) B.
-
-    `dims` is (dim_A, dim_B); `keep` is "A" or "B". The kept factor's trace
-    equals the input trace.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    da, db = int(dims[0]), int(dims[1])
-    if rho.ndim != 2 or rho.shape != (da * db, da * db):
-        raise DimensionMismatchError(
-            f"operator shape {rho.shape} does not match dims {da}x{db}"
-        )
-    r = rho.reshape(da, db, da, db)
-    if keep == "A":
-        return np.einsum("ajbj->ab", r)
-    if keep == "B":
-        return np.einsum("iaib->ab", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -89,37 +64,3 @@ def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
-
-
-def validate_density(
-    m: np.ndarray,
-    trace_tol: float = 1e-9,
-    psd_tol: float = 1e-8,
-    herm_tol: float = 1e-12,
-) -> np.ndarray:
-    """Check that `m` is a valid density matrix and return it as complex ndarray.
-
-    Raises NotHermitianError / TraceOutOfToleranceError / NotPositiveError
-    with the measured violation in the message.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NotHermitianError("density matrix contains non-finite entries")
-    defect = herm_defect(m)
-    if defect > herm_tol:
-        raise NotHermitianError(
-            f"density matrix not hermitian: max |rho - rho^dag| = {defect:.3e} > {herm_tol:.1e}"
-        )
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > trace_tol:
-        raise TraceOutOfToleranceError(
-            f"trace = {tr!r} deviates from 1 by {abs(tr - 1.0):.3e} > {trace_tol:.1e}"
-        )
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-    if min_eig < -psd_tol:
-        raise NotPositiveError(
-            f"minimum eigenvalue {min_eig:.3e} below -{psd_tol:.1e}"
-        )
-    return m

@@ -36,7 +36,6 @@ class LindbladModel:
 
     hamiltonian: np.ndarray
     jumps: tuple = ()
-    hbar: float = HBAR_CM1_FS
     # (L, L^dag, Gamma, sum Gamma L^dag L) over the jumps for the rhs; None without jumps
     _stacked: tuple | None = field(init=False, repr=False, compare=False)
 
@@ -118,7 +117,7 @@ def lindblad_rhs(rho: np.ndarray, model: LindbladModel) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match hamiltonian {h.shape}"
         )
-    out = (-1j / model.hbar) * (h @ rho - rho @ h)
+    out = (-1j / HBAR_CM1_FS) * (h @ rho - rho @ h)
     if model._stacked is not None:
         L, Ld, g, LdL_tot = model._stacked
         out += np.sum(g * (L @ rho @ Ld), axis=0)
@@ -218,7 +217,7 @@ def convergence_report(
     rates = model.transition_rate_matrix()
     report = ConvergenceReport(t_final=t_final, oracle_dt=oracle_dt)
     for dt in sorted(dt_list, reverse=True):
-        u = evolution_unitary(model.hamiltonian, dt, hbar=model.hbar)
+        u = evolution_unitary(model.hamiltonian, dt)
         ops = kernel.build_evolution_operators(JumpRateSpec(rates * dt), u)
         final = _final_state(kernel.step_transfer_matrix(ops, 1.0), rho0, int(round(t_final / dt)))
         report.rows.append((dt, frob_dist(final, ref)))

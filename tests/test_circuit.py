@@ -281,7 +281,7 @@ class TestChannelChoi:
         choi = circuit.channel_choi(lambda r: circuit.apply_circuit(r, gates), d)
         assert np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))) >= -1e-9
         # trace over the output factor must give the identity (trace preservation)
-        reduced = linalg.partial_trace(choi, (d, d), "A")
+        reduced = np.einsum("ajbj->ab", choi.reshape(d, d, d, d))
         assert np.max(np.abs(reduced - np.eye(d))) <= 1e-12
 
     def test_transfer_matrix_consistent(self):
@@ -343,18 +343,19 @@ class TestStackedBuilds:
             assert np.array_equal(built, t)
 
     def test_resets_anywhere_match_dense_reference(self):
-        # two jumps share a reset; a basis change moves a lone rotation's B2 = 1
-        # amplitude to other codes before a reset; a reset follows a reset
+        # two jumps share a reset; a second coherent gate moves a lone rotation's
+        # B2 = 1 amplitude to other codes before a reset; a reset follows a reset
         d = 5
         ly = QubitLayout(d)
         reset = circuit.Gate(kind=circuit.KIND_RESET_B2, targets=(ly.b2_wire,))
         coherent = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
                                 controls=((ly.b1_wire, 0),), matrix=random_unitary(d))
-        basis = circuit.basis_change_gate(random_unitary(d), ly)
+        mixer = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
+                             controls=((ly.b1_wire, 0),), matrix=random_unitary(d))
         jump = [circuit.build_jump_circuit(i, j, g, ly).gates
                 for i, j, g in ((0, 3, 0.2), (2, 1, 0.35), (4, 0, 0.1), (1, 2, 0.5))]
         gates = GateList(layout=ly, gates=[
-            *jump[0], *jump[1], coherent, reset, jump[2][0], basis, reset, coherent, reset,
+            *jump[0], *jump[1], coherent, reset, jump[2][0], mixer, reset, coherent, reset,
             *jump[3], coherent, *jump[0], reset,
         ])
         stack = np.stack([random_density(d) for _ in range(4)])
@@ -439,35 +440,6 @@ class TestCompareStepChannels:
             dists.append(np.linalg.norm(choi_with_order(base * s, False) - choi_with_order(base * s, True)))
         assert dists[0] > 1e-8  # the orders genuinely differ
         assert 2.8 <= dists[0] / dists[1] <= 5.2
-
-
-class TestBasisChangeGate:
-    def test_rotates_into_exciton_basis(self):
-        model = fmo.load_model(fmo.default_model_path())
-        basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-        ly = QubitLayout(7)
-        rho_site = random_density(7)
-        gate = circuit.basis_change_gate(basis.transform, ly, to_exciton=True)
-        out = circuit.apply_circuit(rho_site, GateList(layout=ly, gates=[gate]))
-        assert np.max(np.abs(out - basis.to_exciton(rho_site))) <= 1e-12
-
-    def test_round_trip(self):
-        model = fmo.load_model(fmo.default_model_path())
-        basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-        ly = QubitLayout(7)
-        rho = random_density(7)
-        fwd = circuit.basis_change_gate(basis.transform, ly, to_exciton=True)
-        back = circuit.basis_change_gate(basis.transform, ly, to_exciton=False)
-        out = circuit.apply_circuit(rho, GateList(layout=ly, gates=[fwd, back]))
-        assert np.max(np.abs(out - rho)) <= 1e-12
-
-    def test_gate_matrix_unitary(self):
-        model = fmo.load_model(fmo.default_model_path())
-        basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-        ly = QubitLayout(7)
-        gate = circuit.basis_change_gate(basis.transform, ly)
-        m = circuit.gate_matrix(gate, ly)
-        assert np.max(np.abs(m @ m.conj().T - np.eye(ly.sim_dim))) <= 1e-12
 
 
 class TestGateCount:

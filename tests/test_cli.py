@@ -244,6 +244,22 @@ class TestSweepChi:
         assert eff[1.0] > eff[0.06]
         assert eff[0.0] < 0.1
 
+    def test_oracle_backend_sweeps_chi(self, default_config, tmp_path):
+        # each swept value is the final sink population of the same run at that chi
+        # (1 fs keeps the RK4 step below its accuracy warning)
+        run = ["--config", default_config, "--backend", "lindblad-oracle", "--dt-fs", "1",
+               "--steps", "400"]
+        sweep_out = tmp_path / "sweep.csv"
+        chis = ["0.06", "0.5", "1"]
+        assert run_cli(["sweep-chi", *run, "--chis", ",".join(chis), "--out", str(sweep_out)]) == 0
+        _, _, rows = read_rows(sweep_out)
+        for chi, (_, eff) in zip(chis, rows, strict=True):
+            sim_out = tmp_path / f"sim{chi}.csv"
+            assert run_cli(["simulate", *run, "--chi", chi, "--out", str(sim_out)]) == 0
+            _, header, sim = read_rows(sim_out)
+            assert eff == sim[-1, header.index("site3")] + sim[-1, header.index("site4")]
+        assert rows[0, 1] < rows[1, 1] < rows[2, 1]
+
     def test_rejects_bad_chi(self, default_config):
         assert run_cli(["sweep-chi", "--config", default_config, "--chis", "0.5,1.5"]) == 1
 
@@ -347,6 +363,9 @@ ARG_CASES = {
     "verify-scaling-nan": ["circuit-verify", "--scalings", "1,nan"],
     "verify-scaling-zero": ["circuit-verify", "--scalings", "1,0"],
     "verify-scaling-inf": ["circuit-verify", "--scalings", "1,inf"],
+    # RK4 has no renormalisation, so the flag would only be echoed in the header
+    "oracle-backend-renormalize": ["simulate", "--backend", "lindblad-oracle", "--renormalize"],
+    "oracle-renormalize": ["oracle", "--renormalize"],
 }
 
 DIMS_CASES = ["2.5", "nan", "inf", "3,-2"]

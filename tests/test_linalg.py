@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from enaqt import linalg
-from enaqt.errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPositiveError,
-    TraceOutOfToleranceError,
-)
+from enaqt.errors import DimensionMismatchError, NotHermitianError
 
 RNG = np.random.default_rng(20260810)
 
@@ -15,12 +10,6 @@ RNG = np.random.default_rng(20260810)
 def random_hermitian(d, rng=RNG):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (m + m.conj().T)
-
-
-def random_density(d, rng=RNG):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestEigh:
@@ -109,59 +98,6 @@ class TestEvolutionUnitary:
         assert np.max(np.abs(u1 @ u2 - u12)) <= 1e-9
 
 
-class TestPartialTrace:
-    def test_product_state(self):
-        rho_a = random_density(3)
-        ket0 = np.zeros(2)
-        ket0[0] = 1.0
-        rho = np.kron(rho_a, np.outer(ket0, ket0))
-        assert np.allclose(linalg.partial_trace(rho, (3, 2), "A"), rho_a, atol=1e-14)
-
-    def test_bell_state(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-        rho = np.outer(bell, bell.conj())
-        assert np.allclose(
-            linalg.partial_trace(rho, (2, 2), "A"), 0.5 * np.eye(2), atol=1e-14
-        )
-
-    def test_against_index_sum(self):
-        # independent oracle: explicit double-index summation
-        rho = random_density(6)
-        da, db = 3, 2
-        expected_a = np.zeros((da, da), dtype=complex)
-        expected_b = np.zeros((db, db), dtype=complex)
-        for i in range(da):
-            for j in range(da):
-                for k in range(db):
-                    expected_a[i, j] += rho[i * db + k, j * db + k]
-        for i in range(db):
-            for j in range(db):
-                for k in range(da):
-                    expected_b[i, j] += rho[k * db + i, k * db + j]
-        assert np.max(np.abs(linalg.partial_trace(rho, (da, db), "A") - expected_a)) <= 1e-12
-        assert np.max(np.abs(linalg.partial_trace(rho, (da, db), "B") - expected_b)) <= 1e-12
-
-    def test_preserves_trace_and_hermiticity(self):
-        rho = random_density(8)
-        out = linalg.partial_trace(rho, (4, 2), "B")
-        assert abs(np.trace(out) - np.trace(rho)) <= 1e-12
-        assert np.max(np.abs(out - out.conj().T)) <= 1e-13
-
-    def test_linearity(self):
-        r1, r2 = random_density(6), random_density(6)
-        a, b = 0.3, -1.2
-        lhs = linalg.partial_trace(a * r1 + b * r2, (2, 3), "B")
-        rhs = a * linalg.partial_trace(r1, (2, 3), "B") + b * linalg.partial_trace(
-            r2, (2, 3), "B"
-        )
-        assert np.max(np.abs(lhs - rhs)) <= 1e-13
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            linalg.partial_trace(np.eye(6), (4, 2), "A")
-
-
 class TestFrobDist:
     def test_self_distance_zero(self):
         m = random_hermitian(4)
@@ -179,31 +115,3 @@ class TestFrobDist:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linalg.frob_dist(np.eye(2), np.eye(3))
-
-
-class TestValidateDensity:
-    def test_accepts_valid(self):
-        out = linalg.validate_density(np.diag([0.5, 0.5]))
-        assert out.dtype == complex
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(NotPositiveError):
-            linalg.validate_density(np.diag([1.5, -0.5]))
-
-    def test_rejects_hermiticity_violation_at_tolerance(self):
-        m = np.diag([0.5, 0.5]).astype(complex)
-        m[0, 1] += 1e-6
-        with pytest.raises(NotHermitianError):
-            linalg.validate_density(m, herm_tol=1e-12)
-
-    def test_rejects_trace_violation(self):
-        with pytest.raises(TraceOutOfToleranceError):
-            linalg.validate_density(np.diag([0.7, 0.7]), trace_tol=1e-9)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError):
-            linalg.validate_density(np.zeros((2, 3)))
-
-    def test_reports_violation_size(self):
-        with pytest.raises(NotPositiveError, match="-5"):
-            linalg.validate_density(np.diag([1.5, -0.5]))
