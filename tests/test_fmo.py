@@ -155,7 +155,38 @@ class TestRates:
             fmo.BathSpec(rates_per_fs=np.array([[0.0, -1.0], [0.0, 0.0]]))
 
 
+def site_populations(rho_exciton, basis):
+    """Site populations as the program reads them: Tr(P_m rho), P_m from site_projectors."""
+    return np.einsum("oij,ji->o", basis.site_projectors(), rho_exciton).real
+
+
 class TestSitePopulations:
+    def test_single_exciton_state(self, shipped):
+        _, _, basis = shipped
+        rho = np.zeros((7, 7), dtype=complex)
+        rho[2, 2] = 1.0
+        pops = site_populations(rho, basis)
+        assert pops == pytest.approx(np.abs(basis.transform[:, 2]) ** 2, abs=1e-12)
+
+    def test_maximally_mixed(self, shipped):
+        _, _, basis = shipped
+        pops = site_populations(np.eye(7, dtype=complex) / 7.0, basis)
+        assert pops == pytest.approx(np.full(7, 1.0 / 7.0), abs=1e-12)
+
+    def test_against_rotation_oracle(self, shipped):
+        _, _, basis = shipped
+        rho = random_density(7)
+        d = basis.transform
+        expected = np.diag(d @ rho @ d.conj().T).real
+        assert site_populations(rho, basis) == pytest.approx(expected, abs=1e-13)
+
+    def test_sums_to_trace(self, shipped):
+        _, _, basis = shipped
+        rho = random_density(7) * 0.9
+        assert site_populations(rho, basis).sum() == pytest.approx(
+            np.trace(rho).real, abs=1e-10
+        )
+
     def test_projectors_match(self, shipped):
         _, _, basis = shipped
         rho = random_density(7)
