@@ -12,16 +12,16 @@ Run:  python demos/04_oracle_convergence.py
 
 import numpy as np
 
-from enaqt import fmo, lindblad
+from enaqt import fmo, linalg, lindblad
 
 
 def report(label, model, rho0, t_final, dt_list):
-    rep = lindblad.convergence_report(model, rho0, t_final, dt_list)
+    rows = lindblad.convergence_report(model, rho0, t_final, dt_list)
     print(f"{label} (final time {t_final:.0f} fs)")
     print("  dt_fs   distance to RK4 oracle")
-    for dt, dist in rep.rows:
+    for dt, dist in rows:
         print(f"  {dt:5.1f}   {dist:.6e}")
-    ratios = ", ".join(f"{r:.2f}" for r in rep.ratios())
+    ratios = ", ".join(f"{r:.2f}" for r in linalg.successive_ratios(rows))
     print(f"  successive ratios: {ratios}  (first-order convergence => ~2)\n")
 
 
@@ -33,7 +33,7 @@ def main():
     rho3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     report(
         "3-level toy model",
-        lindblad.LindbladModel.from_rate_matrix(h3, rates3),
+        lindblad.LindbladModel(h3, rates3),
         rho3,
         1000.0,
         [4.0, 2.0, 1.0],
@@ -43,7 +43,7 @@ def main():
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
     rho_site = np.zeros((7, 7), dtype=complex)
     rho_site[0, 0] = 1.0
-    lmodel = lindblad.LindbladModel.from_rate_matrix(
+    lmodel = lindblad.LindbladModel(
         np.diag(basis.energies_cm1).astype(complex), model.rates_per_fs
     )
     report(

@@ -41,14 +41,14 @@ def main():
     eigs = np.linalg.eigvalsh(0.5 * (choi_circ + choi_circ.conj().T))
     print(f"Choi minimum eigenvalue (complete positivity): {eigs.min():.2e}")
 
-    rep = circuit.compare_step_channels(
+    rows = circuit.compare_step_channels(
         rates, np.diag(basis.energies_cm1).astype(complex), DT_FS,
         scalings=(1.0, 0.5, 0.25),
     )
     print("\ndistance to the one-shot step map under step scaling:")
-    for s, dist in rep.rows:
+    for s, dist in rows:
         print(f"  scale {s:4.2f}: {dist:.3e}")
-    ratios = ", ".join(f"{r:.2f}" for r in rep.ratios())
+    ratios = ", ".join(f"{r:.2f}" for r in linalg.successive_ratios(rows))
     print(f"  ratios {ratios} (agreement to first order in the step)\n")
 
     print("dim  jumps  gates/jump  jump gates  qubits")

@@ -3,12 +3,14 @@
 Library layout:
 
 - linalg: dense hermitian eigendecomposition, unitary exponentials,
-  Frobenius distance (units: cm^-1 and fs).
+  Frobenius distance, successive ratios of a distance table (units: cm^-1
+  and fs).
 - kernel: the one-step operator-sum map combining unitary evolution with
   incoherent jumps, its tunable-coupling variant, its chi-blended transfer
   matrix T, and the propagator that steps and checks vec(rho) <- T vec(rho).
-- lindblad: fixed-step RK4 master-equation integrator used as the
-  correctness oracle, plus convergence reporting.
+- lindblad: the master equation as a Hamiltonian plus a jump-rate matrix,
+  its closed-form right-hand side, and the fixed-step RK4 integrator used as
+  the correctness oracle, plus (dt, distance) convergence rows.
 - fmo: 7-site light-harvesting model: site Hamiltonian, exciton basis,
   thermal jump rates from an Ohmic bath, transfer efficiency.
 - circuit: compiles one step into a 2-bath-qubit gate circuit, simulates
@@ -40,6 +42,7 @@ from .linalg import (
     eigh,
     evolution_unitary,
     frob_dist,
+    successive_ratios,
 )
 from .kernel import (
     EvolutionOperators,
@@ -54,7 +57,6 @@ from .kernel import (
     tunable_step,
 )
 from .lindblad import (
-    ConvergenceReport,
     LindbladModel,
     convergence_report,
     lindblad_rhs,
@@ -76,7 +78,6 @@ from .fmo import (
     transfer_efficiency,
 )
 from .circuit import (
-    ChannelScalingReport,
     Gate,
     GateCountReport,
     GateList,

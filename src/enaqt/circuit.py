@@ -43,7 +43,7 @@ from .errors import (
     LayoutMismatchError,
     ProbabilityOutOfRangeError,
 )
-from .kernel import JumpRateSpec, build_evolution_operators, enaqt_step
+from .kernel import JumpRateSpec, build_evolution_operators, step_transfer_matrix
 from .linalg import evolution_unitary, frob_dist
 
 KIND_CRY = "controlled-ry"
@@ -392,43 +392,27 @@ def channel_choi(apply_channel, dim: int) -> np.ndarray:
     return choi_from_transfer(channel_transfer_matrix(apply_channel, dim))
 
 
-@dataclass
-class ChannelScalingReport:
-    """Choi distances circuit-vs-step-map under coupled (gamma, dt) scaling."""
-
-    rows: list = field(default_factory=list)  # (scale, choi distance)
-
-    def ratios(self) -> list:
-        """Successive distance ratios; ~4 per halving (second-order gap)."""
-        return [
-            self.rows[i][1] / self.rows[i + 1][1]
-            for i in range(len(self.rows) - 1)
-            if self.rows[i + 1][1] > 0
-        ]
-
-
 def compare_step_channels(
     rates: JumpRateSpec,
     hamiltonian: np.ndarray,
     dt: float,
     scalings=(1.0, 0.5, 0.25),
-) -> ChannelScalingReport:
-    """Choi distance between the compiled circuit step and the one-shot map.
+) -> list:
+    """(scale, Choi distance) rows between the compiled circuit step and the one-shot map.
 
     For each scale s both the jump probabilities (gamma -> s*gamma) and the
     effective step (U -> U(s*dt)) shrink together; the two channels agree to
-    first order in the step, so the distance falls by ~4x per halving.
+    first order in the step, so the distance falls by ~4x per halving. The
+    one-shot map is the transfer matrix the operator backend steps.
     """
-    report = ChannelScalingReport()
+    rows = []
     for s in scalings:
         gam = JumpRateSpec(rates.gamma * s)
         u = evolution_unitary(hamiltonian, s * dt)
-        ops = build_evolution_operators(gam, u)
         t_circuit = circuit_transfer_matrix(build_step_circuit(gam, u))
-        t_map = channel_transfer_matrix(lambda basis: enaqt_step(basis, ops), rates.dim, 1)
-        dist = frob_dist(choi_from_transfer(t_circuit), choi_from_transfer(t_map))
-        report.rows.append((float(s), dist))
-    return report
+        t_map = step_transfer_matrix(build_evolution_operators(gam, u), 1.0)
+        rows.append((float(s), frob_dist(choi_from_transfer(t_circuit), choi_from_transfer(t_map))))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ Subcommands:
 - oracle         RK4 reference trajectory plus a discrete-vs-oracle
                  convergence table.
 - sweep-chi      transfer efficiency at the final time for a list of chi.
-- gatecount      jump/gate/qubit counts for one compiled step, dims 2..8.
+- gatecount      jump/gate/qubit counts for one compiled step, dims 2..64
+                 (default 2..8).
 - circuit-verify Choi-matrix equivalence of the compiled step against the
                  operator model, plus the scaling of its distance to the
                  one-shot step map.
@@ -44,7 +45,7 @@ from .errors import (
     StateInvalidError,
     SurvivalUnderflowError,
 )
-from .linalg import HBAR_CM1_FS, frob_dist
+from .linalg import HBAR_CM1_FS, frob_dist, successive_ratios
 
 CONFIG_ERRORS = (ConfigError, ModelFileError, SpecInvalidError)
 NUMERICAL_ERRORS = (
@@ -55,6 +56,7 @@ NUMERICAL_ERRORS = (
 )
 
 BACKENDS = ("operator", "circuit", "lindblad-oracle")
+MAX_GATECOUNT_DIM = 64  # building a step circuit costs ~d^2 gates: 64 runs in a fraction of a second
 
 
 @dataclass
@@ -132,6 +134,9 @@ class _Runner:
             np.exp(-1j * self.basis.energies_cm1 * cfg.dt_fs / HBAR_CM1_FS)
         )
         self.observers = self.basis.site_projectors()
+        self.circuit_t = None  # the circuit backend's full step, built once per run
+        if cfg.backend == "circuit":
+            self.circuit_t = circuit.circuit_transfer_matrix(circuit.build_step_circuit(self.rates, self.unitary))
 
     def initial_state(self) -> np.ndarray:
         site = self.cfg.initial_site
@@ -146,13 +151,10 @@ class _Runner:
         if cfg.backend == "lindblad-oracle":
             # chi scales the dissipator linearly, so the continuum counterpart of
             # the blended step is the master equation with rates chi * Gamma
-            model = lindblad.LindbladModel.from_rate_matrix(self.h_exciton, chi * self.rates.gamma / cfg.dt_fs)
+            model = lindblad.LindbladModel(self.h_exciton, chi * self.rates.gamma / cfg.dt_fs)
             return lindblad.rk4_integrate(rho0, model, cfg.dt_fs, cfg.steps, self.observers)
-        full = None
-        if cfg.backend == "circuit":
-            full = circuit.circuit_transfer_matrix(circuit.build_step_circuit(self.rates, self.unitary))
         ops = kernel.build_evolution_operators(self.rates, self.unitary)
-        t = kernel.step_transfer_matrix(ops, chi, full)
+        t = kernel.step_transfer_matrix(ops, chi, self.circuit_t)
         return kernel.propagate(t, rho0, cfg.dt_fs, cfg.steps, self.observers, renormalize=cfg.renormalize)
 
 
@@ -190,17 +192,12 @@ def cmd_oracle(args) -> int:
     traj = runner.trajectory()
     _emit(_trajectory_csv(cfg, traj, runner.model.hamiltonian.n_sites), args.out)
 
-    rates_per_fs = runner.rates.gamma / cfg.dt_fs
-    model = lindblad.LindbladModel.from_rate_matrix(runner.h_exciton, rates_per_fs)
-    report = lindblad.convergence_report(
-        model, runner.initial_state(), t_final, dt_list
-    )
+    model = lindblad.LindbladModel(runner.h_exciton, runner.rates.gamma / cfg.dt_fs)
+    rows = lindblad.convergence_report(model, runner.initial_state(), t_final, dt_list)
     lines = _config_lines(cfg, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
     lines.append("dt_fs,frobenius_distance")
-    for dt, dist in report.rows:
-        lines.append(f"{_fmt(dt)},{_fmt(dist)}")
-    ratios = report.ratios()
-    lines.append("# successive_ratios: " + ",".join(_fmt(r) for r in ratios))
+    lines.extend(f"{_fmt(dt)},{_fmt(dist)}" for dt, dist in rows)
+    lines.append("# successive_ratios: " + ",".join(_fmt(r) for r in successive_ratios(rows)))
     _emit(lines, args.convergence_out)
     return 0
 
@@ -226,8 +223,8 @@ def cmd_sweep_chi(args) -> int:
 def cmd_gatecount(args) -> int:
     dims = _parse_floats(args.dims)
     for d in dims:
-        if not (d >= 2 and float(d).is_integer()):
-            raise ConfigError(f"gate counting needs integer dims >= 2, got {d}")
+        if not (2 <= d <= MAX_GATECOUNT_DIM and float(d).is_integer()):
+            raise ConfigError(f"gate counting needs integer dims in 2..{MAX_GATECOUNT_DIM}, got {d}")
     lines = [f"# enaqt {__version__}"]
     lines.append("dim,jumps,per_jump_gates,jump_gates_total,coherent_gates,qubits")
     for d in map(int, dims):
@@ -252,15 +249,12 @@ def cmd_circuit_verify(args) -> int:
         runner.basis.dim, 1)
     equiv = frob_dist(circuit.choi_from_transfer(t_circuit), circuit.choi_from_transfer(t_seq))
 
-    report = circuit.compare_step_channels(
-        runner.rates, runner.h_exciton, cfg.dt_fs, scalings
-    )
+    rows = circuit.compare_step_channels(runner.rates, runner.h_exciton, cfg.dt_fs, scalings)
     lines = _config_lines(cfg, {"command": "circuit-verify", "scalings": scalings})
     lines.append(f"# choi_distance_circuit_vs_operator_model: {_fmt(equiv)}")
     lines.append("scale,choi_distance_vs_step_map")
-    for s, dist in report.rows:
-        lines.append(f"{_fmt(s)},{_fmt(dist)}")
-    lines.append("# successive_ratios: " + ",".join(_fmt(r) for r in report.ratios()))
+    lines.extend(f"{_fmt(s)},{_fmt(dist)}" for s, dist in rows)
+    lines.append("# successive_ratios: " + ",".join(_fmt(r) for r in successive_ratios(rows)))
     _emit(lines, args.out)
     if equiv > 1e-10:
         print(

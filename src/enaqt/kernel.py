@@ -27,7 +27,7 @@ and the chi-blended step is T = (1 - chi) (U (x) conj(U)) + chi T_full.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,7 +177,6 @@ class Trajectory:
     populations: np.ndarray
     trace: np.ndarray
     min_eig: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def index_at(self, t_fs: float) -> int:
         """Index of the grid point nearest to t_fs (must lie on the grid span)."""
@@ -219,8 +218,7 @@ def propagate(
     t is a row-major d^2 x d^2 transfer matrix, observers an (n_obs, d, d) stack
     of hermitian projectors; populations are Re tr(P_i rho_k). renormalize
     divides each new state by its real trace. States are stepped and checked
-    CHUNK rows at a time, never held as the whole (steps+1, d^2) stack; the
-    last one is kept as metadata["final_state"]. Raises
+    CHUNK rows at a time, never held as the whole (steps+1, d^2) stack. Raises
     StateInvalidError at the first step whose state loses hermiticity or
     positivity beyond psd_tol (a symptom of gamma/dt misconfiguration).
     """
@@ -266,8 +264,7 @@ def propagate(
                 f"state invalid at step {k}: min eigenvalue {min_eig[k]:.3e}, "
                 f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {psd_tol:.1e})"
             )
-    return Trajectory(times=times, populations=populations, trace=trace, min_eig=min_eig,
-                      metadata={"final_state": v.reshape(d, d).copy()})
+    return Trajectory(times=times, populations=populations, trace=trace, min_eig=min_eig)
 
 
 def evolve_trajectory(

@@ -64,3 +64,11 @@ def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
+
+
+def successive_ratios(rows) -> list:
+    """Ratios y_k / y_(k+1) of successive (x, y) rows, skipping rows whose y is not > 0.
+
+    Per halving of x, a first-order error gives ~2 and a second-order one ~4.
+    """
+    return [a[1] / b[1] for a, b in zip(rows, rows[1:]) if b[1] > 0]

@@ -260,6 +260,18 @@ class TestSweepChi:
             assert eff == sim[-1, header.index("site3")] + sim[-1, header.index("site4")]
         assert rows[0, 1] < rows[1, 1] < rows[2, 1]
 
+    def test_circuit_backend_builds_its_step_once(self, default_config, tmp_path, monkeypatch):
+        calls, build = [], circuit.circuit_transfer_matrix
+
+        def counted(gates):
+            calls.append(gates)
+            return build(gates)
+
+        monkeypatch.setattr(circuit, "circuit_transfer_matrix", counted)
+        assert run_cli(["sweep-chi", "--config", default_config, "--backend", "circuit",
+                        "--chis", "0,0.06,0.5,1", "--steps", "20", "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 1
+
     def test_rejects_bad_chi(self, default_config):
         assert run_cli(["sweep-chi", "--config", default_config, "--chis", "0.5,1.5"]) == 1
 
@@ -316,6 +328,10 @@ class TestGatecount:
     def test_rejects_dim_one(self):
         assert run_cli(["gatecount", "--dims", "1"]) == 1
 
+    def test_largest_dim_runs(self, capsys):
+        assert run_cli(["gatecount", "--dims", "64"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "64,4032,12,48384,1,14"
+
 
 class TestCircuitVerify:
     def test_default_model_verifies(self, default_config, tmp_path):
@@ -368,7 +384,7 @@ ARG_CASES = {
     "oracle-renormalize": ["oracle", "--renormalize"],
 }
 
-DIMS_CASES = ["2.5", "nan", "inf", "3,-2"]
+DIMS_CASES = ["2.5", "nan", "inf", "3,-2", "2,65"]
 
 
 def assert_one_line_config_error(argv, capsys):
