@@ -397,21 +397,26 @@ def compare_step_channels(
     hamiltonian: np.ndarray,
     dt: float,
     scalings=(1.0, 0.5, 0.25),
+    t_circuit: np.ndarray | None = None,
 ) -> list:
     """(scale, Choi distance) rows between the compiled circuit step and the one-shot map.
 
     For each scale s both the jump probabilities (gamma -> s*gamma) and the
     effective step (U -> U(s*dt)) shrink together; the two channels agree to
     first order in the step, so the distance falls by ~4x per halving. The
-    one-shot map is the transfer matrix the operator backend steps.
+    one-shot map is the transfer matrix the operator backend steps. A caller
+    that has built the scale-1 circuit's T already passes it as t_circuit.
     """
     rows = []
     for s in scalings:
         gam = JumpRateSpec(rates.gamma * s)
         u = evolution_unitary(hamiltonian, s * dt)
-        t_circuit = circuit_transfer_matrix(build_step_circuit(gam, u))
+        if s == 1.0 and t_circuit is not None:
+            t_c = t_circuit
+        else:
+            t_c = circuit_transfer_matrix(build_step_circuit(gam, u))
         t_map = step_transfer_matrix(build_evolution_operators(gam, u), 1.0)
-        rows.append((float(s), frob_dist(choi_from_transfer(t_circuit), choi_from_transfer(t_map))))
+        rows.append((float(s), frob_dist(choi_from_transfer(t_c), choi_from_transfer(t_map))))
     return rows
 
 

@@ -57,6 +57,7 @@ NUMERICAL_ERRORS = (
 
 BACKENDS = ("operator", "circuit", "lindblad-oracle")
 MAX_GATECOUNT_DIM = 64  # building a step circuit costs ~d^2 gates: 64 runs in a fraction of a second
+MAX_STEPS = 10_000_000  # a trajectory records 10 float64 columns per step at 7 sites: ~0.8 GB here
 
 
 @dataclass
@@ -71,24 +72,20 @@ class RunConfig:
     temperature_k: float | None = None
     explicit_rates: bool | None = None
     backend: str = "operator"
-    renormalize: bool = False
 
     def validate(self, n_sites: int):
         if not 1 <= self.initial_site <= n_sites:
             raise ConfigError(f"initial site must be in 1..{n_sites}, got {self.initial_site}")
         if not 0.0 <= self.chi <= 1.0:
             raise ConfigError(f"chi must lie in [0, 1], got {self.chi}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ConfigError(f"steps must be in 1..{MAX_STEPS}, got {self.steps}")
         if not 0 < self.dt_fs < math.inf:
             raise ConfigError(f"dt must be finite and positive, got {self.dt_fs}")
         if self.temperature_k is not None and not 0 < self.temperature_k < math.inf:
             raise ConfigError(f"temperature must be finite and positive, got {self.temperature_k}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.renormalize and self.backend == "lindblad-oracle":
-            raise ConfigError("--renormalize does not apply to the lindblad-oracle backend, "
-                              "whose RK4 step never renormalizes")
 
 
 def _fmt(x) -> str:
@@ -155,7 +152,7 @@ class _Runner:
             return lindblad.rk4_integrate(rho0, model, cfg.dt_fs, cfg.steps, self.observers)
         ops = kernel.build_evolution_operators(self.rates, self.unitary)
         t = kernel.step_transfer_matrix(ops, chi, self.circuit_t)
-        return kernel.propagate(t, rho0, cfg.dt_fs, cfg.steps, self.observers, renormalize=cfg.renormalize)
+        return kernel.propagate(t, rho0, cfg.dt_fs, cfg.steps, self.observers)
 
 
 def _trajectory_csv(cfg: RunConfig, traj: kernel.Trajectory, n_sites: int):
@@ -249,7 +246,7 @@ def cmd_circuit_verify(args) -> int:
         runner.basis.dim, 1)
     equiv = frob_dist(circuit.choi_from_transfer(t_circuit), circuit.choi_from_transfer(t_seq))
 
-    rows = circuit.compare_step_channels(runner.rates, runner.h_exciton, cfg.dt_fs, scalings)
+    rows = circuit.compare_step_channels(runner.rates, runner.h_exciton, cfg.dt_fs, scalings, t_circuit)
     lines = _config_lines(cfg, {"command": "circuit-verify", "scalings": scalings})
     lines.append(f"# choi_distance_circuit_vs_operator_model: {_fmt(equiv)}")
     lines.append("scale,choi_distance_vs_step_map")
@@ -280,40 +277,43 @@ def _positive_floats(text: str, flag: str) -> list:
 
 
 def _run_config(args) -> RunConfig:
-    if getattr(args, "temperature", None) is not None and getattr(args, "explicit_rates", False):
+    """The run's RunConfig; a field whose option the subcommand does not take keeps its default."""
+    if args.temperature is not None and args.explicit_rates:
         raise ConfigError("--temperature and --explicit-rates are mutually exclusive")
-    return RunConfig(
-        model=args.config,
-        initial_site=args.initial_site,
-        dt_fs=args.dt_fs,
-        steps=args.steps,
-        chi=args.chi,
-        temperature_k=getattr(args, "temperature", None),
-        explicit_rates=True if getattr(args, "explicit_rates", False) else None,
-        backend=getattr(args, "backend", "operator"),
-        renormalize=bool(getattr(args, "renormalize", False)),
-    )
+    given = {k: getattr(args, k) for k in ("initial_site", "dt_fs", "steps", "chi", "backend") if hasattr(args, k)}
+    return RunConfig(model=args.config, temperature_k=args.temperature,
+                     explicit_rates=True if args.explicit_rates else None, **given)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: sweep-chi would otherwise read --chi as its --chis
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ConfigError(message)
 
 
-def _add_run_options(p, backend=True):
-    p.add_argument("--config", required=True, help="model JSON file")
-    p.add_argument("--initial-site", type=int, default=1, dest="initial_site")
-    p.add_argument("--dt-fs", type=float, default=10.0, dest="dt_fs")
-    p.add_argument("--steps", type=int, default=400)
-    p.add_argument("--chi", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=None,
-                   help="generate rates from the Ohmic bath at this temperature (K)")
-    p.add_argument("--explicit-rates", action="store_true", dest="explicit_rates",
-                   help="force the model file's rate table (default when present)")
-    p.add_argument("--renormalize", action="store_true")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    if backend:
-        p.add_argument("--backend", choices=BACKENDS, default="operator")
+RUN_OPTIONS = {
+    "--config": dict(required=True, help="model JSON file"),
+    "--initial-site": dict(type=int, default=1, dest="initial_site"),
+    "--dt-fs": dict(type=float, default=10.0, dest="dt_fs"),
+    "--steps": dict(type=int, default=400),
+    "--chi": dict(type=float, default=1.0),
+    "--temperature": dict(type=float, default=None,
+                          help="generate rates from the Ohmic bath at this temperature (K)"),
+    "--explicit-rates": dict(action="store_true", dest="explicit_rates",
+                             help="force the model file's rate table (default when present)"),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+    "--backend": dict(choices=BACKENDS, default="operator"),
+}
+
+
+def _add_run_options(p, omit=()):
+    """Register the run options, less those in `omit`: the ones the subcommand never reads."""
+    for flag, kwargs in RUN_OPTIONS.items():
+        if flag not in omit:
+            p.add_argument(flag, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="RK4 reference run plus convergence table")
-    _add_run_options(p, backend=False)
+    _add_run_options(p, omit=("--backend",))
     p.add_argument("--dt-list", default="20,10,5", dest="dt_list")
     p.add_argument("--t-final", type=float, default=2000.0, dest="t_final")
     p.add_argument("--convergence-out", default=None, dest="convergence_out")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep-chi", help="efficiency vs chi")
-    _add_run_options(p)
+    _add_run_options(p, omit=("--chi",))
     p.add_argument("--chis", default="0.0,0.06,0.5,1.0")
     p.set_defaults(func=cmd_sweep_chi)
 
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gatecount)
 
     p = sub.add_parser("circuit-verify", help="channel equivalence certificates")
-    _add_run_options(p, backend=False)
+    _add_run_options(p, omit=("--initial-site", "--steps", "--chi", "--backend"))
     p.add_argument("--scalings", default="1.0,0.5,0.25")
     p.set_defaults(func=cmd_circuit_verify)
     return parser

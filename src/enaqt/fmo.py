@@ -166,23 +166,15 @@ def thermal_rate_matrix(
     rate-table calibration; the standard generation path uses 1.
     """
     w = basis.energies_cm1
-    d = basis.dim
     weights = basis.site_weights()
     overlap = weights.T @ weights  # overlap[M, N] = sum_m |c_m(M)|^2 |c_m(N)|^2
-    rates = np.zeros((d, d))
-    for m in range(d):
-        for n in range(d):
-            if m == n:
-                continue
-            gap = abs(w[m] - w[n])
-            if gap == 0.0:
-                continue
-            j = ohmic_spectral_density(gap, bath.lambda_cm1, bath.omega_c_cm1)
-            occ = bose_occupation(gap, bath.temperature_k)
-            pref = (1.0 + occ) if w[m] > w[n] else occ
-            rates[m, n] = (
-                2.0 * np.pi * j * pref * overlap[m, n] ** overlap_exponent / HBAR_CM1_FS
-            )
+    m, n = np.nonzero(w[:, None] != w[None, :])  # off-diagonal pairs with a nonzero gap
+    gap = np.abs(w[m] - w[n])
+    j = ohmic_spectral_density(gap, bath.lambda_cm1, bath.omega_c_cm1)
+    occ = bose_occupation(gap, bath.temperature_k)
+    pref = np.where(w[m] > w[n], 1.0 + occ, occ)
+    rates = np.zeros((basis.dim, basis.dim))
+    rates[m, n] = 2.0 * np.pi * j * pref * overlap[m, n] ** overlap_exponent / HBAR_CM1_FS
     return rates
 
 

@@ -87,7 +87,6 @@ class StepConfig:
 
     dt: float
     chi: float = 1.0
-    renormalize_trace: bool = False
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -154,15 +153,11 @@ def tunable_step(rho: np.ndarray, ops: EvolutionOperators, cfg: StepConfig) -> n
     rho = np.asarray(rho, dtype=complex)
     chi = cfg.chi
     if chi == 1.0:
-        out = enaqt_step(rho, ops)
-    elif chi == 0.0:
-        out = ops.unitary @ rho @ ops.unitary.conj().T
-    else:
-        coh = ops.unitary @ rho @ ops.unitary.conj().T
-        out = (1.0 - chi) * coh + chi * enaqt_step(rho, ops)
-    if cfg.renormalize_trace:
-        out = out / np.trace(out).real
-    return out
+        return enaqt_step(rho, ops)
+    coh = ops.unitary @ rho @ ops.unitary.conj().T
+    if chi == 0.0:
+        return coh
+    return (1.0 - chi) * coh + chi * enaqt_step(rho, ops)
 
 
 @dataclass
@@ -211,16 +206,16 @@ CHUNK = 128  # rows stepped and checked per batch in propagate
 
 def propagate(
     t: np.ndarray, rho0: np.ndarray, dt: float, steps: int, observers: np.ndarray,
-    psd_tol: float = 1e-6, renormalize: bool = False,
+    psd_tol: float = 1e-6,
 ) -> Trajectory:
     """Iterate vec(rho) <- t @ vec(rho), recording projector populations per step.
 
     t is a row-major d^2 x d^2 transfer matrix, observers an (n_obs, d, d) stack
-    of hermitian projectors; populations are Re tr(P_i rho_k). renormalize
-    divides each new state by its real trace. States are stepped and checked
-    CHUNK rows at a time, never held as the whole (steps+1, d^2) stack. Raises
-    StateInvalidError at the first step whose state loses hermiticity or
-    positivity beyond psd_tol (a symptom of gamma/dt misconfiguration).
+    of hermitian projectors; populations are Re tr(P_i rho_k). States are
+    stepped and checked CHUNK rows at a time, never held as the whole
+    (steps+1, d^2) stack. Raises StateInvalidError at the first step whose
+    state loses hermiticity or positivity beyond psd_tol (a symptom of
+    gamma/dt misconfiguration).
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -245,10 +240,7 @@ def propagate(
     for start in range(0, steps + 1, CHUNK):
         n = min(CHUNK, steps + 1 - start)
         for i in range(1 if start == 0 else 0, n):
-            np.dot(t, v, out=buf[i])
-            if renormalize:
-                buf[i] /= buf[i, :: d + 1].sum().real
-            v = buf[i]
+            v = np.dot(t, v, out=buf[i])
         rows, mats = slice(start, start + n), buf[:n].reshape(n, d, d)
         populations[rows] = (buf[:n] @ obs_cols).real
         trace[rows] = buf[:n, :: d + 1].sum(axis=1).real
@@ -273,4 +265,4 @@ def evolve_trajectory(
 ) -> Trajectory:
     """Iterate tunable_step from rho0 through its transfer matrix; see propagate."""
     t = step_transfer_matrix(ops, cfg.chi)
-    return propagate(t, rho0, cfg.dt, steps, observers, psd_tol, cfg.renormalize_trace)
+    return propagate(t, rho0, cfg.dt, steps, observers, psd_tol)

@@ -12,22 +12,20 @@ from enaqt.errors import (
 )
 from enaqt.kernel import JumpRateSpec
 
-RNG = np.random.default_rng(1234)
 
-
-def random_density(d, rng=RNG):
+def random_density(d, rng):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
 
-def random_rates(d, scale=0.05, rng=RNG):
+def random_rates(d, rng, scale=0.05):
     g = rng.uniform(0.0, scale, size=(d, d))
     np.fill_diagonal(g, 0.0)
     return JumpRateSpec(g)
 
 
-def random_unitary(d, rng=RNG):
+def random_unitary(d, rng):
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return linalg.evolution_unitary(0.5 * (h + h.conj().T) * 100, 10.0)
 
@@ -133,18 +131,18 @@ class TestBuildJumpCircuit:
             assert np.max(np.abs(m @ m.conj().T - np.eye(ly.sim_dim))) <= 1e-12
 
     @pytest.mark.parametrize("d,i,j,g", [(4, 0, 1, 0.25), (4, 3, 1, 0.6), (7, 0, 1, 0.25), (7, 4, 2, 0.13)])
-    def test_matches_kraus_pair(self, d, i, j, g):
+    def test_matches_kraus_pair(self, rng, d, i, j, g):
         chan = jump_circuit_channel(d, i, j, g)
         m0, m1 = jump_kraus_pair(d, i, j, g)
         for _ in range(3):
-            sigma = random_density(2 * d)
+            sigma = random_density(2 * d, rng)
             expected = m0 @ sigma @ m0.conj().T + m1 @ sigma @ m1.conj().T
             assert np.max(np.abs(chan(sigma) - expected)) <= 1e-12
 
-    def test_zero_probability_is_identity(self):
+    def test_zero_probability_is_identity(self, rng):
         d = 4
         chan = jump_circuit_channel(d, 1, 2, 0.0)
-        sigma = random_density(2 * d)
+        sigma = random_density(2 * d, rng)
         assert np.max(np.abs(chan(sigma) - sigma)) <= 1e-13
 
     def test_certain_jump(self):
@@ -181,63 +179,63 @@ class TestBuildStepCircuit:
             (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)
         ]
 
-    def test_structure(self):
+    def test_structure(self, rng):
         d = 2
         gates = circuit.build_step_circuit(
-            random_rates(d), np.eye(d, dtype=complex)
+            random_rates(d, rng), np.eye(d, dtype=complex)
         )
         kinds = [g.kind for g in gates]
         assert kinds.count(circuit.KIND_RESET_B2) == d * (d - 1)
         assert kinds[-2] == circuit.KIND_CUNITARY
         assert kinds[-1] == circuit.KIND_TRACE_B1
 
-    def test_zero_rates_is_unitary_conjugation(self):
+    def test_zero_rates_is_unitary_conjugation(self, rng):
         d = 4
-        u = random_unitary(d)
+        u = random_unitary(d, rng)
         gates = circuit.build_step_circuit(JumpRateSpec(np.zeros((d, d))), u)
-        rho = random_density(d)
+        rho = random_density(d, rng)
         out = circuit.apply_circuit(rho, gates)
         assert np.max(np.abs(out - u @ rho @ u.conj().T)) <= 1e-13
 
 
 class TestApplyCircuit:
-    def test_empty_gate_list(self):
+    def test_empty_gate_list(self, rng):
         d = 7
-        rho = random_density(d)
+        rho = random_density(d, rng)
         out = circuit.apply_circuit(rho, GateList(layout=QubitLayout(d)))
         assert np.max(np.abs(out - rho)) <= 1e-14
 
-    def test_single_zero_gamma_jump(self):
+    def test_single_zero_gamma_jump(self, rng):
         ly = QubitLayout(7)
         gates = circuit.build_jump_circuit(0, 1, 0.0, ly)
-        rho = random_density(7)
+        rho = random_density(7, rng)
         assert np.max(np.abs(circuit.apply_circuit(rho, gates, ly) - rho)) <= 1e-13
 
-    def test_two_jump_step_matches_sequential_kraus(self):
+    def test_two_jump_step_matches_sequential_kraus(self, rng):
         d = 4
         g = np.zeros((d, d))
         g[0, 1], g[2, 3] = 0.3, 0.15
         rates = JumpRateSpec(g)
-        u = random_unitary(d)
+        u = random_unitary(d, rng)
         gates = circuit.build_step_circuit(rates, u)
-        rho = random_density(d)
+        rho = random_density(d, rng)
         expected = circuit.sequential_kraus_step(rho, rates, u)
         assert np.max(np.abs(circuit.apply_circuit(rho, gates) - expected)) <= 1e-12
 
-    def test_trace_preserved(self):
+    def test_trace_preserved(self, rng):
         d = 7
-        rates = random_rates(d)
-        gates = circuit.build_step_circuit(rates, random_unitary(d))
-        rho = random_density(d)
+        rates = random_rates(d, rng)
+        gates = circuit.build_step_circuit(rates, random_unitary(d, rng))
+        rho = random_density(d, rng)
         out = circuit.apply_circuit(rho, gates)
         assert abs(np.trace(out).real - 1.0) <= 1e-12
 
-    def test_no_leakage_into_unused_code(self):
+    def test_no_leakage_into_unused_code(self, rng):
         # dim 7 leaves code |000> unused; any leak would drain trace
         d = 7
-        rates = random_rates(d, scale=0.1)
-        gates = circuit.build_step_circuit(rates, random_unitary(d))
-        rho = random_density(d)
+        rates = random_rates(d, rng, scale=0.1)
+        gates = circuit.build_step_circuit(rates, random_unitary(d, rng))
+        rho = random_density(d, rng)
         for _ in range(5):
             rho = circuit.apply_circuit(rho, gates)
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
@@ -247,9 +245,9 @@ class TestApplyCircuit:
             circuit.apply_circuit(np.eye(3), GateList(layout=QubitLayout(4)))
 
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_stack_matches_per_state_and_dense_reference(self, d):
-        gates = circuit.build_step_circuit(random_rates(d, scale=0.08), random_unitary(d))
-        stack = np.stack([random_density(d) for _ in range(6)]).reshape(2, 3, d, d)
+    def test_stack_matches_per_state_and_dense_reference(self, rng, d):
+        gates = circuit.build_step_circuit(random_rates(d, rng, scale=0.08), random_unitary(d, rng))
+        stack = np.stack([random_density(d, rng) for _ in range(6)]).reshape(2, 3, d, d)
         batched = circuit.apply_circuit(stack, gates)
         assert batched.shape == (2, 3, d, d)
         for idx in np.ndindex(2, 3):
@@ -274,33 +272,33 @@ class TestChannelChoi:
         )
         assert np.max(np.abs(choi - np.eye(d * d) / d)) <= 1e-14
 
-    def test_cptp_certificate_for_compiled_step(self):
+    def test_cptp_certificate_for_compiled_step(self, rng):
         d = 4
-        rates = random_rates(d)
-        gates = circuit.build_step_circuit(rates, random_unitary(d))
+        rates = random_rates(d, rng)
+        gates = circuit.build_step_circuit(rates, random_unitary(d, rng))
         choi = circuit.channel_choi(lambda r: circuit.apply_circuit(r, gates), d)
         assert np.min(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))) >= -1e-9
         # trace over the output factor must give the identity (trace preservation)
         reduced = np.einsum("ajbj->ab", choi.reshape(d, d, d, d))
         assert np.max(np.abs(reduced - np.eye(d))) <= 1e-12
 
-    def test_transfer_matrix_consistent(self):
+    def test_transfer_matrix_consistent(self, rng):
         d = 3
-        rates = random_rates(d)
-        u = random_unitary(d)
+        rates = random_rates(d, rng)
+        u = random_unitary(d, rng)
         gates = circuit.build_step_circuit(rates, u)
         t = circuit.channel_transfer_matrix(
             lambda r: circuit.apply_circuit(r, gates), d
         )
-        rho = random_density(d)
+        rho = random_density(d, rng)
         via_t = (t @ rho.reshape(-1)).reshape(d, d)
         assert np.max(np.abs(via_t - circuit.apply_circuit(rho, gates))) <= 1e-12
 
 
-    def test_reshuffle_matches_kron_double_loop(self):
+    def test_reshuffle_matches_kron_double_loop(self, rng):
         # a linear, non-CP, non-hermiticity-preserving map
         d = 4
-        a, b, c = (RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d)) for _ in range(3))
+        a, b, c = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3))
 
         def chan(r):
             return a @ r @ b + c @ r.T
@@ -314,8 +312,8 @@ class TestChannelChoi:
         assert np.max(np.abs(circuit.channel_choi(chan, d) - expected)) <= 1e-15
 
     @pytest.mark.parametrize("d", [3, 7])
-    def test_circuit_transfer_matrix_matches_per_element_build(self, d):
-        gates = circuit.build_step_circuit(random_rates(d), random_unitary(d))
+    def test_circuit_transfer_matrix_matches_per_element_build(self, rng, d):
+        gates = circuit.build_step_circuit(random_rates(d, rng), random_unitary(d, rng))
         t = circuit.circuit_transfer_matrix(gates)
         reference = circuit.channel_transfer_matrix(
             lambda r: circuit.apply_circuit(r, gates), d
@@ -326,15 +324,15 @@ class TestChannelChoi:
 
 class TestStackedBuilds:
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_plan_transfer_matrix_matches_dense_reference(self, d):
-        gates = circuit.build_step_circuit(random_rates(d, scale=0.08), random_unitary(d))
+    def test_plan_transfer_matrix_matches_dense_reference(self, rng, d):
+        gates = circuit.build_step_circuit(random_rates(d, rng, scale=0.08), random_unitary(d, rng))
         t = circuit.circuit_transfer_matrix(gates)
         dense = circuit.channel_transfer_matrix(lambda r: dense_apply_circuit(r, gates), d)
         assert np.max(np.abs(t - dense)) <= 1e-15
 
     @pytest.mark.parametrize("d", [3, 7])
-    def test_transfer_matrix_independent_of_substacks_and_plan_reuse(self, d):
-        gates = circuit.build_step_circuit(random_rates(d, scale=0.08), random_unitary(d))
+    def test_transfer_matrix_independent_of_substacks_and_plan_reuse(self, rng, d):
+        gates = circuit.build_step_circuit(random_rates(d, rng, scale=0.08), random_unitary(d, rng))
         t = circuit.circuit_transfer_matrix(gates)
         plan = circuit.compile_circuit(gates, gates.layout)
         for k in (1, 3, 7, 1, 3, 7):  # the plan is reused by every build
@@ -342,31 +340,31 @@ class TestStackedBuilds:
                 lambda p: circuit.apply_circuit(p, plan, gates.layout), d, k)
             assert np.array_equal(built, t)
 
-    def test_resets_anywhere_match_dense_reference(self):
+    def test_resets_anywhere_match_dense_reference(self, rng):
         # two jumps share a reset; a second coherent gate moves a lone rotation's
         # B2 = 1 amplitude to other codes before a reset; a reset follows a reset
         d = 5
         ly = QubitLayout(d)
         reset = circuit.Gate(kind=circuit.KIND_RESET_B2, targets=(ly.b2_wire,))
         coherent = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
-                                controls=((ly.b1_wire, 0),), matrix=random_unitary(d))
+                                controls=((ly.b1_wire, 0),), matrix=random_unitary(d, rng))
         mixer = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
-                             controls=((ly.b1_wire, 0),), matrix=random_unitary(d))
+                             controls=((ly.b1_wire, 0),), matrix=random_unitary(d, rng))
         jump = [circuit.build_jump_circuit(i, j, g, ly).gates
                 for i, j, g in ((0, 3, 0.2), (2, 1, 0.35), (4, 0, 0.1), (1, 2, 0.5))]
         gates = GateList(layout=ly, gates=[
             *jump[0], *jump[1], coherent, reset, jump[2][0], mixer, reset, coherent, reset,
             *jump[3], coherent, *jump[0], reset,
         ])
-        stack = np.stack([random_density(d) for _ in range(4)])
+        stack = np.stack([random_density(d, rng) for _ in range(4)])
         out = circuit.apply_circuit(stack, gates)
         for k in range(len(stack)):
             assert np.max(np.abs(out[k] - dense_apply_circuit(stack[k], gates))) <= 1e-15
 
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_stacked_kraus_step_matches_per_state_calls(self, d):
-        rates, u = random_rates(d, scale=0.08), random_unitary(d)
-        stack = np.stack([random_density(d) for _ in range(6)]).reshape(3, 2, d, d)
+    def test_stacked_kraus_step_matches_per_state_calls(self, rng, d):
+        rates, u = random_rates(d, rng, scale=0.08), random_unitary(d, rng)
+        stack = np.stack([random_density(d, rng) for _ in range(6)]).reshape(3, 2, d, d)
         batched = circuit.sequential_kraus_step(stack, rates, u)
         assert batched.shape == (3, 2, d, d)
         for idx in np.ndindex(3, 2):
@@ -374,10 +372,10 @@ class TestStackedBuilds:
 
 
 class TestSequentialKraus:
-    def test_matches_circuit_choi(self):
+    def test_matches_circuit_choi(self, rng):
         for d in (2, 4, 7):
-            rates = random_rates(d, scale=0.08)
-            u = random_unitary(d)
+            rates = random_rates(d, rng, scale=0.08)
+            u = random_unitary(d, rng)
             gates = circuit.build_step_circuit(rates, u)
             choi_circ = circuit.channel_choi(
                 lambda r: circuit.apply_circuit(r, gates), d
@@ -387,10 +385,10 @@ class TestSequentialKraus:
             )
             assert np.linalg.norm(choi_circ - choi_seq) <= 1e-10
 
-    def test_zero_rates(self):
+    def test_zero_rates(self, rng):
         d = 3
-        u = random_unitary(d)
-        rho = random_density(d)
+        u = random_unitary(d, rng)
+        rho = random_density(d, rng)
         out = circuit.sequential_kraus_step(rho, JumpRateSpec(np.zeros((d, d))), u)
         assert np.max(np.abs(out - u @ rho @ u.conj().T)) <= 1e-13
 

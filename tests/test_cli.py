@@ -105,14 +105,13 @@ class TestSimulate:
         gap = np.max(np.abs(outs["operator"][:, 1:8] - outs["circuit"][:, 1:8]))
         assert gap <= 6e-3
 
-    @pytest.mark.parametrize("chi,renormalize", [(1.0, False), (0.5, True)])
-    def test_circuit_backend_matches_step_loop(self, default_config, tmp_path, chi, renormalize):
+    @pytest.mark.parametrize("chi", [1.0, 0.5])
+    def test_circuit_backend_matches_step_loop(self, default_config, tmp_path, chi):
         # reference: the circuit backend's former stepping loop, one step and
         # one einsum / eigvalsh per row
         steps, dt = 300, 10.0
         args = ["simulate", "--config", default_config, "--backend", "circuit",
                 "--steps", str(steps), "--chi", str(chi)]
-        args += ["--renormalize"] if renormalize else []
         out = tmp_path / "circuit.csv"
         assert run_cli(args + ["--out", str(out)]) == 0
         _, _, rows = read_rows(out)
@@ -134,8 +133,6 @@ class TestSimulate:
         for k in range(steps + 1):
             if k:
                 rho = step_t @ rho
-                if renormalize:
-                    rho = rho / np.trace(rho.reshape(d, d)).real
             mat = rho.reshape(d, d)
             pops = np.einsum("oij,ji->o", runner.observers, mat).real
             min_eig = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
@@ -172,6 +169,10 @@ class TestSimulate:
 
     def test_missing_model_is_config_error(self):
         assert run_cli(["simulate", "--config", "/does/not/exist.json"]) == 1
+
+    def test_max_steps_is_accepted(self, default_config):
+        # validation alone: no trajectory is allocated
+        cli.RunConfig(model=default_config, steps=cli.MAX_STEPS).validate(7)
 
     def test_bad_initial_site(self, default_config):
         assert run_cli(["simulate", "--config", default_config, "--initial-site", "9"]) == 1
@@ -348,6 +349,19 @@ class TestCircuitVerify:
         )
         assert float(equiv_line.split(": ")[1]) <= 1e-10
 
+    def test_builds_the_scale_one_circuit_once(self, default_config, tmp_path, monkeypatch):
+        # the Kraus-reference certificate and the scale 1 row share one build
+        calls, build = [], circuit.circuit_transfer_matrix
+
+        def counted(gates):
+            calls.append(gates)
+            return build(gates)
+
+        monkeypatch.setattr(circuit, "circuit_transfer_matrix", counted)
+        assert run_cli(["circuit-verify", "--config", default_config, "--scalings", "1,0.5,0.25",
+                        "--out", str(tmp_path / "v.csv")]) == 0
+        assert len(calls) == 3
+
 
 def _bump_coupling(m):
     m["couplings_cm1"][0][1] += 1e-7
@@ -379,10 +393,17 @@ ARG_CASES = {
     "verify-scaling-nan": ["circuit-verify", "--scalings", "1,nan"],
     "verify-scaling-zero": ["circuit-verify", "--scalings", "1,0"],
     "verify-scaling-inf": ["circuit-verify", "--scalings", "1,inf"],
-    # RK4 has no renormalisation, so the flag would only be echoed in the header
+    # every CLI step preserves the trace (U is diagonal in the exciton basis): no command renormalizes
     "oracle-backend-renormalize": ["simulate", "--backend", "lindblad-oracle", "--renormalize"],
     "oracle-renormalize": ["oracle", "--renormalize"],
+    # options a subcommand would ignore are not registered for it
+    "sweep-chi-chi": ["sweep-chi", "--chi", "0.5"],
+    "verify-steps": ["circuit-verify", "--steps", "10"],
+    "verify-chi": ["circuit-verify", "--chi", "0.5"],
+    "verify-initial-site": ["circuit-verify", "--initial-site", "2"],
+    "steps-above-max": ["simulate", "--steps", str(cli.MAX_STEPS + 1)],
 }
+TAKES_STEPS = ("simulate", "oracle", "sweep-chi")
 
 DIMS_CASES = ["2.5", "nan", "inf", "3,-2", "2,65"]
 
@@ -410,8 +431,8 @@ class TestBadInputCorpus:
 
     @pytest.mark.parametrize("args", ARG_CASES.values(), ids=ARG_CASES.keys())
     def test_run_arguments(self, args, default_config, tmp_path, capsys):
-        argv = [args[0], "--config", default_config, *args[1:], "--steps", "2",
-                "--out", str(tmp_path / "t.csv")]
+        steps = ["--steps", "2"] if args[0] in TAKES_STEPS and "--steps" not in args else []
+        argv = [args[0], "--config", default_config, *args[1:], *steps, "--out", str(tmp_path / "t.csv")]
         assert_one_line_config_error(argv, capsys)
 
     @pytest.mark.parametrize("dims", DIMS_CASES)

@@ -14,8 +14,6 @@ from enaqt.errors import (
 )
 from enaqt.kernel import Trajectory
 
-RNG = np.random.default_rng(7)
-
 
 @pytest.fixture(scope="module")
 def shipped():
@@ -25,7 +23,7 @@ def shipped():
     return model, h, basis
 
 
-def random_density(d, rng=RNG):
+def random_density(d, rng):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
@@ -89,14 +87,60 @@ class TestExcitonBasis:
         assert np.max(np.abs(residual)) <= 1e-8
         assert np.max(np.abs(d.conj().T @ d - np.eye(7))) <= 1e-10
 
-    def test_round_trip_rotations(self, shipped):
+    def test_round_trip_rotations(self, rng, shipped):
         _, _, basis = shipped
-        rho = random_density(7)
+        rho = random_density(7, rng)
         d = basis.transform
         assert np.allclose(d @ basis.to_exciton(rho) @ d.conj().T, rho, atol=1e-13)
 
 
+def thermal_rate_matrix_loop(basis, bath, overlap_exponent=1.0):
+    """Reference: the rates by a Python loop over the exciton pairs, one scalar at a time."""
+    w, d = basis.energies_cm1, basis.dim
+    weights = basis.site_weights()
+    overlap = weights.T @ weights
+    rates = np.zeros((d, d))
+    for m in range(d):
+        for n in range(d):
+            gap = abs(w[m] - w[n])
+            if m == n or gap == 0.0:
+                continue
+            j = fmo.ohmic_spectral_density(gap, bath.lambda_cm1, bath.omega_c_cm1)
+            occ = fmo.bose_occupation(gap, bath.temperature_k)
+            pref = (1.0 + occ) if w[m] > w[n] else occ
+            rates[m, n] = 2.0 * np.pi * j * pref * overlap[m, n] ** overlap_exponent / linalg.HBAR_CM1_FS
+    return rates
+
+
 class TestRates:
+    # exponent 0.5 is the rate-table calibration's (demos/calibrate_rates.py)
+    @pytest.mark.parametrize("temperature_k,exponent", [(77.0, 1.0), (300.0, 1.0), (300.0, 0.5)])
+    def test_matches_pair_loop_on_shipped_model(self, shipped, temperature_k, exponent):
+        model, _, basis = shipped
+        bath = fmo.BathSpec(temperature_k=temperature_k, lambda_cm1=model.lambda_cm1,
+                            omega_c_cm1=model.omega_c_cm1)
+        assert np.array_equal(fmo.thermal_rate_matrix(basis, bath, exponent),
+                              thermal_rate_matrix_loop(basis, bath, exponent))
+
+    def test_matches_pair_loop_on_disorder_ensemble(self, rng, shipped):
+        model, _, _ = shipped
+        for _ in range(16):
+            spec = fmo.HamiltonianSpec(
+                model.hamiltonian.site_energies_cm1 + rng.normal(0.0, 50.0, 7), model.hamiltonian.couplings_cm1)
+            basis = fmo.exciton_basis(fmo.site_hamiltonian(spec))
+            bath = fmo.BathSpec(temperature_k=rng.uniform(77.0, 300.0), lambda_cm1=model.lambda_cm1,
+                                omega_c_cm1=model.omega_c_cm1)
+            assert np.array_equal(fmo.thermal_rate_matrix(basis, bath), thermal_rate_matrix_loop(basis, bath))
+
+    def test_degenerate_pair_has_no_rate(self):
+        # a zero gap has no spectral weight; the loop skipped it and so does the vectorised pass
+        transform = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, 1.0, 2.0], [2.0, 0.1, 1.0]]))[0]
+        basis = fmo.ExcitonBasis(energies_cm1=np.array([0.0, 0.0, 120.0]), transform=transform)
+        bath = fmo.BathSpec(temperature_k=300.0, lambda_cm1=35.0, omega_c_cm1=150.0)
+        rates = fmo.thermal_rate_matrix(basis, bath)
+        assert rates[0, 1] == rates[1, 0] == 0.0 and rates[2, 0] > 0.0
+        assert np.array_equal(rates, thermal_rate_matrix_loop(basis, bath))
+
     def test_bose_occupation_vanishes_at_low_temperature(self):
         assert fmo.bose_occupation(200.0, 1e-3) == pytest.approx(0.0, abs=1e-300)
 
@@ -173,23 +217,23 @@ class TestSitePopulations:
         pops = site_populations(np.eye(7, dtype=complex) / 7.0, basis)
         assert pops == pytest.approx(np.full(7, 1.0 / 7.0), abs=1e-12)
 
-    def test_against_rotation_oracle(self, shipped):
+    def test_against_rotation_oracle(self, rng, shipped):
         _, _, basis = shipped
-        rho = random_density(7)
+        rho = random_density(7, rng)
         d = basis.transform
         expected = np.diag(d @ rho @ d.conj().T).real
         assert site_populations(rho, basis) == pytest.approx(expected, abs=1e-13)
 
-    def test_sums_to_trace(self, shipped):
+    def test_sums_to_trace(self, rng, shipped):
         _, _, basis = shipped
-        rho = random_density(7) * 0.9
+        rho = random_density(7, rng) * 0.9
         assert site_populations(rho, basis).sum() == pytest.approx(
             np.trace(rho).real, abs=1e-10
         )
 
-    def test_projectors_match(self, shipped):
+    def test_projectors_match(self, rng, shipped):
         _, _, basis = shipped
-        rho = random_density(7)
+        rho = random_density(7, rng)
         via_proj = np.einsum("oij,ji->o", basis.site_projectors(), rho).real
         d = basis.transform
         assert via_proj == pytest.approx(np.diag(d @ rho @ d.conj().T).real, abs=1e-13)

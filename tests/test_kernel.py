@@ -12,16 +12,14 @@ from enaqt.errors import (
 )
 from enaqt.kernel import JumpRateSpec, StepConfig
 
-RNG = np.random.default_rng(42)
 
-
-def random_density(d, rng=RNG):
+def random_density(d, rng):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
 
-def random_rates(d, scale=0.02, rng=RNG):
+def random_rates(d, rng, scale=0.02):
     g = rng.uniform(0.0, scale, size=(d, d))
     np.fill_diagonal(g, 0.0)
     return JumpRateSpec(g)
@@ -134,19 +132,19 @@ class TestBuildEvolutionOperators:
         t = kernel.step_transfer_matrix(ops, 1.0)
         assert np.allclose(t, kraus_transfer(kraus))
 
-    def test_completeness_dim7(self):
+    def test_completeness_dim7(self, rng):
         d = 7
-        u = linalg.evolution_unitary(np.diag(RNG.normal(size=d) * 100), 10.0)
-        rates = random_rates(d, scale=0.1)
+        u = linalg.evolution_unitary(np.diag(rng.normal(size=d) * 100), 10.0)
+        rates = random_rates(d, rng, scale=0.1)
         ops = kernel.build_evolution_operators(rates, u)
         # completeness is a property of the unprimed operators: undo U first;
         # then sum M^dag M = 1 is trace preservation, sum_n T[n(d+1), :] = vec(1)
         bare = kernel.step_transfer_matrix(replace(ops, unitary=np.eye(d, dtype=complex)), 1.0)
         assert np.max(np.abs(bare[:: d + 1].sum(axis=0) - np.eye(d).reshape(-1))) <= 1e-12
 
-    def test_jump_ops_rank_one(self):
+    def test_jump_ops_rank_one(self, rng):
         d = 5
-        rates = random_rates(d, scale=0.05)
+        rates = random_rates(d, rng, scale=0.05)
         ops = kernel.build_evolution_operators(rates, np.eye(d, dtype=complex))
         survival, jumps = documented_kraus(rates.gamma, np.eye(d, dtype=complex))
         for op in jumps:
@@ -158,18 +156,18 @@ class TestBuildEvolutionOperators:
         vecs = [k.T.reshape(-1) for k in jumps]  # Choi index (c, a) holds K[a, c]
         assert np.max(np.abs(choi - sum(np.outer(v, v.conj()) for v in vecs))) <= 1e-15
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
-            kernel.build_evolution_operators(random_rates(3), np.eye(4))
+            kernel.build_evolution_operators(random_rates(3, rng), np.eye(4))
 
 
 class TestEnaqtStep:
     @pytest.mark.parametrize("d", [2, 3, 7])
-    def test_stack_matches_per_state_calls(self, d):
-        h = RNG.normal(size=(d, d)) * 60.0
+    def test_stack_matches_per_state_calls(self, rng, d):
+        h = rng.normal(size=(d, d)) * 60.0
         ops = kernel.build_evolution_operators(
-            random_rates(d, scale=0.05), linalg.evolution_unitary(0.5 * (h + h.T), 10.0))
-        stack = np.stack([random_density(d) for _ in range(6)]).reshape(2, 3, d, d)
+            random_rates(d, rng, scale=0.05), linalg.evolution_unitary(0.5 * (h + h.T), 10.0))
+        stack = np.stack([random_density(d, rng) for _ in range(6)]).reshape(2, 3, d, d)
         batched = kernel.enaqt_step(stack, ops)
         assert batched.shape == (2, 3, d, d)
         for idx in np.ndindex(2, 3):
@@ -179,9 +177,9 @@ class TestEnaqtStep:
         stacked = kernel.enaqt_step(basis, ops)
         assert all(np.array_equal(stacked[k], kernel.enaqt_step(e, ops)) for k, e in enumerate(basis))
 
-    def test_coherent_limit(self):
+    def test_coherent_limit(self, rng):
         d = 3
-        rho = random_density(d)
+        rho = random_density(d, rng)
         u = linalg.evolution_unitary(np.diag([0.0, 50.0, 120.0]) + 10.0, 10.0)
         ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((d, d))), u)
         assert np.max(np.abs(kernel.enaqt_step(rho, ops) - u @ rho @ u.conj().T)) <= 1e-14
@@ -196,19 +194,19 @@ class TestEnaqtStep:
         assert out[0, 0].real == pytest.approx(a * (1 - p) + (1 - a) * q)
         assert out[1, 1].real == pytest.approx(a * p + (1 - a) * (1 - q))
 
-    def test_against_term_by_term_oracle(self):
+    def test_against_term_by_term_oracle(self, rng):
         d = 3
-        rho = random_density(d)
+        rho = random_density(d, rng)
         h = np.array([[100.0, 30.0, 8.0], [30.0, 50.0, 20.0], [8.0, 20.0, 0.0]])
         u = linalg.evolution_unitary(h, 10.0)
-        rates = random_rates(d, scale=0.04)
+        rates = random_rates(d, rng, scale=0.04)
         ops = kernel.build_evolution_operators(rates, u)
         expected = assemble_step_terms(rates.gamma, u, rho)
         assert np.max(np.abs(kernel.enaqt_step(rho, ops) - expected)) <= 1e-14
 
-    def test_reduces_to_single_jump_step(self):
+    def test_reduces_to_single_jump_step(self, rng):
         p = 0.12
-        rho = random_density(2)
+        rho = random_density(2, rng)
         u = linalg.evolution_unitary(np.array([[0.0, 45.0], [45.0, 0.0]]), 6.0)
         ops = kernel.build_evolution_operators(
             JumpRateSpec(np.array([[0.0, p], [0.0, 0.0]])), u
@@ -217,20 +215,20 @@ class TestEnaqtStep:
             np.abs(kernel.enaqt_step(rho, ops) - single_jump_step(rho, u, p))
         ) <= 1e-14
 
-    def test_hermiticity_preserved(self):
+    def test_hermiticity_preserved(self, rng):
         d = 5
-        u = linalg.evolution_unitary(np.diag(RNG.normal(size=d) * 100), 10.0)
-        ops = kernel.build_evolution_operators(random_rates(d, scale=0.1), u)
+        u = linalg.evolution_unitary(np.diag(rng.normal(size=d) * 100), 10.0)
+        ops = kernel.build_evolution_operators(random_rates(d, rng, scale=0.1), u)
         for _ in range(20):
-            out = kernel.enaqt_step(random_density(d), ops)
+            out = kernel.enaqt_step(random_density(d, rng), ops)
             assert np.max(np.abs(out - out.conj().T)) <= 1e-13
 
-    def test_linearity(self):
+    def test_linearity(self, rng):
         d = 4
-        h = RNG.normal(size=(d, d))
+        h = rng.normal(size=(d, d))
         u = linalg.evolution_unitary(0.5 * (h + h.T) * 60, 10.0)
-        ops = kernel.build_evolution_operators(random_rates(d, scale=0.05), u)
-        r1, r2 = random_density(d), random_density(d)
+        ops = kernel.build_evolution_operators(random_rates(d, rng, scale=0.05), u)
+        r1, r2 = random_density(d, rng), random_density(d, rng)
         a, b = 0.7 - 0.2j, 1.1 + 0.4j
         lhs = kernel.enaqt_step(a * r1 + b * r2, ops)
         rhs = a * kernel.enaqt_step(r1, ops) + b * kernel.enaqt_step(r2, ops)
@@ -257,45 +255,36 @@ class TestEnaqtStep:
 
 
 class TestTunableStep:
-    def test_chi_one_bit_identical(self):
+    def test_chi_one_bit_identical(self, rng):
         d = 3
-        rho = random_density(d)
+        rho = random_density(d, rng)
         u = linalg.evolution_unitary(np.diag([0.0, 80.0, 200.0]), 10.0)
-        ops = kernel.build_evolution_operators(random_rates(d), u)
+        ops = kernel.build_evolution_operators(random_rates(d, rng), u)
         cfg = StepConfig(dt=10.0, chi=1.0)
         assert np.array_equal(
             kernel.tunable_step(rho, ops, cfg), kernel.enaqt_step(rho, ops)
         )
 
-    def test_chi_zero_bit_identical_to_unitary(self):
+    def test_chi_zero_bit_identical_to_unitary(self, rng):
         d = 3
-        rho = random_density(d)
+        rho = random_density(d, rng)
         u = linalg.evolution_unitary(np.diag([0.0, 80.0, 200.0]), 10.0)
-        ops = kernel.build_evolution_operators(random_rates(d), u)
+        ops = kernel.build_evolution_operators(random_rates(d, rng), u)
         cfg = StepConfig(dt=10.0, chi=0.0)
         assert np.array_equal(
             kernel.tunable_step(rho, ops, cfg), u @ rho @ u.conj().T
         )
 
-    def test_half_blend_elementwise(self):
+    def test_half_blend_elementwise(self, rng):
         # U = 1: the blend is (1-chi) rho + chi * step(rho), checked entrywise
         p, q = 0.3, 0.1
-        rho = random_density(2)
+        rho = random_density(2, rng)
         ops = kernel.build_evolution_operators(
             JumpRateSpec(np.array([[0.0, p], [q, 0.0]])), np.eye(2, dtype=complex)
         )
         out = kernel.tunable_step(rho, ops, StepConfig(dt=1.0, chi=0.5))
         expected = 0.5 * rho + 0.5 * kernel.enaqt_step(rho, ops)
         assert np.max(np.abs(out - expected)) <= 1e-15
-
-    def test_renormalize_flag(self):
-        d = 3
-        rho = random_density(d)
-        h = np.array([[100.0, 30.0, 8.0], [30.0, 50.0, 20.0], [8.0, 20.0, 0.0]])
-        u = linalg.evolution_unitary(h, 10.0)
-        ops = kernel.build_evolution_operators(random_rates(d, scale=0.1), u)
-        out = kernel.tunable_step(rho, ops, StepConfig(dt=10.0, chi=1.0, renormalize_trace=True))
-        assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -359,52 +348,48 @@ class TestEvolveTrajectory:
 
 
 class TestPropagate:
-    def _shipped_like(self, d=4):
-        h = RNG.normal(size=(d, d))
+    def _shipped_like(self, rng, d=4):
+        h = rng.normal(size=(d, d))
         u = linalg.evolution_unitary(0.5 * (h + h.T) * 60, 10.0)
-        return kernel.build_evolution_operators(random_rates(d, scale=0.05), u)
+        return kernel.build_evolution_operators(random_rates(d, rng, scale=0.05), u)
 
     def _observers(self, d):
         return np.stack([np.diag(row).astype(complex) for row in np.eye(d)])
 
     @pytest.mark.parametrize("chi", [0.0, 0.06, 0.5, 1.0])
-    def test_transfer_matrix_matches_tunable_step(self, chi):
-        ops = self._shipped_like()
+    def test_transfer_matrix_matches_tunable_step(self, rng, chi):
+        ops = self._shipped_like(rng)
         cfg = StepConfig(dt=10.0, chi=chi)
         reference = circuit.channel_transfer_matrix(
             lambda r: kernel.tunable_step(r, ops, cfg), ops.dim
         )
         assert np.max(np.abs(kernel.step_transfer_matrix(ops, chi) - reference)) <= 1e-14
 
-    def test_chi_zero_is_bare_unitary_product(self):
-        ops = self._shipped_like()
+    def test_chi_zero_is_bare_unitary_product(self, rng):
+        ops = self._shipped_like(rng)
         assert np.array_equal(
             kernel.step_transfer_matrix(ops, 0.0), np.kron(ops.unitary, ops.unitary.conj())
         )
 
     @pytest.mark.parametrize("chi", [0.0, 0.06, 0.5, 1.0])
-    def test_blends_a_given_full_step_bit_for_bit(self, chi):
+    def test_blends_a_given_full_step_bit_for_bit(self, rng, chi):
         # the circuit backend's T as T_full: (1 - chi) U (x) conj(U) + chi T bit for
         # bit, and the unblended ends at chi = 0 and 1
-        ops = self._shipped_like(7)
+        ops = self._shipped_like(rng, 7)
         t_circuit = circuit.circuit_transfer_matrix(circuit.build_step_circuit(ops.rates, ops.unitary))
         coh = np.kron(ops.unitary, ops.unitary.conj())
         expected = {0.0: coh, 1.0: t_circuit}.get(chi, (1.0 - chi) * coh + chi * t_circuit)
         assert np.array_equal(kernel.step_transfer_matrix(ops, chi, full=t_circuit), expected)
         assert not np.array_equal(t_circuit, kernel.step_transfer_matrix(ops, 1.0))
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_matches_manual_tunable_step_loop(self, renormalize):
+    def test_matches_manual_tunable_step_loop(self, rng):
         d = 4
-        ops = self._shipped_like(d)
-        cfg = StepConfig(dt=10.0, chi=0.5, renormalize_trace=renormalize)
+        ops = self._shipped_like(rng, d)
+        cfg = StepConfig(dt=10.0, chi=0.5)
         steps = 2 * kernel.CHUNK + 3
-        rho = random_density(d)
+        rho = random_density(d, rng)
         obs = self._observers(d)
-        traj = kernel.propagate(
-            kernel.step_transfer_matrix(ops, cfg.chi), rho, cfg.dt, steps, obs,
-            renormalize=renormalize,
-        )
+        traj = kernel.propagate(kernel.step_transfer_matrix(ops, cfg.chi), rho, cfg.dt, steps, obs)
         assert traj.populations.shape == (steps + 1, d)
         manual = rho.copy()
         for k in range(steps + 1):
@@ -433,8 +418,8 @@ class TestPropagate:
         traj = kernel.propagate(t, rho, 1.0, first_bad - 1, self._observers(2))
         assert traj.min_eig[-1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_mismatched_shapes(self):
-        ops = self._shipped_like(3)
+    def test_rejects_mismatched_shapes(self, rng):
+        ops = self._shipped_like(rng, 3)
         t = kernel.step_transfer_matrix(ops, 1.0)
         with pytest.raises(DimensionMismatchError):
             kernel.propagate(t, np.eye(2), 1.0, 1, self._observers(3))

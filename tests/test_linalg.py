@@ -4,10 +4,8 @@ import pytest
 from enaqt import linalg
 from enaqt.errors import DimensionMismatchError, NotHermitianError
 
-RNG = np.random.default_rng(20260810)
 
-
-def random_hermitian(d, rng=RNG):
+def random_hermitian(d, rng):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (m + m.conj().T)
 
@@ -25,25 +23,25 @@ class TestEigh:
         assert np.allclose(np.abs(v).max(axis=0), 1.0)
         assert np.allclose(np.abs(v).sum(axis=0), 1.0)
 
-    def test_reconstruction_7x7(self):
-        m = random_hermitian(7)
+    def test_reconstruction_7x7(self, rng):
+        m = random_hermitian(7, rng)
         w, v = linalg.eigh(m)
         assert np.max(np.abs((v * w) @ v.conj().T - m)) <= 1e-10 * np.linalg.norm(m)
 
-    def test_eigenpairs(self):
-        m = random_hermitian(5)
+    def test_eigenpairs(self, rng):
+        m = random_hermitian(5, rng)
         w, v = linalg.eigh(m)
         for k in range(5):
             assert np.max(np.abs(m @ v[:, k] - w[k] * v[:, k])) <= 1e-10 * np.linalg.norm(m)
 
-    def test_orthonormal_columns(self):
-        m = random_hermitian(9)
+    def test_orthonormal_columns(self, rng):
+        m = random_hermitian(9, rng)
         _, v = linalg.eigh(m)
         assert np.max(np.abs(v.conj().T @ v - np.eye(9))) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
-    def test_reconstruction_scaling(self, d):
-        m = random_hermitian(d)
+    def test_reconstruction_scaling(self, rng, d):
+        m = random_hermitian(d, rng)
         w, v = linalg.eigh(m)
         err = np.linalg.norm((v * w) @ v.conj().T - m)
         assert err <= 1e-9 * (1.0 + np.linalg.norm(m))
@@ -85,13 +83,13 @@ class TestEvolutionUnitary:
         u = linalg.evolution_unitary(h, dt)
         assert np.max(np.abs(u - series)) <= 1e-10
 
-    def test_unitarity(self):
-        h = random_hermitian(6) * 200.0
+    def test_unitarity(self, rng):
+        h = random_hermitian(6, rng) * 200.0
         u = linalg.evolution_unitary(h, 10.0)
         assert np.max(np.abs(u @ u.conj().T - np.eye(6))) <= 1e-10
 
-    def test_group_property(self):
-        h = random_hermitian(4) * 150.0
+    def test_group_property(self, rng):
+        h = random_hermitian(4, rng) * 150.0
         u1 = linalg.evolution_unitary(h, 3.0)
         u2 = linalg.evolution_unitary(h, 5.0)
         u12 = linalg.evolution_unitary(h, 8.0)
@@ -99,16 +97,16 @@ class TestEvolutionUnitary:
 
 
 class TestFrobDist:
-    def test_self_distance_zero(self):
-        m = random_hermitian(4)
+    def test_self_distance_zero(self, rng):
+        m = random_hermitian(4, rng)
         assert linalg.frob_dist(m, m) == 0.0
 
     def test_zero_vs_identity(self):
         assert linalg.frob_dist(np.zeros((2, 2)), np.eye(2)) == pytest.approx(np.sqrt(2.0))
 
-    def test_against_elementwise_sum(self):
-        a = RNG.normal(size=(5, 5)) + 1j * RNG.normal(size=(5, 5))
-        b = RNG.normal(size=(5, 5)) + 1j * RNG.normal(size=(5, 5))
+    def test_against_elementwise_sum(self, rng):
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         expected = np.sqrt(sum(abs(a[i, j] - b[i, j]) ** 2 for i in range(5) for j in range(5)))
         assert linalg.frob_dist(a, b) == pytest.approx(expected, rel=1e-12)
 
