@@ -23,11 +23,11 @@ def main():
     rates = fmo.jump_rates(basis, model.bath(), DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
 
-    layout = circuit.QubitLayout(7)
-    gates = circuit.build_step_circuit(rates, unitary, layout)
+    gates = circuit.build_step_circuit(rates, unitary)
+    layout = gates.layout
     print(f"wires: B1={layout.b1_wire}, system={layout.system_wires}, "
           f"B2={layout.b2_wire}, ancillas={layout.ancilla_wires}")
-    print(f"compiled {gates.jump_count} jump sub-circuits, "
+    print(f"compiled {circuit.gate_count(gates).jumps} jump sub-circuits, "
           f"{len(gates)} gate objects\n")
 
     choi_circ = circuit.channel_choi(

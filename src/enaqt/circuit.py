@@ -52,8 +52,6 @@ KIND_CUNITARY = "controlled-unitary"
 KIND_RESET_B2 = "reset-b2"
 KIND_TRACE_B1 = "trace-out-b1"
 
-UNITARY_KINDS = (KIND_CRY, KIND_CPERM, KIND_CUNITARY)
-
 
 @dataclass(frozen=True)
 class QubitLayout:
@@ -123,10 +121,6 @@ class Gate:
     src: int | None = None  # the jump's exciton indices, on its rotation and permutation gates
     dst: int | None = None
 
-    @property
-    def is_unitary(self) -> bool:
-        return self.kind in UNITARY_KINDS
-
 
 @dataclass
 class GateList:
@@ -134,7 +128,6 @@ class GateList:
 
     layout: QubitLayout
     gates: list = field(default_factory=list)
-    jump_count: int = 0
 
     def __iter__(self):
         return iter(self.gates)
@@ -176,10 +169,10 @@ def build_jump_circuit(i: int, j: int, gamma: float, layout: QubitLayout) -> Gat
         src=i,
         dst=j,
     )
-    return GateList(layout=layout, gates=[rot, perm], jump_count=1)
+    return GateList(layout=layout, gates=[rot, perm])
 
 
-def build_step_circuit(rates: JumpRateSpec, u: np.ndarray, layout: QubitLayout | None = None) -> GateList:
+def build_step_circuit(rates: JumpRateSpec, u: np.ndarray) -> GateList:
     """Full one-step circuit: every (i, j) jump in lexicographic order.
 
     Each jump sub-circuit is followed by a B2 reset; the coherent gate C
@@ -189,10 +182,7 @@ def build_step_circuit(rates: JumpRateSpec, u: np.ndarray, layout: QubitLayout |
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise DimensionMismatchError(f"unitary shape {u.shape} does not match dim {d}")
-    if layout is None:
-        layout = QubitLayout(d)
-    if layout.dim != d:
-        raise LayoutMismatchError(f"layout dim {layout.dim} does not match rates dim {d}")
+    layout = QubitLayout(d)
     out = GateList(layout=layout)
     for i in range(d):
         for j in range(d):
@@ -201,7 +191,6 @@ def build_step_circuit(rates: JumpRateSpec, u: np.ndarray, layout: QubitLayout |
             sub = build_jump_circuit(i, j, rates.gamma[i, j], layout)
             out.gates.extend(sub.gates)
             out.gates.append(Gate(kind=KIND_RESET_B2, targets=(layout.b2_wire,)))
-            out.jump_count += 1
     out.gates.append(
         Gate(
             kind=KIND_CUNITARY,
@@ -424,34 +413,29 @@ def compare_step_channels(
 class GateCountReport:
     """Complexity accounting for one compiled step."""
 
-    dim: int
     jumps: int
     per_jump_elementary: int
     jump_elementary_total: int
     coherent_gates: int
     qubits: int
-    raw_gates: int
 
 
 def gate_count(gates: GateList) -> GateCountReport:
     """Count jumps, elementary gates, and qubits for a compiled step.
 
     The elementary count uses the fixed convention that a jump decomposes
-    into 2*ceil(log2 dim) two-control gates on the ancilla ladder;
-    raw_gates counts the logical gate objects actually emitted.
+    into 2*ceil(log2 dim) two-control gates on the ancilla ladder.
     """
     layout = gates.layout
     jumps = sum(1 for g in gates if g.kind == KIND_CRY)
     per_jump = 2 * layout.n_system
     coherent = sum(1 for g in gates if g.kind == KIND_CUNITARY)
     return GateCountReport(
-        dim=layout.dim,
         jumps=jumps,
         per_jump_elementary=per_jump,
         jump_elementary_total=jumps * per_jump,
         coherent_gates=coherent,
         qubits=layout.total_qubits,
-        raw_gates=sum(1 for g in gates if g.is_unitary),
     )
 
 

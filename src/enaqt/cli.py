@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,6 @@ class RunConfig:
     steps: int = 400
     chi: float = 1.0
     temperature_k: float | None = None
-    explicit_rates: bool | None = None
     backend: str = "operator"
 
     def validate(self, n_sites: int):
@@ -96,18 +95,31 @@ def _sha256_file(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _config_lines(cfg: RunConfig, extra: dict | None = None) -> list:
-    payload = asdict(cfg)
-    if extra:
-        payload.update(extra)
+def _run_fields(run) -> dict:
+    """The RunConfig fields `run` carries; parsed arguments carry those their subcommand registers."""
+    return {f.name: getattr(run, f.name) for f in fields(RunConfig) if hasattr(run, f.name)}
+
+
+def _config_lines(run, extra: dict) -> list:
+    """Header lines echoing the run fields of `run` (parsed arguments or a RunConfig) plus `extra`."""
+    payload = _run_fields(run)
+    payload.update(extra)
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode()).hexdigest()
     return [
         f"# enaqt {__version__}",
         f"# config: {canon}",
         f"# config_sha256: {digest}",
-        f"# model_sha256: {_sha256_file(cfg.model)}",
+        f"# model_sha256: {_sha256_file(run.model)}",
     ]
+
+
+def _distance_table(header: str, rows) -> list:
+    """An `x,distance` table of (x, distance) rows under `header`, closed by their successive ratios."""
+    lines = [header]
+    lines.extend(f"{_fmt(x)},{_fmt(dist)}" for x, dist in rows)
+    lines.append("# successive_ratios: " + ",".join(_fmt(r) for r in successive_ratios(rows)))
+    return lines
 
 
 def _emit(lines, out_path: str | None):
@@ -124,7 +136,7 @@ class _Runner:
         cfg.validate(self.model.hamiltonian.n_sites)
         self.h_site = fmo.site_hamiltonian(self.model.hamiltonian)
         self.basis = fmo.exciton_basis(self.h_site)
-        bath = self.model.bath(cfg.temperature_k, cfg.explicit_rates)
+        bath = self.model.bath(cfg.temperature_k)
         self.rates = fmo.jump_rates(self.basis, bath, cfg.dt_fs)
         self.h_exciton = np.diag(self.basis.energies_cm1).astype(complex)
         self.unitary = np.diag(
@@ -155,8 +167,8 @@ class _Runner:
         return kernel.propagate(t, rho0, cfg.dt_fs, cfg.steps, self.observers)
 
 
-def _trajectory_csv(cfg: RunConfig, traj: kernel.Trajectory, n_sites: int):
-    lines = _config_lines(cfg, {"command": "simulate"})
+def _trajectory_csv(run, traj: kernel.Trajectory, n_sites: int):
+    lines = _config_lines(run, {"command": "simulate"})
     header = ["t_fs"] + [f"site{m}" for m in range(1, n_sites + 1)] + ["trace", "min_eig"]
     lines.append(",".join(header))
     row = ",".join(["%.17g"] * len(header))  # the same bytes as _fmt per value
@@ -170,13 +182,12 @@ def cmd_simulate(args) -> int:
     cfg = _run_config(args)
     runner = _Runner(cfg)
     traj = runner.trajectory()
-    _emit(_trajectory_csv(cfg, traj, runner.model.hamiltonian.n_sites), args.out)
+    _emit(_trajectory_csv(args, traj, runner.model.hamiltonian.n_sites), args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
     cfg = _run_config(args)
-    cfg.backend = "lindblad-oracle"
     dt_list = _positive_floats(args.dt_list, "--dt-list")
     t_final = args.t_final
     if not 0 < t_final < math.inf:
@@ -187,14 +198,12 @@ def cmd_oracle(args) -> int:
             raise ConfigError(f"--dt-list value {dt} fs does not divide --t-final {t_final} fs")
     runner = _Runner(cfg)
     traj = runner.trajectory()
-    _emit(_trajectory_csv(cfg, traj, runner.model.hamiltonian.n_sites), args.out)
+    _emit(_trajectory_csv(args, traj, runner.model.hamiltonian.n_sites), args.out)
 
     model = lindblad.LindbladModel(runner.h_exciton, runner.rates.gamma / cfg.dt_fs)
     rows = lindblad.convergence_report(model, runner.initial_state(), t_final, dt_list)
-    lines = _config_lines(cfg, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
-    lines.append("dt_fs,frobenius_distance")
-    lines.extend(f"{_fmt(dt)},{_fmt(dist)}" for dt, dist in rows)
-    lines.append("# successive_ratios: " + ",".join(_fmt(r) for r in successive_ratios(rows)))
+    lines = _config_lines(args, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
+    lines.extend(_distance_table("dt_fs,frobenius_distance", rows))
     _emit(lines, args.convergence_out)
     return 0
 
@@ -207,7 +216,7 @@ def cmd_sweep_chi(args) -> int:
         if not 0.0 <= c <= 1.0:
             raise ConfigError(f"chi values must lie in [0, 1], got {c}")
     t_final = cfg.steps * cfg.dt_fs
-    lines = _config_lines(cfg, {"command": "sweep-chi", "chis": chis})
+    lines = _config_lines(args, {"command": "sweep-chi", "chis": chis})
     lines.append("chi,efficiency")
     for c in chis:
         traj = runner.trajectory(chi=c)
@@ -247,11 +256,9 @@ def cmd_circuit_verify(args) -> int:
     equiv = frob_dist(circuit.choi_from_transfer(t_circuit), circuit.choi_from_transfer(t_seq))
 
     rows = circuit.compare_step_channels(runner.rates, runner.h_exciton, cfg.dt_fs, scalings, t_circuit)
-    lines = _config_lines(cfg, {"command": "circuit-verify", "scalings": scalings})
+    lines = _config_lines(args, {"command": "circuit-verify", "scalings": scalings})
     lines.append(f"# choi_distance_circuit_vs_operator_model: {_fmt(equiv)}")
-    lines.append("scale,choi_distance_vs_step_map")
-    lines.extend(f"{_fmt(s)},{_fmt(dist)}" for s, dist in rows)
-    lines.append("# successive_ratios: " + ",".join(_fmt(r) for r in successive_ratios(rows)))
+    lines.extend(_distance_table("scale,choi_distance_vs_step_map", rows))
     _emit(lines, args.out)
     if equiv > 1e-10:
         print(
@@ -278,11 +285,7 @@ def _positive_floats(text: str, flag: str) -> list:
 
 def _run_config(args) -> RunConfig:
     """The run's RunConfig; a field whose option the subcommand does not take keeps its default."""
-    if args.temperature is not None and args.explicit_rates:
-        raise ConfigError("--temperature and --explicit-rates are mutually exclusive")
-    given = {k: getattr(args, k) for k in ("initial_site", "dt_fs", "steps", "chi", "backend") if hasattr(args, k)}
-    return RunConfig(model=args.config, temperature_k=args.temperature,
-                     explicit_rates=True if args.explicit_rates else None, **given)
+    return RunConfig(**_run_fields(args))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,25 +298,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 RUN_OPTIONS = {
-    "--config": dict(required=True, help="model JSON file"),
-    "--initial-site": dict(type=int, default=1, dest="initial_site"),
-    "--dt-fs": dict(type=float, default=10.0, dest="dt_fs"),
-    "--steps": dict(type=int, default=400),
-    "--chi": dict(type=float, default=1.0),
-    "--temperature": dict(type=float, default=None,
+    "--config": dict(required=True, dest="model", help="model JSON file"),
+    "--initial-site": dict(type=int, dest="initial_site"),
+    "--dt-fs": dict(type=float, dest="dt_fs"),
+    "--steps": dict(type=int, dest="steps"),
+    "--chi": dict(type=float, dest="chi"),
+    "--temperature": dict(type=float, dest="temperature_k",
                           help="generate rates from the Ohmic bath at this temperature (K)"),
-    "--explicit-rates": dict(action="store_true", dest="explicit_rates",
-                             help="force the model file's rate table (default when present)"),
-    "--out": dict(default=None, help="output path (default: stdout)"),
-    "--backend": dict(choices=BACKENDS, default="operator"),
+    "--out": dict(dest="out", help="output path (default: stdout)"),
+    "--backend": dict(choices=BACKENDS, dest="backend"),
 }
 
 
 def _add_run_options(p, omit=()):
-    """Register the run options, less those in `omit`: the ones the subcommand never reads."""
+    """Register the run options the subcommand reads (all but `omit`), at their RunConfig defaults."""
     for flag, kwargs in RUN_OPTIONS.items():
         if flag not in omit:
-            p.add_argument(flag, **kwargs)
+            p.add_argument(flag, default=getattr(RunConfig, kwargs["dest"], None), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,11 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="RK4 reference run plus convergence table")
-    _add_run_options(p, omit=("--backend",))
+    _add_run_options(p, omit=("--chi", "--backend"))
     p.add_argument("--dt-list", default="20,10,5", dest="dt_list")
     p.add_argument("--t-final", type=float, default=2000.0, dest="t_final")
     p.add_argument("--convergence-out", default=None, dest="convergence_out")
-    p.set_defaults(func=cmd_oracle)
+    # its trajectory file is the simulate run of this backend
+    p.set_defaults(func=cmd_oracle, backend="lindblad-oracle")
 
     p = sub.add_parser("sweep-chi", help="efficiency vs chi")
     _add_run_options(p, omit=("--chi",))

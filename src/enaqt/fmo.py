@@ -223,19 +223,13 @@ class FmoModel:
     rates_per_fs: np.ndarray | None = None
     provenance: dict | None = None
 
-    def bath(self, temperature_k: float | None = None, explicit_rates: bool | None = None) -> BathSpec:
+    def bath(self, temperature_k: float | None = None) -> BathSpec:
         """Resolve a BathSpec from the file data.
 
-        explicit_rates=True forces the stored table; a temperature selects
-        the Ohmic generation path; by default the table wins when present.
+        A temperature selects the Ohmic generation path; without one the
+        stored table wins when present, else the Ohmic bath runs at 300 K.
         """
-        if explicit_rates is None:
-            use_table = self.rates_per_fs is not None and temperature_k is None
-        else:
-            use_table = explicit_rates
-        if use_table:
-            if self.rates_per_fs is None:
-                raise ModelFileError("model file has no rates_per_fs table")
+        if temperature_k is None and self.rates_per_fs is not None:
             return BathSpec(rates_per_fs=self.rates_per_fs)
         if self.lambda_cm1 is None or self.omega_c_cm1 is None:
             raise ModelFileError(

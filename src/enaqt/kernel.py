@@ -202,11 +202,11 @@ def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray |
 
 
 CHUNK = 128  # rows stepped and checked per batch in propagate
+STATE_TOL = 1e-6  # largest negative eigenvalue and hermiticity defect a stepped state may show
 
 
 def propagate(
     t: np.ndarray, rho0: np.ndarray, dt: float, steps: int, observers: np.ndarray,
-    psd_tol: float = 1e-6,
 ) -> Trajectory:
     """Iterate vec(rho) <- t @ vec(rho), recording projector populations per step.
 
@@ -214,8 +214,8 @@ def propagate(
     of hermitian projectors; populations are Re tr(P_i rho_k). States are
     stepped and checked CHUNK rows at a time, never held as the whole
     (steps+1, d^2) stack. Raises StateInvalidError at the first step whose
-    state loses hermiticity or positivity beyond psd_tol (a symptom of
-    gamma/dt misconfiguration).
+    state loses hermiticity or positivity beyond STATE_TOL (a symptom of
+    gamma/dt misconfiguration, or of a step map that is not positive).
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -249,20 +249,19 @@ def propagate(
         min_eig[rows] = np.linalg.eigvalsh(scr).min(axis=1)
         np.subtract(mats, np.conjugate(mats.transpose(0, 2, 1), out=scr), out=scr)
         herm = np.abs(scr, out=mag[:n]).max(axis=(1, 2))
-        bad = np.flatnonzero((min_eig[rows] < -psd_tol) | (herm > psd_tol))
+        bad = np.flatnonzero((min_eig[rows] < -STATE_TOL) | (herm > STATE_TOL))
         if bad.size:
             k = start + bad[0]
             raise StateInvalidError(
                 f"state invalid at step {k}: min eigenvalue {min_eig[k]:.3e}, "
-                f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {psd_tol:.1e})"
+                f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {STATE_TOL:.1e})"
             )
     return Trajectory(times=times, populations=populations, trace=trace, min_eig=min_eig)
 
 
 def evolve_trajectory(
-    rho0: np.ndarray, ops: EvolutionOperators, cfg: StepConfig, steps: int,
-    observers: np.ndarray, psd_tol: float = 1e-6,
+    rho0: np.ndarray, ops: EvolutionOperators, cfg: StepConfig, steps: int, observers: np.ndarray,
 ) -> Trajectory:
     """Iterate tunable_step from rho0 through its transfer matrix; see propagate."""
     t = step_transfer_matrix(ops, cfg.chi)
-    return propagate(t, rho0, cfg.dt, steps, observers, psd_tol)
+    return propagate(t, rho0, cfg.dt, steps, observers)

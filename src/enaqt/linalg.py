@@ -27,20 +27,20 @@ def herm_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def eigh(m: np.ndarray, herm_tol: float = 1e-10):
+def eigh(m: np.ndarray):
     """Eigendecomposition of a hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
     eigenvectors as orthonormal columns. Raises NotHermitianError if the
-    input deviates from hermiticity by more than `herm_tol` (max norm).
+    input deviates from hermiticity by more than 1e-10 (max norm).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     defect = herm_defect(m)
-    if defect > herm_tol:
+    if defect > 1e-10:
         raise NotHermitianError(
-            f"matrix is not hermitian: max |m - m^dag| = {defect:.3e} > {herm_tol:.1e}"
+            f"matrix is not hermitian: max |m - m^dag| = {defect:.3e} > 1.0e-10"
         )
     w, v = np.linalg.eigh(m)
     return w, v

@@ -86,13 +86,13 @@ def rk4_integrate(
 ) -> Trajectory:
     """Fixed-step RK4 integration of the master equation.
 
-    Steps the RK4 polynomial T of the module docstring through kernel.propagate,
-    which checks the shapes but never raises on the states here (psd_tol =
-    inf). Emits StepTooLargeWarning once if sqrt(||dt L||_1 ||dt L||_inf) >= 0.1,
-    where the fixed step starts losing its accuracy budget; this SVD-free bound
-    on ||dt L||_2 bounds ||rhs|| * dt for every state of Frobenius norm <= 1.
+    Steps the RK4 polynomial T of the module docstring through kernel.propagate and its
+    invariant checks; RK4 is not positivity preserving, so with no dissipation dt must be
+    small. Emits StepTooLargeWarning once if sqrt(||dt L||_1 ||dt L||_inf) >= 0.1, where
+    the fixed step starts losing its accuracy budget; this SVD-free bound on ||dt L||_2
+    bounds ||rhs|| * dt for every state of Frobenius norm <= 1.
     """
-    return kernel.propagate(_rk4_transfer_matrix(model, dt), rho0, dt, steps, observers, psd_tol=np.inf)
+    return kernel.propagate(_rk4_transfer_matrix(model, dt), rho0, dt, steps, observers)
 
 
 def _rk4_transfer_matrix(model: LindbladModel, dt: float) -> np.ndarray:

@@ -119,7 +119,7 @@ class TestSimulate:
         runner = cli._Runner(cli.RunConfig(model=default_config))
         d = runner.basis.dim
         layout = circuit.QubitLayout(d)
-        gates = circuit.build_step_circuit(runner.rates, runner.unitary, layout)
+        gates = circuit.build_step_circuit(runner.rates, runner.unitary)
         step_t = circuit.channel_transfer_matrix(
             lambda r: circuit.apply_circuit(r, gates, layout), d
         )
@@ -151,18 +151,33 @@ class TestSimulate:
 
     def test_oracle_backend_respects_chi(self, default_config, tmp_path):
         # chi scales the dissipator: chi=0 through the RK4 backend must stay
-        # localized while chi=1 funnels population to the sink
+        # localized while chi=1 funnels population to the sink; at chi=0 RK4
+        # stays positive to the shared tolerance only at a small step, and at
+        # 1 fs neither run gives a coarse-step warning
         sinks = {}
         for chi in ("0.0", "1.0"):
             out = tmp_path / f"chi{chi}.csv"
-            assert run_cli(
-                ["simulate", "--config", default_config, "--backend", "lindblad-oracle",
-                 "--chi", chi, "--steps", "50", "--out", str(out)]
-            ) == 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli(
+                    ["simulate", "--config", default_config, "--backend", "lindblad-oracle",
+                     "--chi", chi, "--dt-fs", "1", "--steps", "500", "--out", str(out)]
+                ) == 0
             _, header, rows = read_rows(out)
             sinks[chi] = rows[-1, header.index("site3")] + rows[-1, header.index("site4")]
         assert sinks["0.0"] < 0.05
         assert sinks["1.0"] > 0.2
+
+    def test_oracle_backend_checks_states(self, default_config, tmp_path, capsys):
+        # RK4 with no dissipator is not positivity preserving: at 10 fs the
+        # chi=0 state has min eigenvalue -1.0e-4 after one step
+        out = tmp_path / "t.csv"
+        assert run_cli(
+            ["simulate", "--config", default_config, "--backend", "lindblad-oracle",
+             "--chi", "0", "--steps", "50", "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "invalid at step 1:" in err[0]
 
     def test_bad_backend_is_config_error(self, default_config):
         assert run_cli(["simulate", "--config", default_config, "--backend", "bogus"]) == 1
@@ -179,12 +194,6 @@ class TestSimulate:
 
     def test_oversized_dt_is_numerical_error(self, default_config):
         assert run_cli(["simulate", "--config", default_config, "--dt-fs", "200"]) == 2
-
-    def test_temperature_and_explicit_rates_conflict(self, default_config):
-        assert run_cli(
-            ["simulate", "--config", default_config, "--temperature", "300",
-             "--explicit-rates"]
-        ) == 1
 
     def test_ohmic_generation_path(self, default_config, tmp_path):
         out = tmp_path / "t.csv"
@@ -349,6 +358,15 @@ class TestCircuitVerify:
         )
         assert float(equiv_line.split(": ")[1]) <= 1e-10
 
+    def test_config_echoes_only_its_options(self, default_config, tmp_path):
+        out = tmp_path / "verify.csv"
+        assert run_cli(["circuit-verify", "--config", default_config, "--scalings", "1",
+                        "--out", str(out)]) == 0
+        meta, _, _ = read_rows(out)
+        config_line = next(line for line in meta if line.startswith("# config: "))
+        payload = json.loads(config_line[len("# config: "):])
+        assert sorted(payload) == ["command", "dt_fs", "model", "scalings", "temperature_k"]
+
     def test_builds_the_scale_one_circuit_once(self, default_config, tmp_path, monkeypatch):
         # the Kraus-reference certificate and the scale 1 row share one build
         calls, build = [], circuit.circuit_transfer_matrix
@@ -401,6 +419,12 @@ ARG_CASES = {
     "verify-steps": ["circuit-verify", "--steps", "10"],
     "verify-chi": ["circuit-verify", "--chi", "0.5"],
     "verify-initial-site": ["circuit-verify", "--initial-site", "2"],
+    "oracle-chi": ["oracle", "--chi", "0.5"],
+    # the model file's rate table is used whenever no --temperature is given
+    "simulate-explicit-rates": ["simulate", "--explicit-rates"],
+    "oracle-explicit-rates": ["oracle", "--explicit-rates"],
+    "sweep-chi-explicit-rates": ["sweep-chi", "--explicit-rates"],
+    "verify-explicit-rates": ["circuit-verify", "--explicit-rates"],
     "steps-above-max": ["simulate", "--steps", str(cli.MAX_STEPS + 1)],
 }
 TAKES_STEPS = ("simulate", "oracle", "sweep-chi")

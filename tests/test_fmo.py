@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -342,5 +343,4 @@ class TestLoadModel:
         model, _, _ = shipped
         assert model.bath().rates_per_fs is not None
         assert model.bath(temperature_k=250.0).temperature_k == 250.0
-        assert model.bath(explicit_rates=True).rates_per_fs is not None
-        assert model.bath(explicit_rates=False).temperature_k == 300.0
+        assert dataclasses.replace(model, rates_per_fs=None).bath().temperature_k == 300.0

@@ -332,7 +332,7 @@ class TestEvolveTrajectory:
         ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((d, d))), np.eye(d))
         bad = np.diag([1.001, -0.001]).astype(complex)
         with pytest.raises(StateInvalidError):
-            kernel.evolve_trajectory(bad, ops, StepConfig(dt=1.0), 1, self._observers(d), psd_tol=1e-6)
+            kernel.evolve_trajectory(bad, ops, StepConfig(dt=1.0), 1, self._observers(d))
 
     def test_time_grid(self):
         d = 2

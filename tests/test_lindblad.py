@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from enaqt import fmo, kernel, lindblad, linalg
-from enaqt.errors import DimensionMismatchError, NotHermitianError, StepTooLargeWarning
+from enaqt.errors import DimensionMismatchError, NotHermitianError, StateInvalidError, StepTooLargeWarning
 from enaqt.lindblad import LindbladModel
 
 
@@ -217,7 +217,8 @@ class TestRk4Integrate:
         model = LindbladModel(np.array([[0.0, 500.0], [500.0, 0.0]]),
                               np.array([[0.0, 0.5], [0.0, 0.0]]))
         rho = random_density(2, np.random.default_rng(8))
-        with pytest.warns(StepTooLargeWarning):
+        # the state is already far from positive after one step (min eigenvalue -8.3)
+        with pytest.warns(StepTooLargeWarning), pytest.raises(StateInvalidError, match="step 1:"):
             lindblad.rk4_integrate(rho, model, 10.0, 2, populations(2))
 
 
