@@ -21,7 +21,7 @@ STEPS = 400
 def run(initial_site):
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model.bath(), DT_FS)
+    rates = fmo.jump_rates(basis, model, DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
     ops = kernel.build_evolution_operators(rates, unitary)
 
@@ -51,7 +51,7 @@ def main():
         row = "  ".join(f"{p:5.3f}" for p in traj.populations[k])
         print(f"{traj.times[k]:6.0f} {row}")
 
-    eff = fmo.transfer_efficiency(traj, model.sink_sites, STEPS * DT_FS)
+    eff = fmo.transfer_efficiency(traj, model.sink_sites)
     print(f"\ntransfer efficiency at 4 ps (sites {model.sink_sites}): {eff:.4f}")
     print(f"trace drift over the run: {abs(traj.trace[-1] - 1.0):.2e}")
     print(f"most negative eigenvalue seen: {traj.min_eig.min():.2e}")

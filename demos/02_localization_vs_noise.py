@@ -42,7 +42,7 @@ def first_passage(traj, series, level):
 def main():
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model.bath(), DT_FS)
+    rates = fmo.jump_rates(basis, model, DT_FS)
     no_rates = kernel.JumpRateSpec(np.zeros_like(rates.gamma))
 
     coherent = trajectory(model, basis, no_rates, 1)

@@ -28,7 +28,7 @@ def main():
 
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model.bath(), DT_FS)
+    rates = fmo.jump_rates(basis, model, DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
     ops = kernel.build_evolution_operators(rates, unitary)
 
@@ -43,7 +43,7 @@ def main():
             rho0, ops, kernel.StepConfig(dt=DT_FS, chi=chi), STEPS,
             basis.site_projectors(),
         )
-        eff = fmo.transfer_efficiency(traj, model.sink_sites, STEPS * DT_FS)
+        eff = fmo.transfer_efficiency(traj, model.sink_sites)
         beat = traj.populations[: window + 1, 1]
         print(f"{chi:4.2f}   {eff:10.4f}        {beat.max() - beat.min():.3f}")
 

@@ -20,7 +20,7 @@ DT_FS = 10.0
 def main():
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model.bath(), DT_FS)
+    rates = fmo.jump_rates(basis, model, DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
 
     gates = circuit.build_step_circuit(rates, unitary)

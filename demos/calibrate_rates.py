@@ -46,25 +46,14 @@ OHMIC_CALIBRATION_TEMPERATURE_K = 300.0
 
 def calibrated_lambda(basis: fmo.ExcitonBasis) -> float:
     """lambda such that the fastest 300 K relaxation time is the target."""
-    probe = fmo.BathSpec(
-        temperature_k=OHMIC_CALIBRATION_TEMPERATURE_K,
-        lambda_cm1=1.0,
-        omega_c_cm1=OMEGA_C_CM1,
-    )
-    rates = fmo.thermal_rate_matrix(basis, probe)
+    rates = fmo.thermal_rate_matrix(basis, 1.0, OMEGA_C_CM1, OHMIC_CALIBRATION_TEMPERATURE_K)
     return 1.0 / (TARGET_FASTEST_RELAXATION_FS * rates.sum(axis=1).max())
 
 
 def calibrated_table(basis: fmo.ExcitonBasis) -> np.ndarray:
     """77 K detailed-balance rates, sqrt-overlap contraction, 70 fs fastest."""
-    probe = fmo.BathSpec(
-        temperature_k=TABLE_TEMPERATURE_K,
-        lambda_cm1=1.0,
-        omega_c_cm1=OMEGA_C_CM1,
-    )
-    rates = fmo.thermal_rate_matrix(
-        basis, probe, overlap_exponent=TABLE_OVERLAP_EXPONENT
-    )
+    rates = fmo.thermal_rate_matrix(basis, 1.0, OMEGA_C_CM1, TABLE_TEMPERATURE_K,
+                                    overlap_exponent=TABLE_OVERLAP_EXPONENT)
     return rates / (TARGET_FASTEST_RELAXATION_FS * rates.sum(axis=1).max())
 
 

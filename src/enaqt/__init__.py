@@ -33,7 +33,6 @@ from .errors import (
     StateInvalidError,
     StepTooLargeWarning,
     SurvivalUnderflowError,
-    TimeOutOfRangeError,
 )
 from .linalg import (
     HBAR_CM1_FS,
@@ -63,7 +62,6 @@ from .lindblad import (
     rk4_integrate,
 )
 from .fmo import (
-    BathSpec,
     ExcitonBasis,
     FmoModel,
     HamiltonianSpec,

@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -38,16 +39,13 @@ from . import __version__, circuit, fmo, kernel, lindblad
 from .errors import (
     ConfigError,
     EnaqtError,
-    ModelFileError,
     NotHermitianError,
     ProbabilityOutOfRangeError,
-    SpecInvalidError,
     StateInvalidError,
     SurvivalUnderflowError,
 )
 from .linalg import HBAR_CM1_FS, frob_dist, successive_ratios
 
-CONFIG_ERRORS = (ConfigError, ModelFileError, SpecInvalidError)
 NUMERICAL_ERRORS = (
     SurvivalUnderflowError,
     StateInvalidError,
@@ -136,8 +134,7 @@ class _Runner:
         cfg.validate(self.model.hamiltonian.n_sites)
         self.h_site = fmo.site_hamiltonian(self.model.hamiltonian)
         self.basis = fmo.exciton_basis(self.h_site)
-        bath = self.model.bath(cfg.temperature_k)
-        self.rates = fmo.jump_rates(self.basis, bath, cfg.dt_fs)
+        self.rates = fmo.jump_rates(self.basis, self.model, cfg.dt_fs, cfg.temperature_k)
         self.h_exciton = np.diag(self.basis.energies_cm1).astype(complex)
         self.unitary = np.diag(
             np.exp(-1j * self.basis.energies_cm1 * cfg.dt_fs / HBAR_CM1_FS)
@@ -215,12 +212,11 @@ def cmd_sweep_chi(args) -> int:
     for c in chis:
         if not 0.0 <= c <= 1.0:
             raise ConfigError(f"chi values must lie in [0, 1], got {c}")
-    t_final = cfg.steps * cfg.dt_fs
     lines = _config_lines(args, {"command": "sweep-chi", "chis": chis})
     lines.append("chi,efficiency")
     for c in chis:
         traj = runner.trajectory(chi=c)
-        eff = fmo.transfer_efficiency(traj, runner.model.sink_sites, t_final)
+        eff = fmo.transfer_efficiency(traj, runner.model.sink_sites)
         lines.append(f"{_fmt(c)},{_fmt(eff)}")
     _emit(lines, args.out)
     return 0
@@ -351,20 +347,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    # a shown warning is one stderr line; callers that record warnings still get them
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NUMERICAL_ERRORS as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 2
     except EnaqtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -42,10 +42,6 @@ class LayoutMismatchError(EnaqtError):
     """A state or gate does not fit the qubit layout it is applied to."""
 
 
-class TimeOutOfRangeError(EnaqtError):
-    """A requested time lies outside the recorded trajectory."""
-
-
 class ConfigError(EnaqtError):
     """Bad run configuration (CLI arguments or their combination)."""
 

@@ -13,26 +13,24 @@ the stationary distribution over excitons is thermal. Each pair rate is
 additionally weighted by the spatial overlap sum_m |c_m(M)|^2 |c_m(N)|^2 of
 the two excitons.
 
-Alternatively an explicit exciton-to-exciton rate table (fs^-1) can be
-supplied, in which case it is used verbatim; the shipped default model file
-carries such a table (see its provenance block).
+A model file's bath carries the Ohmic parameters (lambda, omega_c), an
+explicit exciton-to-exciton rate table (fs^-1), or both; `load_model`
+validates every field it carries. `jump_rates` is the one place that picks
+the source: a temperature selects the Ohmic rates, otherwise the table is used
+verbatim when present, else the Ohmic rates at 300 K.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    ModelFileError,
-    SpecInvalidError,
-)
+from .errors import IndexOutOfRangeError, ModelFileError, SpecInvalidError
 from .kernel import JumpRateSpec, Trajectory
 from .linalg import HBAR_CM1_FS, KB_CM1_PER_K, eigh
 
@@ -95,41 +93,6 @@ class ExcitonBasis:
         return np.stack([np.outer(d[m, :].conj(), d[m, :]) for m in range(self.dim)])
 
 
-@dataclass(frozen=True)
-class BathSpec:
-    """Phonon bath: Ohmic parameters at temperature T, or an explicit rate table.
-
-    Exactly one generation path applies: if rates_per_fs is given it is used
-    verbatim (exciton-indexed, ascending energy order); otherwise rates are
-    generated from (lambda_cm1, omega_c_cm1, temperature_k).
-    """
-
-    temperature_k: float | None = None
-    lambda_cm1: float | None = None
-    omega_c_cm1: float | None = None
-    rates_per_fs: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.rates_per_fs is not None:
-            r = np.asarray(self.rates_per_fs, dtype=float)
-            if r.ndim != 2 or r.shape[0] != r.shape[1]:
-                raise SpecInvalidError(f"rate table must be square, got {r.shape}")
-            if np.any(r < 0.0) or not np.all(np.isfinite(r)):
-                raise SpecInvalidError("rate table entries must be finite and >= 0")
-            if np.any(np.diag(r) != 0.0):
-                raise SpecInvalidError("rate table diagonal must be zero")
-            object.__setattr__(self, "rates_per_fs", r)
-            return
-        if self.temperature_k is None or not self.temperature_k > 0:
-            raise SpecInvalidError(
-                f"spectral-density bath needs temperature > 0 K, got {self.temperature_k}"
-            )
-        if self.lambda_cm1 is None or self.lambda_cm1 < 0:
-            raise SpecInvalidError(f"lambda_cm1 must be >= 0, got {self.lambda_cm1}")
-        if self.omega_c_cm1 is None or not self.omega_c_cm1 > 0:
-            raise SpecInvalidError(f"omega_c_cm1 must be > 0, got {self.omega_c_cm1}")
-
-
 def site_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """Single-exciton Hamiltonian: diag(site energies) + couplings."""
     return (np.diag(spec.site_energies_cm1) + spec.couplings_cm1).astype(complex)
@@ -154,92 +117,108 @@ def bose_occupation(omega_cm1, temperature_k: float):
         return 1.0 / np.expm1(x)
 
 
+def _check_number(name: str, value, allow_zero: bool = False):
+    """SpecInvalidError unless value is finite and > 0 (>= 0 with allow_zero)."""
+    if not (math.isfinite(value) and (value >= 0.0 if allow_zero else value > 0.0)):
+        raise SpecInvalidError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {value!r}")
+
+
 def thermal_rate_matrix(
     basis: ExcitonBasis,
-    bath: BathSpec,
+    lambda_cm1: float,
+    omega_c_cm1: float,
+    temperature_k: float,
     overlap_exponent: float = 1.0,
 ) -> np.ndarray:
-    """Exciton-to-exciton jump rates (fs^-1) from the Ohmic bath.
+    """Exciton-to-exciton jump rates (fs^-1) from the Ohmic bath at temperature_k.
 
     rates[M, N] = 2 pi J(|w|) * (1+n or n) * overlap^exponent / hbar, with
     the (1+n) branch on downhill transitions. The exponent is exposed for
     rate-table calibration; the standard generation path uses 1.
     """
+    _check_number("lambda_cm1", lambda_cm1, allow_zero=True)
+    _check_number("omega_c_cm1", omega_c_cm1)
+    _check_number("temperature_k", temperature_k)
     w = basis.energies_cm1
     weights = basis.site_weights()
     overlap = weights.T @ weights  # overlap[M, N] = sum_m |c_m(M)|^2 |c_m(N)|^2
     m, n = np.nonzero(w[:, None] != w[None, :])  # off-diagonal pairs with a nonzero gap
     gap = np.abs(w[m] - w[n])
-    j = ohmic_spectral_density(gap, bath.lambda_cm1, bath.omega_c_cm1)
-    occ = bose_occupation(gap, bath.temperature_k)
+    j = ohmic_spectral_density(gap, lambda_cm1, omega_c_cm1)
+    occ = bose_occupation(gap, temperature_k)
     pref = np.where(w[m] > w[n], 1.0 + occ, occ)
     rates = np.zeros((basis.dim, basis.dim))
     rates[m, n] = 2.0 * np.pi * j * pref * overlap[m, n] ** overlap_exponent / HBAR_CM1_FS
     return rates
 
 
-def jump_rates(basis: ExcitonBasis, bath: BathSpec, dt: float) -> JumpRateSpec:
+def jump_rates(basis: ExcitonBasis, model: FmoModel, dt: float,
+               temperature_k: float | None = None) -> JumpRateSpec:
     """Per-step jump probabilities gamma = Gamma * dt for the exciton basis.
 
-    Uses the bath's explicit rate table verbatim when present, otherwise the
-    detailed-balance Ohmic rates. Raises SurvivalUnderflowError (via
-    JumpRateSpec) if any row of gamma sums above 1; use a smaller dt.
+    A temperature selects the model's Ohmic rates; without one the model's
+    rate table is used verbatim when present, else the Ohmic rates at 300 K.
+    Raises ModelFileError when the Ohmic rates are asked for and the model has
+    no Ohmic parameters, and SurvivalUnderflowError (via JumpRateSpec) if any
+    row of gamma sums above 1; use a smaller dt.
     """
-    if bath.rates_per_fs is not None:
-        rates = bath.rates_per_fs
-        if rates.shape != (basis.dim, basis.dim):
-            raise DimensionMismatchError(
-                f"rate table shape {rates.shape} does not match {basis.dim} excitons"
-            )
+    if temperature_k is None and model.rates_per_fs is not None:
+        rates = model.rates_per_fs
+    elif model.lambda_cm1 is None:
+        raise ModelFileError("model file has no Ohmic bath parameters; cannot generate rates")
     else:
-        rates = thermal_rate_matrix(basis, bath)
+        rates = thermal_rate_matrix(basis, model.lambda_cm1, model.omega_c_cm1,
+                                    300.0 if temperature_k is None else temperature_k)
     return JumpRateSpec(rates * dt)
 
 
-def transfer_efficiency(traj: Trajectory, sink_sites, at_time_fs: float) -> float:
-    """Sum of sink-site populations at the trajectory point nearest at_time_fs.
+def transfer_efficiency(traj: Trajectory, sink_sites) -> float:
+    """Sum of sink-site populations at the trajectory's final time.
 
     sink_sites are 1-based site labels (FMO sink = {3, 4}); the trajectory's
     population columns must be site populations in site order.
     """
-    k = traj.index_at(at_time_fs)  # raises TimeOutOfRangeError when outside
     n = traj.populations.shape[1]
     total = 0.0
     for s in sink_sites:
         if not 1 <= s <= n:
             raise IndexOutOfRangeError(f"sink site {s} outside 1..{n}")
-        total += float(traj.populations[k, s - 1])
+        total += float(traj.populations[-1, s - 1])
     return total
 
 
 @dataclass(frozen=True)
 class FmoModel:
-    """Parsed model file: Hamiltonian spec, bath data, sink sites, metadata."""
+    """Hamiltonian spec, sink sites and bath: the Ohmic pair, a rate table, or both.
+
+    lambda_cm1 (>= 0) and omega_c_cm1 (> 0) come together; rates_per_fs is an
+    n x n exciton-to-exciton table in fs^-1 (finite, >= 0, zero diagonal).
+    """
 
     hamiltonian: HamiltonianSpec
     sink_sites: tuple
     lambda_cm1: float | None = None
     omega_c_cm1: float | None = None
     rates_per_fs: np.ndarray | None = None
-    provenance: dict | None = None
 
-    def bath(self, temperature_k: float | None = None) -> BathSpec:
-        """Resolve a BathSpec from the file data.
-
-        A temperature selects the Ohmic generation path; without one the
-        stored table wins when present, else the Ohmic bath runs at 300 K.
-        """
-        if temperature_k is None and self.rates_per_fs is not None:
-            return BathSpec(rates_per_fs=self.rates_per_fs)
-        if self.lambda_cm1 is None or self.omega_c_cm1 is None:
-            raise ModelFileError(
-                "model file has no Ohmic bath parameters; cannot generate rates"
-            )
-        return BathSpec(
-            temperature_k=300.0 if temperature_k is None else temperature_k,
-            lambda_cm1=self.lambda_cm1,
-            omega_c_cm1=self.omega_c_cm1,
-        )
+    def __post_init__(self):
+        if (self.lambda_cm1 is None) != (self.omega_c_cm1 is None):
+            raise SpecInvalidError("lambda_cm1 and omega_c_cm1 must be given together")
+        if self.lambda_cm1 is not None:
+            _check_number("lambda_cm1", self.lambda_cm1, allow_zero=True)
+            _check_number("omega_c_cm1", self.omega_c_cm1)
+        elif self.rates_per_fs is None:
+            raise SpecInvalidError("needs lambda_cm1 and omega_c_cm1, rates_per_fs, or both")
+        if self.rates_per_fs is not None:
+            r = np.asarray(self.rates_per_fs, dtype=float)
+            n = self.hamiltonian.n_sites
+            if r.shape != (n, n):
+                raise SpecInvalidError(f"rates_per_fs must be {n}x{n}, got shape {r.shape}")
+            if not np.all(np.isfinite(r)) or np.any(r < 0.0):
+                raise SpecInvalidError("rates_per_fs entries must be finite and >= 0")
+            if np.any(np.diag(r) != 0.0):
+                raise SpecInvalidError("rates_per_fs diagonal must be zero")
+            object.__setattr__(self, "rates_per_fs", r)
 
 
 def default_model_path() -> Path:
@@ -248,10 +227,11 @@ def default_model_path() -> Path:
 
 
 def load_model(path) -> FmoModel:
-    """Read and validate a model JSON file.
+    """Read and validate a model JSON file, every field it carries.
 
     Required fields: site_energies_cm1, couplings_cm1, sink_sites, and a
-    bath object carrying {lambda_cm1, omega_c_cm1} and/or rates_per_fs.
+    bath object carrying {lambda_cm1, omega_c_cm1} and/or rates_per_fs; any
+    other field (such as a provenance block) is free-form and ignored.
     """
     path = Path(path)
     try:
@@ -271,37 +251,30 @@ def load_model(path) -> FmoModel:
             site_energies_cm1=np.array(require("site_energies_cm1"), dtype=float),
             couplings_cm1=np.array(require("couplings_cm1"), dtype=float),
         )
-    except (SpecInvalidError, ValueError) as exc:
+    except (SpecInvalidError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: bad Hamiltonian data: {exc}") from exc
 
-    bath_raw = require("bath")
-    if not isinstance(bath_raw, dict):
+    bath = require("bath")
+    if not isinstance(bath, dict):
         raise ModelFileError(f"{path}: field 'bath' must be an object")
-    rates = bath_raw.get("rates_per_fs")
+    for field in ("lambda_cm1", "omega_c_cm1"):
+        value = bath.get(field)
+        if value is not None and type(value) not in (int, float):
+            raise ModelFileError(f"{path}: bath.{field} must be a number, got {value!r}")
+    rates = bath.get("rates_per_fs")
     if rates is not None:
         try:
             rates = np.array(rates, dtype=float)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ModelFileError(f"{path}: bad bath.rates_per_fs: {exc}") from exc
-        if rates.shape != (spec.n_sites, spec.n_sites):
-            raise ModelFileError(
-                f"{path}: bath.rates_per_fs must be {spec.n_sites}x{spec.n_sites}"
-            )
 
     sink = require("sink_sites")
     if (not isinstance(sink, list) or not sink
             or any(type(s) is not int or not 1 <= s <= spec.n_sites for s in sink)):
         raise ModelFileError(f"{path}: sink_sites must be a list of integer labels 1..{spec.n_sites}")
-    for field in ("lambda_cm1", "omega_c_cm1"):
-        value = bath_raw.get(field)
-        if value is not None and (type(value) not in (int, float) or not np.isfinite(value)):
-            raise ModelFileError(f"{path}: bath.{field} must be a finite number, got {value!r}")
 
-    return FmoModel(
-        hamiltonian=spec,
-        sink_sites=tuple(int(s) for s in sink),
-        lambda_cm1=bath_raw.get("lambda_cm1"),
-        omega_c_cm1=bath_raw.get("omega_c_cm1"),
-        rates_per_fs=rates,
-        provenance=raw.get("provenance"),
-    )
+    try:
+        return FmoModel(hamiltonian=spec, sink_sites=tuple(sink), lambda_cm1=bath.get("lambda_cm1"),
+                        omega_c_cm1=bath.get("omega_c_cm1"), rates_per_fs=rates)
+    except SpecInvalidError as exc:
+        raise ModelFileError(f"{path}: bad bath: {exc}") from exc

@@ -36,7 +36,6 @@ from .errors import (
     ProbabilityOutOfRangeError,
     StateInvalidError,
     SurvivalUnderflowError,
-    TimeOutOfRangeError,
 )
 
 
@@ -172,15 +171,6 @@ class Trajectory:
     populations: np.ndarray
     trace: np.ndarray
     min_eig: np.ndarray
-
-    def index_at(self, t_fs: float) -> int:
-        """Index of the grid point nearest to t_fs (must lie on the grid span)."""
-        t0, t1 = float(self.times[0]), float(self.times[-1])
-        if not (t0 - 1e-9) <= t_fs <= (t1 + 1e-9):
-            raise TimeOutOfRangeError(
-                f"t = {t_fs} fs outside trajectory span [{t0}, {t1}] fs"
-            )
-        return int(np.argmin(np.abs(self.times - t_fs)))
 
 
 def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray | None = None) -> np.ndarray:

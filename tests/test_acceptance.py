@@ -27,7 +27,7 @@ TOY3_RATES = np.array(
 def shipped():
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model.bath(), DT_FS)
+    rates = fmo.jump_rates(basis, model, DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
     ops = kernel.build_evolution_operators(rates, unitary)
     return model, basis, rates, unitary, ops
@@ -85,7 +85,7 @@ def test_criterion_2_fmo_efficiency(shipped):
         start = time.perf_counter()
         traj = run_shipped(shipped, site)
         elapsed = time.perf_counter() - start
-        eff = fmo.transfer_efficiency(traj, model.sink_sites, STEPS * DT_FS)
+        eff = fmo.transfer_efficiency(traj, model.sink_sites)
         assert eff >= 0.93
         assert elapsed < 2.0
         effs[site] = eff
@@ -101,9 +101,7 @@ def test_criterion_3_localization(shipped):
     coherent_sink = sink_series(model, coherent)
     assert coherent_sink.max() <= 0.4
 
-    enaqt_eff = fmo.transfer_efficiency(
-        run_shipped(shipped, 1), model.sink_sites, STEPS * DT_FS
-    )
+    enaqt_eff = fmo.transfer_efficiency(run_shipped(shipped, 1), model.sink_sites)
     coherent_eff = coherent_sink[-1]
     assert enaqt_eff / coherent_eff >= 2.0
     print(

@@ -494,7 +494,7 @@ class TestExportGates:
     def test_fmo_export_covers_all_jumps(self):
         model = fmo.load_model(fmo.default_model_path())
         basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-        rates = fmo.jump_rates(basis, model.bath(), 10.0)
+        rates = fmo.jump_rates(basis, model, 10.0)
         u = np.diag(np.exp(-1j * basis.energies_cm1 * 10.0 / linalg.HBAR_CM1_FS))
         text = circuit.export_gates(circuit.build_step_circuit(rates, u))
         assert text.count("CONTROLLED-RY") == 42

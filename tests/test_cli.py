@@ -1,14 +1,28 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enaqt
 from enaqt import circuit, cli, fmo, kernel
+from enaqt.errors import StepTooLargeWarning
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+def run_cli_process(args, cwd):
+    """The CLI in a fresh interpreter, with Python's own warning display: (exit code, stderr lines)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(enaqt.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "enaqt.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr.splitlines()
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +193,26 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "invalid at step 1:" in err[0]
 
+    def test_shown_warning_is_one_line(self, default_config, tmp_path):
+        code, err = run_cli_process(
+            ["simulate", "--config", default_config, "--backend", "lindblad-oracle",
+             "--chi", "0", "--steps", "50", "--out", str(tmp_path / "t.csv")], tmp_path)
+        assert code == 2
+        assert len(err) == 2
+        assert err[0].startswith("warning: RK4 step 10.0 fs is coarse")
+        assert err[1].startswith("numerical invariant violated: ")
+
+    def test_recorded_warning_is_not_shown(self, default_config, tmp_path, capsys):
+        # a caller that records warnings gets the warning and no stderr line
+        before = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["simulate", "--config", default_config, "--backend", "lindblad-oracle",
+                            "--steps", "5", "--out", str(tmp_path / "t.csv")]) == 0
+        assert [w.category for w in caught] == [StepTooLargeWarning]
+        assert capsys.readouterr().err == ""
+        assert warnings.formatwarning is before
+
     def test_bad_backend_is_config_error(self, default_config):
         assert run_cli(["simulate", "--config", default_config, "--backend", "bogus"]) == 1
 
@@ -311,6 +345,12 @@ class TestOracle:
         assert header == ["dt_fs", "frobenius_distance"]
         assert np.all(rows[:, 1] <= 1e-9)
 
+    def test_defaults_warn_in_one_line(self, default_config, tmp_path):
+        code, err = run_cli_process(["oracle", "--config", default_config, "--out", str(tmp_path / "traj.csv"),
+                                     "--convergence-out", str(tmp_path / "conv.csv")], tmp_path)
+        assert code == 0
+        assert len(err) == 1 and err[0].startswith("warning: ")
+
     def test_fmo_convergence_table(self, default_config, tmp_path):
         conv_out = tmp_path / "conv.csv"
         code = run_cli(
@@ -394,6 +434,16 @@ MODEL_EDITS = {
     "inf-coupling": lambda m: m["couplings_cm1"][2].__setitem__(3, float("inf")),
     "coupling-asymmetric-1e-7": _bump_coupling,
     "lambda-not-a-number": lambda m: m["bath"].update(lambda_cm1="a"),
+    # every bath field is checked at load, whichever source a run uses
+    "table-negative": lambda m: m["bath"]["rates_per_fs"][0].__setitem__(1, -1e-3),
+    "table-nan": lambda m: m["bath"]["rates_per_fs"][2].__setitem__(5, float("nan")),
+    "table-diagonal": lambda m: m["bath"]["rates_per_fs"][3].__setitem__(3, 1e-3),
+    "lambda-negative": lambda m: m["bath"].update(lambda_cm1=-5.0),
+    "omega-c-zero": lambda m: m["bath"].update(omega_c_cm1=0.0),
+    "lambda-without-omega-c": lambda m: m["bath"].pop("omega_c_cm1"),
+    "bath-empty": lambda m: m.update(bath={}),
+    "site-energy-object": lambda m: m["site_energies_cm1"].__setitem__(0, {}),
+    "table-object": lambda m: m["bath"]["rates_per_fs"][0].__setitem__(1, {}),
 }
 
 ARG_CASES = {
@@ -441,6 +491,7 @@ def assert_one_line_config_error(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert caught == []
+    return err
 
 
 class TestBadInputCorpus:
@@ -450,8 +501,10 @@ class TestBadInputCorpus:
         edit(model)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(model))
-        assert_one_line_config_error(["simulate", "--config", str(path), "--temperature", "300",
-                                      "--steps", "2", "--out", str(tmp_path / "t.csv")], capsys)
+        for temperature in (["--temperature", "300"], []):
+            err = assert_one_line_config_error(["simulate", "--config", str(path), *temperature,
+                                                "--steps", "2", "--out", str(tmp_path / "t.csv")], capsys)
+            assert str(path) in err  # a load-time failure names the file
 
     @pytest.mark.parametrize("args", ARG_CASES.values(), ids=ARG_CASES.keys())
     def test_run_arguments(self, args, default_config, tmp_path, capsys):

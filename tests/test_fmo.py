@@ -6,12 +6,10 @@ import pytest
 
 from enaqt import fmo, linalg
 from enaqt.errors import (
-    DimensionMismatchError,
     IndexOutOfRangeError,
     ModelFileError,
     SpecInvalidError,
     SurvivalUnderflowError,
-    TimeOutOfRangeError,
 )
 from enaqt.kernel import Trajectory
 
@@ -95,7 +93,7 @@ class TestExcitonBasis:
         assert np.allclose(d @ basis.to_exciton(rho) @ d.conj().T, rho, atol=1e-13)
 
 
-def thermal_rate_matrix_loop(basis, bath, overlap_exponent=1.0):
+def thermal_rate_matrix_loop(basis, lambda_cm1, omega_c_cm1, temperature_k, overlap_exponent=1.0):
     """Reference: the rates by a Python loop over the exciton pairs, one scalar at a time."""
     w, d = basis.energies_cm1, basis.dim
     weights = basis.site_weights()
@@ -106,8 +104,8 @@ def thermal_rate_matrix_loop(basis, bath, overlap_exponent=1.0):
             gap = abs(w[m] - w[n])
             if m == n or gap == 0.0:
                 continue
-            j = fmo.ohmic_spectral_density(gap, bath.lambda_cm1, bath.omega_c_cm1)
-            occ = fmo.bose_occupation(gap, bath.temperature_k)
+            j = fmo.ohmic_spectral_density(gap, lambda_cm1, omega_c_cm1)
+            occ = fmo.bose_occupation(gap, temperature_k)
             pref = (1.0 + occ) if w[m] > w[n] else occ
             rates[m, n] = 2.0 * np.pi * j * pref * overlap[m, n] ** overlap_exponent / linalg.HBAR_CM1_FS
     return rates
@@ -118,10 +116,9 @@ class TestRates:
     @pytest.mark.parametrize("temperature_k,exponent", [(77.0, 1.0), (300.0, 1.0), (300.0, 0.5)])
     def test_matches_pair_loop_on_shipped_model(self, shipped, temperature_k, exponent):
         model, _, basis = shipped
-        bath = fmo.BathSpec(temperature_k=temperature_k, lambda_cm1=model.lambda_cm1,
-                            omega_c_cm1=model.omega_c_cm1)
-        assert np.array_equal(fmo.thermal_rate_matrix(basis, bath, exponent),
-                              thermal_rate_matrix_loop(basis, bath, exponent))
+        bath = (model.lambda_cm1, model.omega_c_cm1, temperature_k)
+        assert np.array_equal(fmo.thermal_rate_matrix(basis, *bath, exponent),
+                              thermal_rate_matrix_loop(basis, *bath, exponent))
 
     def test_matches_pair_loop_on_disorder_ensemble(self, rng, shipped):
         model, _, _ = shipped
@@ -129,26 +126,23 @@ class TestRates:
             spec = fmo.HamiltonianSpec(
                 model.hamiltonian.site_energies_cm1 + rng.normal(0.0, 50.0, 7), model.hamiltonian.couplings_cm1)
             basis = fmo.exciton_basis(fmo.site_hamiltonian(spec))
-            bath = fmo.BathSpec(temperature_k=rng.uniform(77.0, 300.0), lambda_cm1=model.lambda_cm1,
-                                omega_c_cm1=model.omega_c_cm1)
-            assert np.array_equal(fmo.thermal_rate_matrix(basis, bath), thermal_rate_matrix_loop(basis, bath))
+            bath = (model.lambda_cm1, model.omega_c_cm1, rng.uniform(77.0, 300.0))
+            assert np.array_equal(fmo.thermal_rate_matrix(basis, *bath), thermal_rate_matrix_loop(basis, *bath))
 
     def test_degenerate_pair_has_no_rate(self):
         # a zero gap has no spectral weight; the loop skipped it and so does the vectorised pass
         transform = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, 1.0, 2.0], [2.0, 0.1, 1.0]]))[0]
         basis = fmo.ExcitonBasis(energies_cm1=np.array([0.0, 0.0, 120.0]), transform=transform)
-        bath = fmo.BathSpec(temperature_k=300.0, lambda_cm1=35.0, omega_c_cm1=150.0)
-        rates = fmo.thermal_rate_matrix(basis, bath)
+        rates = fmo.thermal_rate_matrix(basis, 35.0, 150.0, 300.0)
         assert rates[0, 1] == rates[1, 0] == 0.0 and rates[2, 0] > 0.0
-        assert np.array_equal(rates, thermal_rate_matrix_loop(basis, bath))
+        assert np.array_equal(rates, thermal_rate_matrix_loop(basis, 35.0, 150.0, 300.0))
 
     def test_bose_occupation_vanishes_at_low_temperature(self):
         assert fmo.bose_occupation(200.0, 1e-3) == pytest.approx(0.0, abs=1e-300)
 
     def test_detailed_balance_identity(self, shipped):
         _, _, basis = shipped
-        bath = fmo.BathSpec(temperature_k=300.0, lambda_cm1=25.0, omega_c_cm1=150.0)
-        rates = fmo.thermal_rate_matrix(basis, bath)
+        rates = fmo.thermal_rate_matrix(basis, 25.0, 150.0, 300.0)
         w = basis.energies_cm1
         kt = linalg.KB_CM1_PER_K * 300.0
         for m in range(7):
@@ -161,43 +155,35 @@ class TestRates:
 
     def test_rates_increase_with_temperature(self, shipped):
         _, _, basis = shipped
-        r_cold = fmo.thermal_rate_matrix(
-            basis, fmo.BathSpec(temperature_k=77.0, lambda_cm1=25.0, omega_c_cm1=150.0)
-        )
-        r_hot = fmo.thermal_rate_matrix(
-            basis, fmo.BathSpec(temperature_k=300.0, lambda_cm1=25.0, omega_c_cm1=150.0)
-        )
+        r_cold = fmo.thermal_rate_matrix(basis, 25.0, 150.0, 77.0)
+        r_hot = fmo.thermal_rate_matrix(basis, 25.0, 150.0, 300.0)
         assert np.all(r_hot >= r_cold)
 
     def test_shipped_ohmic_relaxation_time_at_300k(self, shipped):
         model, _, basis = shipped
-        bath = fmo.BathSpec(
-            temperature_k=300.0,
-            lambda_cm1=model.lambda_cm1,
-            omega_c_cm1=model.omega_c_cm1,
-        )
-        rates = fmo.thermal_rate_matrix(basis, bath)
+        rates = fmo.thermal_rate_matrix(basis, model.lambda_cm1, model.omega_c_cm1, 300.0)
         tau_fast = 1.0 / rates.sum(axis=1).max()
         assert 50.0 <= tau_fast <= 100.0
 
     def test_explicit_table_used_verbatim(self, shipped):
         model, _, basis = shipped
         dt = 10.0
-        spec = fmo.jump_rates(basis, fmo.BathSpec(rates_per_fs=model.rates_per_fs), dt)
+        spec = fmo.jump_rates(basis, model, dt)
         assert np.array_equal(spec.gamma, model.rates_per_fs * dt)
 
     def test_survival_underflow_propagates(self, shipped):
         model, _, basis = shipped
         with pytest.raises(SurvivalUnderflowError, match="smaller time step"):
-            fmo.jump_rates(basis, fmo.BathSpec(rates_per_fs=model.rates_per_fs), 100.0)
+            fmo.jump_rates(basis, model, 100.0)
 
-    def test_bath_spec_validation(self):
+    def test_bath_spec_validation(self, shipped, tmp_path):
+        _, _, basis = shipped
         with pytest.raises(SpecInvalidError):
-            fmo.BathSpec(temperature_k=-10.0, lambda_cm1=25.0, omega_c_cm1=150.0)
+            fmo.thermal_rate_matrix(basis, 25.0, 150.0, -10.0)
         with pytest.raises(SpecInvalidError):
-            fmo.BathSpec(temperature_k=300.0, lambda_cm1=25.0, omega_c_cm1=0.0)
-        with pytest.raises(SpecInvalidError):
-            fmo.BathSpec(rates_per_fs=np.array([[0.0, -1.0], [0.0, 0.0]]))
+            fmo.thermal_rate_matrix(basis, 25.0, 0.0, 300.0)
+        with pytest.raises(ModelFileError, match="rates_per_fs"):
+            fmo.load_model(write_two_site_model(tmp_path, {"rates_per_fs": [[0.0, -1.0], [0.0, 0.0]]}))
 
 
 def site_populations(rho_exciton, basis):
@@ -243,7 +229,7 @@ class TestSitePopulations:
         from enaqt import kernel, linalg
 
         model, _, basis = shipped
-        rates = fmo.jump_rates(basis, model.bath(), 10.0)
+        rates = fmo.jump_rates(basis, model, 10.0)
         u = np.diag(np.exp(-1j * basis.energies_cm1 * 10.0 / linalg.HBAR_CM1_FS))
         ops = kernel.build_evolution_operators(rates, u)
         rho0 = np.zeros((7, 7), dtype=complex)
@@ -268,21 +254,23 @@ class TestTransferEfficiency:
 
     def test_all_population_on_site3(self):
         traj = self._traj([[0, 0, 1.0, 0, 0, 0, 0]])
-        assert fmo.transfer_efficiency(traj, (3, 4), 0.0) == pytest.approx(1.0)
+        assert fmo.transfer_efficiency(traj, (3, 4)) == pytest.approx(1.0)
 
     def test_uniform_population(self):
         traj = self._traj([np.full(7, 1.0 / 7.0)])
-        assert fmo.transfer_efficiency(traj, (3, 4), 0.0) == pytest.approx(2.0 / 7.0)
-
-    def test_time_out_of_range(self):
-        traj = self._traj([[1, 0], [0, 1]])
-        with pytest.raises(TimeOutOfRangeError):
-            fmo.transfer_efficiency(traj, (1,), 50.0)
+        assert fmo.transfer_efficiency(traj, (3, 4)) == pytest.approx(2.0 / 7.0)
 
     def test_bad_site_label(self):
         traj = self._traj([[1, 0], [0, 1]])
         with pytest.raises(IndexOutOfRangeError):
-            fmo.transfer_efficiency(traj, (3,), 0.0)
+            fmo.transfer_efficiency(traj, (3,))
+
+
+def write_two_site_model(tmp_path, bath):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"site_energies_cm1": [0.0, 1.0], "couplings_cm1": [[0.0, 1.0], [1.0, 0.0]],
+                             "sink_sites": [2], "bath": bath}))
+    return p
 
 
 class TestLoadModel:
@@ -340,7 +328,28 @@ class TestLoadModel:
         assert model.lambda_cm1 is not None
 
     def test_bath_resolution_rules(self, shipped):
-        model, _, _ = shipped
-        assert model.bath().rates_per_fs is not None
-        assert model.bath(temperature_k=250.0).temperature_k == 250.0
-        assert dataclasses.replace(model, rates_per_fs=None).bath().temperature_k == 300.0
+        model, _, basis = shipped
+        dt = 10.0
+
+        def ohmic(temperature_k):
+            return fmo.thermal_rate_matrix(basis, model.lambda_cm1, model.omega_c_cm1, temperature_k) * dt
+
+        assert np.array_equal(fmo.jump_rates(basis, model, dt).gamma, model.rates_per_fs * dt)
+        assert np.array_equal(fmo.jump_rates(basis, model, dt, temperature_k=250.0).gamma, ohmic(250.0))
+        ohmic_only = dataclasses.replace(model, rates_per_fs=None)
+        assert np.array_equal(fmo.jump_rates(basis, ohmic_only, dt).gamma, ohmic(300.0))
+        table_only = dataclasses.replace(model, lambda_cm1=None, omega_c_cm1=None)
+        with pytest.raises(ModelFileError, match="no Ohmic bath parameters"):
+            fmo.jump_rates(basis, table_only, dt, temperature_k=250.0)
+
+    @pytest.mark.parametrize("bath,field", [
+        ({"rates_per_fs": [[0.0, float("nan")], [0.0, 0.0]]}, "rates_per_fs"),
+        ({"rates_per_fs": [[0.1, 0.0], [0.0, 0.0]]}, "rates_per_fs"),
+        ({"lambda_cm1": -5.0, "omega_c_cm1": 150.0}, "lambda_cm1"),
+        ({"lambda_cm1": 25.0, "omega_c_cm1": 0.0}, "omega_c_cm1"),
+        ({"lambda_cm1": 25.0, "rates_per_fs": [[0.0, 0.0], [0.0, 0.0]]}, "omega_c_cm1"),
+        ({}, "rates_per_fs"),
+    ])
+    def test_every_bath_field_checked_at_load(self, tmp_path, bath, field):
+        with pytest.raises(ModelFileError, match=field):
+            fmo.load_model(write_two_site_model(tmp_path, bath))

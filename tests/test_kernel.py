@@ -340,11 +340,6 @@ class TestEvolveTrajectory:
         rho = np.diag([0.5, 0.5]).astype(complex)
         traj = kernel.evolve_trajectory(rho, ops, StepConfig(dt=2.5), 4, self._observers(d))
         assert traj.times == pytest.approx([0.0, 2.5, 5.0, 7.5, 10.0])
-        assert traj.index_at(5.1) == 2
-        from enaqt.errors import TimeOutOfRangeError
-
-        with pytest.raises(TimeOutOfRangeError):
-            traj.index_at(11.0)
 
 
 class TestPropagate:

@@ -141,7 +141,7 @@ def shipped_exciton_model(dt):
     """The shipped FMO model in its exciton basis, rates per fs from the step-dt table."""
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model.bath(), dt)
+    rates = fmo.jump_rates(basis, model, dt)
     h = np.diag(basis.energies_cm1).astype(complex)
     return LindbladModel(h, rates.gamma / dt)
 
