@@ -28,11 +28,7 @@ def run(initial_site):
     rho_site = np.zeros((7, 7), dtype=complex)
     rho_site[initial_site - 1, initial_site - 1] = 1.0
     traj = kernel.evolve_trajectory(
-        basis.to_exciton(rho_site),
-        ops,
-        kernel.StepConfig(dt=DT_FS),
-        STEPS,
-        basis.site_projectors(),
+        basis.to_exciton(rho_site), ops, DT_FS, STEPS, basis.site_projectors()
     )
     return model, traj
 

@@ -24,8 +24,7 @@ def trajectory(model, basis, rates, initial_site):
     rho = np.zeros((7, 7), dtype=complex)
     rho[initial_site - 1, initial_site - 1] = 1.0
     return kernel.evolve_trajectory(
-        basis.to_exciton(rho), ops, kernel.StepConfig(dt=DT_FS), STEPS,
-        basis.site_projectors(),
+        basis.to_exciton(rho), ops, DT_FS, STEPS, basis.site_projectors()
     )
 
 

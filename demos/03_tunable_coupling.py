@@ -40,8 +40,7 @@ def main():
     print("chi    efficiency(4ps)   site-2 beat amplitude (first 500 fs)")
     for chi in chis:
         traj = kernel.evolve_trajectory(
-            rho0, ops, kernel.StepConfig(dt=DT_FS, chi=chi), STEPS,
-            basis.site_projectors(),
+            rho0, ops, DT_FS, STEPS, basis.site_projectors(), chi=chi
         )
         eff = fmo.transfer_efficiency(traj, model.sink_sites)
         beat = traj.populations[: window + 1, 1]

@@ -36,22 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, circuit, fmo, kernel, lindblad
-from .errors import (
-    ConfigError,
-    EnaqtError,
-    NotHermitianError,
-    ProbabilityOutOfRangeError,
-    StateInvalidError,
-    SurvivalUnderflowError,
-)
+from .errors import ConfigError, EnaqtError, NumericalError
 from .linalg import HBAR_CM1_FS, frob_dist, successive_ratios
-
-NUMERICAL_ERRORS = (
-    SurvivalUnderflowError,
-    StateInvalidError,
-    NotHermitianError,
-    ProbabilityOutOfRangeError,
-)
 
 BACKENDS = ("operator", "circuit", "lindblad-oracle")
 MAX_GATECOUNT_DIM = 64  # building a step circuit costs ~d^2 gates: 64 runs in a fraction of a second
@@ -358,7 +344,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 2
     except EnaqtError as exc:

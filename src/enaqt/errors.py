@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every numerical precondition failure raises one of these instead of a bare
-ValueError so that callers (and the CLI exit-code mapping) can tell a bad
-configuration apart from a genuine numerical-invariant violation.
+ValueError so that callers can tell a bad configuration apart from a genuine
+numerical-invariant violation: the CLI exits 2 on a NumericalError and 1 on
+any other EnaqtError.
 """
 
 
@@ -10,23 +11,27 @@ class EnaqtError(Exception):
     """Base class for all package errors."""
 
 
+class NumericalError(EnaqtError):
+    """A numerical invariant was violated (CLI exit code 2)."""
+
+
 class DimensionMismatchError(EnaqtError):
     """Operands have incompatible shapes or dimensions."""
 
 
-class NotHermitianError(EnaqtError):
+class NotHermitianError(NumericalError):
     """A matrix required to be hermitian is not, beyond tolerance."""
 
 
-class ProbabilityOutOfRangeError(EnaqtError):
+class ProbabilityOutOfRangeError(NumericalError):
     """A jump probability lies outside [0, 1]."""
 
 
-class SurvivalUnderflowError(EnaqtError):
+class SurvivalUnderflowError(NumericalError):
     """Total jump probability out of some state exceeds 1 (time step too large)."""
 
 
-class StateInvalidError(EnaqtError):
+class StateInvalidError(NumericalError):
     """The evolving state broke hermiticity/positivity beyond the working tolerance."""
 
 

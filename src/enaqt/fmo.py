@@ -246,12 +246,18 @@ def load_model(path) -> FmoModel:
             raise ModelFileError(f"{path}: missing field {field!r}")
         return raw[field]
 
+    def floats(field, value):
+        try:  # OverflowError: a JSON integer past the float range
+            return np.array(value, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelFileError(f"{path}: bad {field}: {exc}") from exc
+
     try:
         spec = HamiltonianSpec(
-            site_energies_cm1=np.array(require("site_energies_cm1"), dtype=float),
-            couplings_cm1=np.array(require("couplings_cm1"), dtype=float),
+            site_energies_cm1=floats("site_energies_cm1", require("site_energies_cm1")),
+            couplings_cm1=floats("couplings_cm1", require("couplings_cm1")),
         )
-    except (SpecInvalidError, TypeError, ValueError) as exc:
+    except SpecInvalidError as exc:
         raise ModelFileError(f"{path}: bad Hamiltonian data: {exc}") from exc
 
     bath = require("bath")
@@ -261,12 +267,10 @@ def load_model(path) -> FmoModel:
         value = bath.get(field)
         if value is not None and type(value) not in (int, float):
             raise ModelFileError(f"{path}: bath.{field} must be a number, got {value!r}")
+        floats(f"bath.{field}", value)  # an integer passes the type check however large
     rates = bath.get("rates_per_fs")
     if rates is not None:
-        try:
-            rates = np.array(rates, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ModelFileError(f"{path}: bad bath.rates_per_fs: {exc}") from exc
+        rates = floats("bath.rates_per_fs", rates)
 
     sink = require("sink_sites")
     if (not isinstance(sink, list) or not sink

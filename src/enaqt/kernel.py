@@ -81,20 +81,6 @@ class JumpRateSpec:
 
 
 @dataclass(frozen=True)
-class StepConfig:
-    """Step parameters: dt in fs, bath-coupling fraction chi in [0, 1]."""
-
-    dt: float
-    chi: float = 1.0
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0.0 <= self.chi <= 1.0:
-            raise ValueError(f"chi must lie in [0, 1], got {self.chi}")
-
-
-@dataclass(frozen=True)
 class EvolutionOperators:
     """Evolution operators for one step: jumps plus unitary evolution.
 
@@ -143,14 +129,19 @@ def enaqt_step(rho: np.ndarray, ops: EvolutionOperators) -> np.ndarray:
     return out
 
 
-def tunable_step(rho: np.ndarray, ops: EvolutionOperators, cfg: StepConfig) -> np.ndarray:
-    """Blend coherent-only and full-step evolution with weight chi.
+def _check_chi(chi: float):
+    if not 0.0 <= chi <= 1.0:
+        raise ValueError(f"chi must lie in [0, 1], got {chi}")
+
+
+def tunable_step(rho: np.ndarray, ops: EvolutionOperators, chi: float) -> np.ndarray:
+    """Blend coherent-only and full-step evolution with weight chi in [0, 1].
 
     chi = 1 reproduces enaqt_step exactly (same bits); chi = 0 is pure
     unitary evolution.
     """
+    _check_chi(chi)
     rho = np.asarray(rho, dtype=complex)
-    chi = cfg.chi
     if chi == 1.0:
         return enaqt_step(rho, ops)
     coh = ops.unitary @ rho @ ops.unitary.conj().T
@@ -176,9 +167,10 @@ class Trajectory:
 def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray | None = None) -> np.ndarray:
     """Row-major transfer matrix of tunable_step, in the module docstring's closed form.
 
-    `full` stands in for T_full (the circuit backend passes its circuit's T); chi = 0
-    and chi = 1 return the unblended ends.
+    `full` stands in for T_full (the circuit backend passes its circuit's T); chi in
+    [0, 1], and chi = 0 and chi = 1 return the unblended ends.
     """
+    _check_chi(chi)
     coh = np.kron(ops.unitary, ops.unitary.conj())
     if chi == 0.0:
         return coh
@@ -209,6 +201,8 @@ def propagate(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     t = np.asarray(t, dtype=complex)
     v = np.asarray(rho0, dtype=complex).reshape(-1)
     obs = np.asarray(observers, dtype=complex)
@@ -250,8 +244,9 @@ def propagate(
 
 
 def evolve_trajectory(
-    rho0: np.ndarray, ops: EvolutionOperators, cfg: StepConfig, steps: int, observers: np.ndarray,
+    rho0: np.ndarray, ops: EvolutionOperators, dt: float, steps: int, observers: np.ndarray,
+    chi: float = 1.0,
 ) -> Trajectory:
     """Iterate tunable_step from rho0 through its transfer matrix; see propagate."""
-    t = step_transfer_matrix(ops, cfg.chi)
-    return propagate(t, rho0, cfg.dt, steps, observers)
+    t = step_transfer_matrix(ops, chi)
+    return propagate(t, rho0, dt, steps, observers)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from enaqt import circuit, fmo, kernel, lindblad, linalg
-from enaqt.kernel import JumpRateSpec, StepConfig
+from enaqt.kernel import JumpRateSpec
 
 DT_FS = 10.0
 STEPS = 400
@@ -45,9 +45,8 @@ def run_shipped(shipped, site, chi=1.0, steps=STEPS, zero_rates=False):
         ops = kernel.build_evolution_operators(
             JumpRateSpec(np.zeros_like(rates.gamma)), unitary
         )
-    cfg = StepConfig(dt=DT_FS, chi=chi)
     return kernel.evolve_trajectory(
-        site_start(basis, site), ops, cfg, steps, basis.site_projectors()
+        site_start(basis, site), ops, DT_FS, steps, basis.site_projectors(), chi=chi
     )
 
 
@@ -135,11 +134,11 @@ def test_criterion_5_tunable_coupling(shipped):
 
     rho = site_start(basis, 1)
     assert np.array_equal(
-        kernel.tunable_step(rho, ops, StepConfig(dt=DT_FS, chi=1.0)),
+        kernel.tunable_step(rho, ops, 1.0),
         kernel.enaqt_step(rho, ops),
     )
     assert np.array_equal(
-        kernel.tunable_step(rho, ops, StepConfig(dt=DT_FS, chi=0.0)),
+        kernel.tunable_step(rho, ops, 0.0),
         unitary @ rho @ unitary.conj().T,
     )
     print(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import enaqt
-from enaqt import circuit, cli, fmo, kernel
+from enaqt import circuit, cli, errors, fmo, kernel
 from enaqt.errors import StepTooLargeWarning
 
 
@@ -444,6 +444,10 @@ MODEL_EDITS = {
     "bath-empty": lambda m: m.update(bath={}),
     "site-energy-object": lambda m: m["site_energies_cm1"].__setitem__(0, {}),
     "table-object": lambda m: m["bath"]["rates_per_fs"][0].__setitem__(1, {}),
+    # JSON integers past the float range
+    "site-energy-huge-int": lambda m: m["site_energies_cm1"].__setitem__(0, 10**400),
+    "omega-c-huge-int": lambda m: m["bath"].update(omega_c_cm1=10**400),
+    "table-huge-int": lambda m: m["bath"]["rates_per_fs"][0].__setitem__(1, 10**400),
 }
 
 ARG_CASES = {
@@ -515,3 +519,38 @@ class TestBadInputCorpus:
     @pytest.mark.parametrize("dims", DIMS_CASES)
     def test_gatecount_dims(self, dims, capsys):
         assert_one_line_config_error(["gatecount", "--dims", dims], capsys)
+
+
+ERROR_CLASSES = sorted((c for c in vars(errors).values()
+                        if isinstance(c, type) and issubclass(c, errors.EnaqtError)), key=lambda c: c.__name__)
+# named here, not derived from the class tree, so that the test pins the mapping class by class
+EXIT_2 = {"NumericalError", "NotHermitianError", "ProbabilityOutOfRangeError", "StateInvalidError",
+          "SurvivalUnderflowError"}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_each_error_class(self, cls, monkeypatch, capsys):
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_gatecount", fail)
+        code = cli.main(["gatecount"])
+        err = capsys.readouterr().err.splitlines()
+        numerical = cls.__name__ in EXIT_2
+        assert issubclass(cls, errors.NumericalError) == numerical
+        assert code == (2 if numerical else 1)
+        assert err == [("numerical invariant violated: boom" if numerical else "error: boom")]
+
+    def test_the_policy_lives_in_errors(self):
+        # cli keeps no list of error classes of its own
+        assert EXIT_2 <= {c.__name__ for c in ERROR_CLASSES}
+        assert not [name for name, value in vars(cli).items() if isinstance(value, tuple)
+                    and any(isinstance(c, type) and issubclass(c, Exception) for c in value)]
+
+
+def test_package_exports_only_its_version():
+    # every name is imported from its module; loaded submodules appear as package attributes
+    assert enaqt.__version__ == "0.1.0"
+    assert not [name for name, value in vars(enaqt).items()
+                if not name.startswith("__") and not isinstance(value, type(enaqt))]

@@ -235,8 +235,7 @@ class TestSitePopulations:
         rho0 = np.zeros((7, 7), dtype=complex)
         rho0[0, 0] = 1.0
         traj = kernel.evolve_trajectory(
-            basis.to_exciton(rho0), ops, kernel.StepConfig(dt=10.0), 100,
-            basis.site_projectors(),
+            basis.to_exciton(rho0), ops, 10.0, 100, basis.site_projectors(),
         )
         assert np.max(np.abs(traj.populations.sum(axis=1) - traj.trace)) <= 1e-10
 

@@ -10,7 +10,7 @@ from enaqt.errors import (
     StateInvalidError,
     SurvivalUnderflowError,
 )
-from enaqt.kernel import JumpRateSpec, StepConfig
+from enaqt.kernel import JumpRateSpec
 
 
 def random_density(d, rng):
@@ -260,9 +260,8 @@ class TestTunableStep:
         rho = random_density(d, rng)
         u = linalg.evolution_unitary(np.diag([0.0, 80.0, 200.0]), 10.0)
         ops = kernel.build_evolution_operators(random_rates(d, rng), u)
-        cfg = StepConfig(dt=10.0, chi=1.0)
         assert np.array_equal(
-            kernel.tunable_step(rho, ops, cfg), kernel.enaqt_step(rho, ops)
+            kernel.tunable_step(rho, ops, 1.0), kernel.enaqt_step(rho, ops)
         )
 
     def test_chi_zero_bit_identical_to_unitary(self, rng):
@@ -270,9 +269,8 @@ class TestTunableStep:
         rho = random_density(d, rng)
         u = linalg.evolution_unitary(np.diag([0.0, 80.0, 200.0]), 10.0)
         ops = kernel.build_evolution_operators(random_rates(d, rng), u)
-        cfg = StepConfig(dt=10.0, chi=0.0)
         assert np.array_equal(
-            kernel.tunable_step(rho, ops, cfg), u @ rho @ u.conj().T
+            kernel.tunable_step(rho, ops, 0.0), u @ rho @ u.conj().T
         )
 
     def test_half_blend_elementwise(self, rng):
@@ -282,15 +280,21 @@ class TestTunableStep:
         ops = kernel.build_evolution_operators(
             JumpRateSpec(np.array([[0.0, p], [q, 0.0]])), np.eye(2, dtype=complex)
         )
-        out = kernel.tunable_step(rho, ops, StepConfig(dt=1.0, chi=0.5))
+        out = kernel.tunable_step(rho, ops, 0.5)
         expected = 0.5 * rho + 0.5 * kernel.enaqt_step(rho, ops)
         assert np.max(np.abs(out - expected)) <= 1e-15
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            StepConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            StepConfig(dt=1.0, chi=1.5)
+        # dt is checked where the time grid is built, chi wherever the blend is made
+        ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((2, 2))), np.eye(2))
+        rho, obs = np.diag([1.0, 0.0]).astype(complex), np.eye(2)[None].astype(complex)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            kernel.propagate(kernel.step_transfer_matrix(ops, 1.0), rho, 0.0, 1, obs)
+        for chi in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="chi must lie in"):
+                kernel.step_transfer_matrix(ops, chi)
+            with pytest.raises(ValueError, match="chi must lie in"):
+                kernel.tunable_step(rho, ops, chi)
 
 
 class TestEvolveTrajectory:
@@ -301,7 +305,7 @@ class TestEvolveTrajectory:
         d = 2
         rho = np.diag([1.0, 0.0]).astype(complex)
         ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((d, d))), np.eye(d))
-        traj = kernel.evolve_trajectory(rho, ops, StepConfig(dt=10.0), 0, self._observers(d))
+        traj = kernel.evolve_trajectory(rho, ops, 10.0, 0, self._observers(d))
         assert traj.populations.shape == (1, 2)
         assert traj.populations[0] == pytest.approx([1.0, 0.0])
 
@@ -310,7 +314,7 @@ class TestEvolveTrajectory:
         u = linalg.evolution_unitary(np.diag([0.0, 100.0, 250.0]), 10.0)
         ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((d, d))), u)
         rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        traj = kernel.evolve_trajectory(rho, ops, StepConfig(dt=10.0), 50, self._observers(d))
+        traj = kernel.evolve_trajectory(rho, ops, 10.0, 50, self._observers(d))
         assert np.max(np.abs(traj.populations - traj.populations[0])) <= 1e-12
 
     def test_matches_manual_loop(self):
@@ -320,7 +324,7 @@ class TestEvolveTrajectory:
         rates = JumpRateSpec(np.array([[0.0, 0.02], [0.01, 0.0]]))
         ops = kernel.build_evolution_operators(rates, u)
         rho = np.diag([1.0, 0.0]).astype(complex)
-        traj = kernel.evolve_trajectory(rho, ops, StepConfig(dt=5.0), 100, self._observers(d))
+        traj = kernel.evolve_trajectory(rho, ops, 5.0, 100, self._observers(d))
         manual = rho.copy()
         for _ in range(100):
             manual = kernel.enaqt_step(manual, ops)
@@ -332,13 +336,13 @@ class TestEvolveTrajectory:
         ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((d, d))), np.eye(d))
         bad = np.diag([1.001, -0.001]).astype(complex)
         with pytest.raises(StateInvalidError):
-            kernel.evolve_trajectory(bad, ops, StepConfig(dt=1.0), 1, self._observers(d))
+            kernel.evolve_trajectory(bad, ops, 1.0, 1, self._observers(d))
 
     def test_time_grid(self):
         d = 2
         ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((d, d))), np.eye(d))
         rho = np.diag([0.5, 0.5]).astype(complex)
-        traj = kernel.evolve_trajectory(rho, ops, StepConfig(dt=2.5), 4, self._observers(d))
+        traj = kernel.evolve_trajectory(rho, ops, 2.5, 4, self._observers(d))
         assert traj.times == pytest.approx([0.0, 2.5, 5.0, 7.5, 10.0])
 
 
@@ -354,9 +358,8 @@ class TestPropagate:
     @pytest.mark.parametrize("chi", [0.0, 0.06, 0.5, 1.0])
     def test_transfer_matrix_matches_tunable_step(self, rng, chi):
         ops = self._shipped_like(rng)
-        cfg = StepConfig(dt=10.0, chi=chi)
         reference = circuit.channel_transfer_matrix(
-            lambda r: kernel.tunable_step(r, ops, cfg), ops.dim
+            lambda r: kernel.tunable_step(r, ops, chi), ops.dim
         )
         assert np.max(np.abs(kernel.step_transfer_matrix(ops, chi) - reference)) <= 1e-14
 
@@ -380,21 +383,21 @@ class TestPropagate:
     def test_matches_manual_tunable_step_loop(self, rng):
         d = 4
         ops = self._shipped_like(rng, d)
-        cfg = StepConfig(dt=10.0, chi=0.5)
+        dt, chi = 10.0, 0.5
         steps = 2 * kernel.CHUNK + 3
         rho = random_density(d, rng)
         obs = self._observers(d)
-        traj = kernel.propagate(kernel.step_transfer_matrix(ops, cfg.chi), rho, cfg.dt, steps, obs)
+        traj = kernel.propagate(kernel.step_transfer_matrix(ops, chi), rho, dt, steps, obs)
         assert traj.populations.shape == (steps + 1, d)
         manual = rho.copy()
         for k in range(steps + 1):
             if k:
-                manual = kernel.tunable_step(manual, ops, cfg)
+                manual = kernel.tunable_step(manual, ops, chi)
             herm = 0.5 * (manual + manual.conj().T)
             assert np.max(np.abs(traj.populations[k] - np.diag(manual).real)) <= 1e-12
             assert abs(traj.trace[k] - np.trace(manual).real) <= 1e-12
             assert abs(traj.min_eig[k] - np.linalg.eigvalsh(herm).min()) <= 1e-12
-        assert traj.times[-1] == pytest.approx(steps * cfg.dt)
+        assert traj.times[-1] == pytest.approx(steps * dt)
 
     def test_names_first_invalid_step_in_second_chunk(self):
         # not completely positive: each step moves 1/300 of the trace from
@@ -422,3 +425,12 @@ class TestPropagate:
             kernel.propagate(t, np.eye(3) / 3, 1.0, 1, self._observers(2))
         with pytest.raises(DimensionMismatchError):
             kernel.propagate(t[:8], np.eye(3) / 3, 1.0, 1, self._observers(3))
+
+
+def test_public_names():
+    # dt and chi are plain arguments: the module defines no step-config object
+    defined = {name for name, value in vars(kernel).items()
+               if not name.startswith("_") and getattr(value, "__module__", None) == kernel.__name__}
+    assert defined == {"JumpRateSpec", "EvolutionOperators", "build_evolution_operators", "enaqt_step",
+                       "tunable_step", "Trajectory", "step_transfer_matrix", "propagate",
+                       "evolve_trajectory"}

@@ -71,7 +71,7 @@ def test_populations_stay_in_unit_interval(model, chi, amplitudes):
     assert np.max(np.abs(pops.sum(axis=1) - 1.0)) <= 1e-12
 
 
-KINDS = ("missing", "valid", "negative", "zero", "nan", "inf", "string")
+KINDS = ("missing", "valid", "negative", "zero", "nan", "inf", "huge", "string")
 # the kinds each bath field accepts, besides being missing
 ACCEPTED = {"lambda_cm1": ("valid", "zero"), "omega_c_cm1": ("valid",), "rates_per_fs": ("valid", "zero")}
 
@@ -82,7 +82,8 @@ def bath_value(valid, kind):
         return "x"
     if kind == "valid":
         return valid
-    number = {"negative": -1.0, "zero": 0.0, "nan": float("nan"), "inf": float("inf")}[kind]
+    # huge: a JSON integer past the float range
+    number = {"negative": -1.0, "zero": 0.0, "nan": float("nan"), "inf": float("inf"), "huge": 10**400}[kind]
     if not isinstance(valid, list):
         return number
     table = [list(row) for row in valid]
@@ -100,6 +101,10 @@ def model_dir(tmp_path_factory):
 @example({"lambda_cm1": "valid", "omega_c_cm1": "valid", "rates_per_fs": "missing"})
 @example({"lambda_cm1": "missing", "omega_c_cm1": "missing", "rates_per_fs": "valid"})
 @example({"lambda_cm1": "zero", "omega_c_cm1": "valid", "rates_per_fs": "zero"})
+# each field huge while the others are valid
+@example({"lambda_cm1": "huge", "omega_c_cm1": "valid", "rates_per_fs": "valid"})
+@example({"lambda_cm1": "valid", "omega_c_cm1": "huge", "rates_per_fs": "missing"})
+@example({"lambda_cm1": "missing", "omega_c_cm1": "missing", "rates_per_fs": "huge"})
 def test_bath_fields_load_or_fail_cleanly(model_dir, kinds):
     raw = json.loads(fmo.default_model_path().read_text())
     for field, kind in kinds.items():
