@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -41,7 +42,8 @@ from .linalg import HBAR_CM1_FS, frob_dist, successive_ratios
 
 BACKENDS = ("operator", "circuit", "lindblad-oracle")
 MAX_GATECOUNT_DIM = 64  # building a step circuit costs ~d^2 gates: 64 runs in a fraction of a second
-MAX_STEPS = 10_000_000  # a trajectory records 10 float64 columns per step at 7 sites: ~0.8 GB here
+MAX_STEPS = 10_000_000  # states one command holds: 10 float64 columns each at 7 sites, ~0.8 GB
+# (a sweep holds one trajectory per chi, so it counts len(chis) x steps)
 
 
 @dataclass
@@ -136,18 +138,21 @@ class _Runner:
         rho[site - 1, site - 1] = 1.0
         return self.basis.to_exciton(rho)
 
-    def trajectory(self, chi: float | None = None) -> kernel.Trajectory:
-        cfg = self.cfg
-        chi = cfg.chi if chi is None else chi
-        rho0 = self.initial_state()
-        if cfg.backend == "lindblad-oracle":
+    def transfer_matrix(self, chi: float) -> np.ndarray:
+        """The row-major step T of this run's backend at chi."""
+        dt = self.cfg.dt_fs
+        if self.cfg.backend == "lindblad-oracle":
             # chi scales the dissipator linearly, so the continuum counterpart of
             # the blended step is the master equation with rates chi * Gamma
-            model = lindblad.LindbladModel(self.h_exciton, chi * self.rates.gamma / cfg.dt_fs)
-            return lindblad.rk4_integrate(rho0, model, cfg.dt_fs, cfg.steps, self.observers)
+            model = lindblad.LindbladModel(self.h_exciton, chi * self.rates.gamma / dt)
+            return lindblad.rk4_transfer_matrix(model, dt)
         ops = kernel.build_evolution_operators(self.rates, self.unitary)
-        t = kernel.step_transfer_matrix(ops, chi, self.circuit_t)
-        return kernel.propagate(t, rho0, cfg.dt_fs, cfg.steps, self.observers)
+        return kernel.step_transfer_matrix(ops, chi, self.circuit_t)
+
+    def trajectory(self) -> kernel.Trajectory:
+        cfg = self.cfg
+        return kernel.propagate(self.transfer_matrix(cfg.chi), self.initial_state(), cfg.dt_fs,
+                                cfg.steps, self.observers)
 
 
 def _trajectory_csv(run, traj: kernel.Trajectory, n_sites: int):
@@ -193,16 +198,24 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep_chi(args) -> int:
     cfg = _run_config(args)
-    runner = _Runner(cfg)
     chis = _parse_floats(args.chis)
+    if not chis:
+        raise ConfigError("--chis needs at least one value")
     for c in chis:
         if not 0.0 <= c <= 1.0:
             raise ConfigError(f"chi values must lie in [0, 1], got {c}")
+    if len(chis) * cfg.steps > MAX_STEPS:
+        raise ConfigError(f"a sweep holds every chi's trajectory at once: {len(chis)} chi values "
+                          f"x {cfg.steps} steps exceeds {MAX_STEPS}")
+    runner = _Runner(cfg)
+    # every chi in one batch; efficiencies print no min_eig, so positivity is certified
+    batch = kernel.propagate(np.stack([runner.transfer_matrix(c) for c in chis]),
+                             runner.initial_state(), cfg.dt_fs, cfg.steps, runner.observers,
+                             record_min_eig=False)
     lines = _config_lines(args, {"command": "sweep-chi", "chis": chis})
     lines.append("chi,efficiency")
-    for c in chis:
-        traj = runner.trajectory(chi=c)
-        eff = fmo.transfer_efficiency(traj, runner.model.sink_sites)
+    for b, c in enumerate(chis):
+        eff = fmo.transfer_efficiency(batch.member(b), runner.model.sink_sites)
         lines.append(f"{_fmt(c)},{_fmt(eff)}")
     _emit(lines, args.out)
     return 0
@@ -299,6 +312,7 @@ def _add_run_options(p, omit=()):
             p.add_argument(flag, default=getattr(RunConfig, kwargs["dest"], None), **kwargs)
 
 
+@functools.cache  # one parser per process: it holds no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="enaqt", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"enaqt {__version__}")
@@ -306,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one trajectory, emit CSV")
     _add_run_options(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="RK4 reference run plus convergence table")
     _add_run_options(p, omit=("--chi", "--backend"))
@@ -314,22 +327,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-final", type=float, default=2000.0, dest="t_final")
     p.add_argument("--convergence-out", default=None, dest="convergence_out")
     # its trajectory file is the simulate run of this backend
-    p.set_defaults(func=cmd_oracle, backend="lindblad-oracle")
+    p.set_defaults(backend="lindblad-oracle")
 
     p = sub.add_parser("sweep-chi", help="efficiency vs chi")
     _add_run_options(p, omit=("--chi",))
     p.add_argument("--chis", default="0.0,0.06,0.5,1.0")
-    p.set_defaults(func=cmd_sweep_chi)
 
     p = sub.add_parser("gatecount", help="circuit complexity per step")
     p.add_argument("--dims", default="2,3,4,5,6,7,8")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gatecount)
 
     p = sub.add_parser("circuit-verify", help="channel equivalence certificates")
     _add_run_options(p, omit=("--initial-site", "--steps", "--chi", "--backend"))
     p.add_argument("--scalings", default="1.0,0.5,0.25")
-    p.set_defaults(func=cmd_circuit_verify)
     return parser
 
 
@@ -343,7 +353,8 @@ def main(argv=None) -> int:
     formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up by name per call: the memoized parser outlives any rebinding of a handler
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except NumericalError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 2

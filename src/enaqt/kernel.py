@@ -155,13 +155,20 @@ class Trajectory:
     """Recorded evolution: times in fs, one population row per step.
 
     populations[k, i] is the expectation of observer projector i at step k;
-    trace and min_eig track the state's numerical health.
+    trace and min_eig track the state's numerical health. A batch of B
+    members carries a leading member axis on every field but times, and
+    min_eig is None when positivity was certified without recording it.
     """
 
     times: np.ndarray
     populations: np.ndarray
     trace: np.ndarray
-    min_eig: np.ndarray
+    min_eig: np.ndarray | None
+
+    def member(self, b: int) -> Trajectory:
+        """Member b of a batched trajectory."""
+        return Trajectory(self.times, self.populations[b], self.trace[b],
+                          None if self.min_eig is None else self.min_eig[b])
 
 
 def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray | None = None) -> np.ndarray:
@@ -183,64 +190,106 @@ def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray |
     return (1.0 - chi) * coh + chi * full
 
 
-CHUNK = 128  # rows stepped and checked per batch in propagate
+CHUNK = 128  # states stepped and checked per batch in propagate, over all members
 STATE_TOL = 1e-6  # largest negative eigenvalue and hermiticity defect a stepped state may show
 
 
 def propagate(
     t: np.ndarray, rho0: np.ndarray, dt: float, steps: int, observers: np.ndarray,
+    record_min_eig: bool = True,
 ) -> Trajectory:
     """Iterate vec(rho) <- t @ vec(rho), recording projector populations per step.
 
-    t is a row-major d^2 x d^2 transfer matrix, observers an (n_obs, d, d) stack
-    of hermitian projectors; populations are Re tr(P_i rho_k). States are
-    stepped and checked CHUNK rows at a time, never held as the whole
-    (steps+1, d^2) stack. Raises StateInvalidError at the first step whose
-    state loses hermiticity or positivity beyond STATE_TOL (a symptom of
-    gamma/dt misconfiguration, or of a step map that is not positive).
+    t is a row-major d^2 x d^2 transfer matrix, or a (B, d^2, d^2) stack of them
+    stepped together from the one rho0 with one matmul per step; the trajectory
+    then has a leading member axis (see Trajectory.member). observers is an
+    (n_obs, d, d) stack of hermitian projectors; populations are Re tr(P_i rho_k).
+    States are stepped and checked CHUNK at a time, max(1, CHUNK // B) steps of
+    B members, never held as the whole run.
+
+    Every state is checked for hermiticity and positivity to STATE_TOL. With
+    record_min_eig, eigvalsh records its smallest eigenvalue; without it,
+    min_eig is None and each chunk is certified by one batched Cholesky of
+    rho_h + STATE_TOL 1 (rho_h the hermitized state), which succeeds only if
+    every min_eig(rho_h) > -STATE_TOL, to rounding. A chunk the Cholesky rejects goes to
+    eigvalsh, whose criterion min_eig < -STATE_TOL decides, so a state at
+    exactly -STATE_TOL passes either way. Raises StateInvalidError at the
+    first step (and member) whose state fails a check: a symptom of gamma/dt
+    misconfiguration, or of a step map that is not positive.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     t = np.asarray(t, dtype=complex)
-    v = np.asarray(rho0, dtype=complex).reshape(-1)
+    stack = t if t.ndim == 3 else t[None]
     obs = np.asarray(observers, dtype=complex)
-    d = math.isqrt(t.shape[0])
-    if t.shape != (d * d, d * d) or np.shape(rho0) != (d, d) or obs.shape[1:] != (d, d):
+    members, d = len(stack), math.isqrt(stack.shape[-1])
+    if (stack.ndim != 3 or not members or stack.shape[1:] != (d * d, d * d) or np.shape(rho0) != (d, d)
+            or obs.shape[1:] != (d, d)):
         raise DimensionMismatchError(f"state {np.shape(rho0)} and observers {obs.shape} "
                                      f"do not match the transfer matrix {t.shape}")
 
     # tr(P rho) = vec(P^T) . vec(rho)
     obs_cols = obs.transpose(0, 2, 1).reshape(len(obs), d * d).T
     times = np.arange(steps + 1) * dt
-    populations = np.empty((steps + 1, len(obs)))
-    trace = np.empty(steps + 1)
-    min_eig = np.empty(steps + 1)
-    rows_held = min(CHUNK, steps + 1)
-    buf = np.empty((rows_held, d * d), dtype=complex)
-    work, mag = np.empty((rows_held, d, d), dtype=complex), np.empty((rows_held, d, d))  # check buffers
-    buf[0] = v
-    for start in range(0, steps + 1, CHUNK):
-        n = min(CHUNK, steps + 1 - start)
-        for i in range(1 if start == 0 else 0, n):
-            v = np.dot(t, v, out=buf[i])
-        rows, mats = slice(start, start + n), buf[:n].reshape(n, d, d)
-        populations[rows] = (buf[:n] @ obs_cols).real
-        trace[rows] = buf[:n, :: d + 1].sum(axis=1).real
-        scr = np.conjugate(mats.transpose(0, 2, 1), out=work[:n])  # the adjoints
-        np.multiply(np.add(scr, mats, out=scr), 0.5, out=scr)
-        min_eig[rows] = np.linalg.eigvalsh(scr).min(axis=1)
-        np.subtract(mats, np.conjugate(mats.transpose(0, 2, 1), out=scr), out=scr)
-        herm = np.abs(scr, out=mag[:n]).max(axis=(1, 2))
-        bad = np.flatnonzero((min_eig[rows] < -STATE_TOL) | (herm > STATE_TOL))
+    populations = np.empty((members, steps + 1, len(obs)))
+    trace = np.empty((members, steps + 1))
+    min_eig = np.empty((members, steps + 1)) if record_min_eig else None
+    per_chunk = max(1, CHUNK // members)  # steps per chunk
+    held = min(per_chunk, steps + 1)
+    buf = np.empty((held, members, d * d), dtype=complex)  # buf[i, m]: member m at step i
+    work = np.empty((2, held * members, d, d), dtype=complex)  # check buffers: adjoints, rho_h
+    mag = np.empty((held * members, d, d))
+    buf[0] = np.asarray(rho0, dtype=complex).reshape(-1)
+    columns = list(buf[..., None])  # the (B, d^2, 1) operands of each step's matmul
+    prev = columns[0]
+    for start in range(0, steps + 1, per_chunk):
+        n = min(per_chunk, steps + 1 - start)
+        for col in columns[1 if start == 0 else 0:n]:
+            prev = np.matmul(stack, prev, col)  # out=col, passed positionally: cheaper per call
+        rows, flat = slice(start, start + n), buf[:n].reshape(n * members, d * d)
+        populations[:, rows] = (flat @ obs_cols).real.reshape(n, members, -1).transpose(1, 0, 2)
+        trace[:, rows] = flat[:, :: d + 1].sum(axis=1).real.reshape(n, members).T
+        mats = flat.reshape(-1, d, d)
+        adj = np.conjugate(mats.transpose(0, 2, 1), out=work[0, :len(mats)])
+        rho_h = work[1, :len(mats)]
+        herm = np.abs(np.subtract(mats, adj, out=rho_h), out=mag[:len(mats)]).max(axis=(1, 2))
+        if not record_min_eig and herm.max() <= STATE_TOL and _certified(mats, adj, rho_h):
+            continue
+        eig = np.linalg.eigvalsh(_hermitized(mats, adj, rho_h)).min(axis=1)
+        if record_min_eig:
+            min_eig[:, rows] = eig.reshape(n, members).T
+        bad = np.flatnonzero((eig < -STATE_TOL) | (herm > STATE_TOL))
         if bad.size:
-            k = start + bad[0]
+            k, m = divmod(int(bad[0]), members)
+            where = f"step {start + k}" if t.ndim == 2 else f"step {start + k} of member {m}"
             raise StateInvalidError(
-                f"state invalid at step {k}: min eigenvalue {min_eig[k]:.3e}, "
+                f"state invalid at {where}: min eigenvalue {eig[bad[0]]:.3e}, "
                 f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {STATE_TOL:.1e})"
             )
-    return Trajectory(times=times, populations=populations, trace=trace, min_eig=min_eig)
+    batch = Trajectory(times, populations, trace, min_eig)
+    return batch if t.ndim == 3 else batch.member(0)
+
+
+def _hermitized(mats: np.ndarray, adj: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(mats + adj) / 2 into out: the hermitian parts of a stack, given its adjoints."""
+    return np.multiply(np.add(adj, mats, out=out), 0.5, out=out)
+
+
+def _certified(mats: np.ndarray, adj: np.ndarray, out: np.ndarray) -> bool:
+    """Whether every hermitized state has min eigenvalue > -STATE_TOL, by one Cholesky.
+
+    rho_h + STATE_TOL 1 (built in out) has a Cholesky factor only when it is
+    positive definite; a state at the boundary meets a zero pivot.
+    """
+    shifted = _hermitized(mats, adj, out)
+    shifted.reshape(len(shifted), -1)[:, :: shifted.shape[-1] + 1] += STATE_TOL
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def evolve_trajectory(

@@ -17,7 +17,7 @@ to stay structurally independent of the discrete kernel it cross-checks). For
 the linear master equation one RK4 step of size h is exactly
 T = 1 + hL (1 + hL/2 (1 + hL/3 (1 + hL/4))), with the Liouvillian matrix L
 built by one lindblad_rhs call on the stack of d^2 basis elements.
-rk4_integrate steps T by matvec; convergence_report needs only final states,
+rk4_integrate steps T through kernel.propagate; convergence_report needs only final states,
 so it raises T and the kernel's transfer matrix to their step counts by squaring.
 """
 
@@ -92,11 +92,14 @@ def rk4_integrate(
     the fixed step starts losing its accuracy budget; this SVD-free bound on ||dt L||_2
     bounds ||rhs|| * dt for every state of Frobenius norm <= 1.
     """
-    return kernel.propagate(_rk4_transfer_matrix(model, dt), rho0, dt, steps, observers)
+    return kernel.propagate(rk4_transfer_matrix(model, dt), rho0, dt, steps, observers)
 
 
-def _rk4_transfer_matrix(model: LindbladModel, dt: float) -> np.ndarray:
-    """The RK4 polynomial T of the module docstring; warns if dt is coarse (see rk4_integrate)."""
+def rk4_transfer_matrix(model: LindbladModel, dt: float) -> np.ndarray:
+    """The RK4 polynomial T of the module docstring.
+
+    Warns if dt is coarse (see rk4_integrate), at the line that called its caller.
+    """
     d = model.dim
     basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     hl = dt * lindblad_rhs(basis, model).reshape(d * d, d * d).T
@@ -130,7 +133,7 @@ def convergence_report(model: LindbladModel, rho0: np.ndarray, t_final: float, d
     if rho0.shape != model.hamiltonian.shape:
         raise DimensionMismatchError(f"state shape {rho0.shape} does not match dim {model.dim}")
     oracle_steps = int(round(t_final / (min(dt_list) / 10.0)))
-    ref = _final_state(_rk4_transfer_matrix(model, t_final / oracle_steps), rho0, oracle_steps)
+    ref = _final_state(rk4_transfer_matrix(model, t_final / oracle_steps), rho0, oracle_steps)
     ref = 0.5 * (ref + ref.conj().T)
 
     rows = []

@@ -282,7 +282,7 @@ class TestSweepChi:
         run_cli(["simulate", "--config", default_config, "--out", str(sim_out)])
         _, sim_header, sim_rows = read_rows(sim_out)
         sink = sim_rows[-1, sim_header.index("site3")] + sim_rows[-1, sim_header.index("site4")]
-        assert eff[1.0] == pytest.approx(sink, abs=1e-12)
+        assert eff[1.0] == sink
 
         # chi = 0 equals the coherent-only value; jumps help transport
         assert eff[1.0] > eff[0.06]
@@ -303,6 +303,34 @@ class TestSweepChi:
             _, header, sim = read_rows(sim_out)
             assert eff == sim[-1, header.index("site3")] + sim[-1, header.index("site4")]
         assert rows[0, 1] < rows[1, 1] < rows[2, 1]
+
+    @pytest.mark.parametrize("backend", cli.BACKENDS)
+    def test_batch_members_match_single_runs(self, default_config, backend):
+        # bit for bit, certified or recorded; no single run has a one-row chunk at
+        # 300 steps (numpy takes another BLAS route for a one-row product)
+        runner = cli._Runner(cli.RunConfig(model=default_config, dt_fs=1.0, steps=300, backend=backend))
+        chis = (0.0, 0.06, 0.5, 1.0)
+        stack = np.stack([runner.transfer_matrix(c) for c in chis])
+        run = (runner.initial_state(), 1.0, 300, runner.observers)
+        certified, recorded = (kernel.propagate(stack, *run, record_min_eig=r) for r in (False, True))
+        assert certified.min_eig is None
+        for b, c in enumerate(chis):
+            single = kernel.propagate(runner.transfer_matrix(c), *run)
+            for batch in (certified.member(b), recorded.member(b)):
+                assert np.array_equal(batch.populations, single.populations)
+                assert np.array_equal(batch.trace, single.trace)
+            assert np.array_equal(recorded.member(b).min_eig, single.min_eig)
+
+    def test_oracle_backend_names_the_failing_member(self, default_config, tmp_path, capsys):
+        # RK4 with no dissipator loses positivity at step 1 at 10 fs (see TestSimulate)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            code = run_cli(["sweep-chi", "--config", default_config, "--backend", "lindblad-oracle",
+                            "--chis", "0", "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("numerical invariant violated: state invalid at "
+                                                   "step 1 of member 0: ")
 
     def test_circuit_backend_builds_its_step_once(self, default_config, tmp_path, monkeypatch):
         calls, build = [], circuit.circuit_transfer_matrix
@@ -480,6 +508,9 @@ ARG_CASES = {
     "sweep-chi-explicit-rates": ["sweep-chi", "--explicit-rates"],
     "verify-explicit-rates": ["circuit-verify", "--explicit-rates"],
     "steps-above-max": ["simulate", "--steps", str(cli.MAX_STEPS + 1)],
+    # a sweep holds every chi's trajectory at once
+    "sweep-above-max": ["sweep-chi", "--chis", "0,1", "--steps", str(cli.MAX_STEPS // 2 + 1)],
+    "sweep-no-chi": ["sweep-chi", "--chis", ","],
 }
 TAKES_STEPS = ("simulate", "oracle", "sweep-chi")
 
@@ -547,6 +578,18 @@ class TestExitCodes:
         assert EXIT_2 <= {c.__name__ for c in ERROR_CLASSES}
         assert not [name for name, value in vars(cli).items() if isinstance(value, tuple)
                     and any(isinstance(c, type) and issubclass(c, Exception) for c in value)]
+
+
+def test_parser_is_shared_across_calls(default_config, tmp_path, capsys):
+    # a call that fails to parse leaves nothing behind for the next one
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli(["simulate", "--config", default_config, "--steps", "7", "--bogus"]) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: --bogus")
+    out = tmp_path / "t.csv"
+    assert run_cli(["simulate", "--config", default_config, "--out", str(out)]) == 0
+    meta, _, rows = read_rows(out)
+    assert len(rows) == cli.RunConfig.steps + 1
+    assert '"steps":400' in meta[1]
 
 
 def test_package_exports_only_its_version():

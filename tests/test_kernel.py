@@ -399,14 +399,19 @@ class TestPropagate:
             assert abs(traj.min_eig[k] - np.linalg.eigvalsh(herm).min()) <= 1e-12
         assert traj.times[-1] == pytest.approx(steps * dt)
 
+    @staticmethod
+    def _leaking(a):
+        """Not completely positive: each step moves a times the trace from |1><1| to |0><0|."""
+        t = np.eye(4, dtype=complex)
+        t[0, [0, 3]] += a
+        t[3, [0, 3]] -= a
+        return t
+
     def test_names_first_invalid_step_in_second_chunk(self):
         # not completely positive: each step moves 1/300 of the trace from
         # |1><1| to |0><0|, so from diag(0.5, 0.5) the |1> population reaches
         # 0 at step 150 and is negative from step 151, inside the second chunk
-        a = 1.0 / 300.0
-        t = np.eye(4, dtype=complex)
-        t[0, [0, 3]] += a
-        t[3, [0, 3]] -= a
+        t = self._leaking(1.0 / 300.0)
         first_bad = 151
         assert kernel.CHUNK <= first_bad < 2 * kernel.CHUNK
         rho = np.diag([0.5, 0.5]).astype(complex)
@@ -416,9 +421,69 @@ class TestPropagate:
         traj = kernel.propagate(t, rho, 1.0, first_bad - 1, self._observers(2))
         assert traj.min_eig[-1] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("record", [True, False])
+    def test_names_first_invalid_step_and_member_in_second_chunk(self, record):
+        # from diag(0.5, 0.5) the leaking member's |1> population reaches 0 at
+        # step 50 and is negative from step 51; three members step CHUNK // 3
+        # steps per chunk, so that is inside the second chunk
+        per_chunk, first_bad = kernel.CHUNK // 3, 51
+        assert per_chunk <= first_bad < 2 * per_chunk
+        stack = np.stack([np.eye(4), self._leaking(0.01), np.eye(4)]).astype(complex)
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        message = rf"at step {first_bad} of member 1: min eigenvalue -1\.0"
+        with pytest.raises(StateInvalidError, match=message):
+            kernel.propagate(stack, rho, 1.0, 3 * per_chunk, self._observers(2), record_min_eig=record)
+        batch = kernel.propagate(stack, rho, 1.0, first_bad - 1, self._observers(2), record_min_eig=record)
+        assert batch.populations.shape == (3, first_bad, 2)
+        assert (batch.min_eig is None) != record
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_positivity_boundary_is_eigvalsh_criterion(self, record, monkeypatch):
+        # min_eig exactly -STATE_TOL passes and -2 STATE_TOL fails, with or without
+        # recording; the Cholesky of rho_h + STATE_TOL 1 meets a zero pivot at the
+        # boundary, and only then does eigvalsh run on the chunk
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        tol, t, obs = kernel.STATE_TOL, np.eye(4, dtype=complex), self._observers(2)
+        for depth, eigvalsh_runs in ((0.0, 0), (tol, 1)):
+            calls.clear()
+            rho = np.diag([1.0 + depth, -depth]).astype(complex)
+            traj = kernel.propagate(t, rho, 1.0, 5, obs, record_min_eig=record)
+            assert len(calls) == (1 if record else eigvalsh_runs)
+            if record:
+                assert traj.min_eig.min() == -depth
+        with pytest.raises(StateInvalidError, match=r"at step 0: min eigenvalue -2\.000e-06"):
+            kernel.propagate(t, np.diag([1.0 + 2 * tol, -2 * tol]).astype(complex), 1.0, 5, obs,
+                             record_min_eig=record)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_certified_run_checks_hermiticity(self, record):
+        # a state that fails only the hermiticity check is caught without a failing Cholesky
+        rho = np.array([[0.5, 1e-5], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(StateInvalidError, match=r"at step 0: .* hermiticity defect 1\.000e-05"):
+            kernel.propagate(np.eye(4, dtype=complex), rho, 1.0, 2, self._observers(2),
+                             record_min_eig=record)
+
+    def test_member_of_one_is_the_single_run(self, rng):
+        ops = self._shipped_like(rng)
+        t, rho, obs = kernel.step_transfer_matrix(ops, 0.5), random_density(4, rng), self._observers(4)
+        single = kernel.propagate(t, rho, 10.0, 300, obs)
+        member = kernel.propagate(t[None], rho, 10.0, 300, obs).member(0)
+        for field in ("times", "populations", "trace", "min_eig"):
+            assert np.array_equal(getattr(member, field), getattr(single, field))
+
     def test_rejects_mismatched_shapes(self, rng):
         ops = self._shipped_like(rng, 3)
         t = kernel.step_transfer_matrix(ops, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            kernel.propagate(np.empty((0, 9, 9)), np.eye(3) / 3, 1.0, 1, self._observers(3))
+        with pytest.raises(DimensionMismatchError):
+            kernel.propagate(t[None, None], np.eye(3) / 3, 1.0, 1, self._observers(3))
         with pytest.raises(DimensionMismatchError):
             kernel.propagate(t, np.eye(2), 1.0, 1, self._observers(3))
         with pytest.raises(DimensionMismatchError):

@@ -134,7 +134,7 @@ def stage_by_stage_rk4(rho, model, dt, steps):
 
 
 def rk4_final_state(rho, model, dt, steps):
-    return lindblad._final_state(lindblad._rk4_transfer_matrix(model, dt), rho, steps)
+    return lindblad._final_state(lindblad.rk4_transfer_matrix(model, dt), rho, steps)
 
 
 def shipped_exciton_model(dt):
@@ -234,7 +234,7 @@ class TestFinalState:
     def test_powered_matches_matvec_loop(self, which):
         model = shipped_exciton_model(5.0)
         if which == "rk4":
-            t = lindblad._rk4_transfer_matrix(model, 0.5)
+            t = lindblad.rk4_transfer_matrix(model, 0.5)
         else:
             u = linalg.evolution_unitary(model.hamiltonian, 5.0)
             rates = kernel.JumpRateSpec(model.rates_per_fs * 5.0)
