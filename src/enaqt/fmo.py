@@ -90,7 +90,7 @@ class ExcitonBasis:
     def site_projectors(self) -> np.ndarray:
         """Stack of projectors |m><m| rotated into the exciton basis."""
         d = self.transform
-        return np.stack([np.outer(d[m, :].conj(), d[m, :]) for m in range(self.dim)])
+        return d.conj()[:, :, None] * d[:, None, :]
 
 
 def site_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:

@@ -178,11 +178,12 @@ def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray |
     [0, 1], and chi = 0 and chi = 1 return the unblended ends.
     """
     _check_chi(chi)
-    coh = np.kron(ops.unitary, ops.unitary.conj())
+    u, dd = ops.unitary, ops.dim * ops.dim
+    coh = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(dd, dd)  # U (x) conj(U)
     if chi == 0.0:
         return coh
     if full is None:
-        full = np.kron(ops.survival, ops.survival)[:, None] * coh
+        full = np.outer(ops.survival, ops.survival).ravel()[:, None] * coh
         pops = np.arange(ops.dim) * (ops.dim + 1)  # vec indices of the diagonal
         full[np.ix_(pops, pops)] += ops.rates.gamma.T
     if chi == 1.0:
@@ -190,7 +191,8 @@ def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray |
     return (1.0 - chi) * coh + chi * full
 
 
-CHUNK = 128  # states stepped and checked per batch in propagate, over all members
+CHUNK = 128  # about this many states are stepped and checked per batch in propagate, over all members
+LANES = 16  # consecutive states of one member that one product with T^LANES moves on; a power of two
 STATE_TOL = 1e-6  # largest negative eigenvalue and hermiticity defect a stepped state may show
 
 
@@ -201,11 +203,20 @@ def propagate(
     """Iterate vec(rho) <- t @ vec(rho), recording projector populations per step.
 
     t is a row-major d^2 x d^2 transfer matrix, or a (B, d^2, d^2) stack of them
-    stepped together from the one rho0 with one matmul per step; the trajectory
-    then has a leading member axis (see Trajectory.member). observers is an
-    (n_obs, d, d) stack of hermitian projectors; populations are Re tr(P_i rho_k).
-    States are stepped and checked CHUNK at a time, max(1, CHUNK // B) steps of
-    B members, never held as the whole run.
+    stepped together from the one rho0; the trajectory then has a leading member
+    axis (see Trajectory.member). observers is an (n_obs, d, d) stack of hermitian
+    projectors; populations are Re tr(P_i rho_k).
+
+    The states advance in lanes: a block holds LANES consecutive states of every
+    member, as rows. T^LANES is built once per call by repeated squaring, and a
+    warm-up fills the first block on the way: before T^w is squared, it carries
+    states 0 .. w-1 to states w .. 2w-1. After that, one batched product with
+    T^LANES moves a whole block LANES steps on, so step k is T^LANES applied
+    floor(k / LANES) times to warm-up state k mod LANES. A chunk of about CHUNK
+    states is a whole number of blocks (at least one); the states are stepped
+    and checked one chunk at a time, never held as the whole run. The population
+    and trace products always run over whole blocks, so a state's bits do not
+    depend on the length of the run; only the states up to `steps` are checked.
 
     Every state is checked for hermiticity and positivity to STATE_TOL. With
     record_min_eig, eigvalsh records its smallest eigenvalue; without it,
@@ -230,28 +241,31 @@ def propagate(
         raise DimensionMismatchError(f"state {np.shape(rho0)} and observers {obs.shape} "
                                      f"do not match the transfer matrix {t.shape}")
 
-    # tr(P rho) = vec(P^T) . vec(rho)
-    obs_cols = obs.transpose(0, 2, 1).reshape(len(obs), d * d).T
+    # tr(P rho) = vec(P^T) . vec(rho), and tr(rho) = vec(1) . vec(rho) in the last column
+    cols = np.concatenate([obs.transpose(0, 2, 1).reshape(len(obs), d * d), np.eye(d).reshape(1, -1)]).T
     times = np.arange(steps + 1) * dt
     populations = np.empty((members, steps + 1, len(obs)))
     trace = np.empty((members, steps + 1))
     min_eig = np.empty((members, steps + 1)) if record_min_eig else None
-    per_chunk = max(1, CHUNK // members)  # steps per chunk
-    held = min(per_chunk, steps + 1)
-    buf = np.empty((held, members, d * d), dtype=complex)  # buf[i, m]: member m at step i
+    per_chunk = LANES * max(1, CHUNK // (LANES * members))  # steps per chunk
+    held = min(per_chunk, -(-(steps + 1) // LANES) * LANES)  # steps a chunk buffer holds
+    # buf[1 + j, l, m]: member m at step j * LANES + l of the chunk; buf[0] carries
+    # the previous chunk's last block
+    buf = np.empty((1 + held // LANES, LANES, members, d * d), dtype=complex)
     work = np.empty((2, held * members, d, d), dtype=complex)  # check buffers: adjoints, rho_h
     mag = np.empty((held * members, d, d))
-    buf[0] = np.asarray(rho0, dtype=complex).reshape(-1)
-    columns = list(buf[..., None])  # the (B, d^2, 1) operands of each step's matmul
-    prev = columns[0]
+    blocks = list(buf.transpose(0, 2, 1, 3))  # (B, LANES, d^2) operands of the lane products
+    power = _warm_up(stack.transpose(0, 2, 1), np.asarray(rho0, dtype=complex).reshape(-1), blocks[1])
     for start in range(0, steps + 1, per_chunk):
         n = min(per_chunk, steps + 1 - start)
-        for col in columns[1 if start == 0 else 0:n]:
-            prev = np.matmul(stack, prev, col)  # out=col, passed positionally: cheaper per call
-        rows, flat = slice(start, start + n), buf[:n].reshape(n * members, d * d)
-        populations[:, rows] = (flat @ obs_cols).real.reshape(n, members, -1).transpose(1, 0, 2)
-        trace[:, rows] = flat[:, :: d + 1].sum(axis=1).real.reshape(n, members).T
-        mats = flat.reshape(-1, d, d)
+        filled = -(-n // LANES)
+        for j in range(1 if start == 0 else 0, filled):
+            np.matmul(blocks[j], power, blocks[j + 1])  # out=, passed positionally: cheaper per call
+        rows, flat = slice(start, start + n), buf[1:1 + filled].reshape(-1, d * d)
+        values = (flat @ cols).real[:n * members].reshape(n, members, -1).transpose(1, 0, 2)
+        populations[:, rows], trace[:, rows] = values[..., :-1], values[..., -1]
+        buf[0] = buf[filled]
+        mats = flat[:n * members].reshape(-1, d, d)
         adj = np.conjugate(mats.transpose(0, 2, 1), out=work[0, :len(mats)])
         rho_h = work[1, :len(mats)]
         herm = np.abs(np.subtract(mats, adj, out=rho_h), out=mag[:len(mats)]).max(axis=(1, 2))
@@ -270,6 +284,25 @@ def propagate(
             )
     batch = Trajectory(times, populations, trace, min_eig)
     return batch if t.ndim == 3 else batch.member(0)
+
+
+def _warm_up(rows_t: np.ndarray, vec0: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Fill the first lane block from vec0 and return (T^T)^LANES, stepping as rows @ T^T.
+
+    Each squaring of a member's power ladder T, T^2, T^4, ... first carries its
+    filled lanes forward: lanes [w, 2w) are lanes [0, w) times (T^T)^w. A member's
+    squarings alternate between its slot of the result and one scratch matrix,
+    ending in the slot.
+    """
+    first[:, 0] = vec0
+    power, scratch = np.empty(rows_t.shape, dtype=complex), np.empty(rows_t.shape[1:], dtype=complex)
+    squarings = LANES.bit_length() - 1
+    for lanes, p, slot in zip(first, rows_t, power):
+        for i in range(squarings):
+            width = 1 << i
+            np.matmul(lanes[:width], p, lanes[width:2 * width])
+            p = np.matmul(p, p, (slot, scratch)[(squarings - 1 - i) % 2])
+    return power
 
 
 def _hermitized(mats: np.ndarray, adj: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -225,6 +225,13 @@ class TestSitePopulations:
         d = basis.transform
         assert via_proj == pytest.approx(np.diag(d @ rho @ d.conj().T).real, abs=1e-13)
 
+    def test_projectors_equal_outer_product_stack(self, shipped):
+        # the broadcast product gives the bits of one np.outer per site
+        _, _, basis = shipped
+        d = basis.transform
+        expected = np.stack([np.outer(d[m].conj(), d[m]) for m in range(basis.dim)])
+        assert np.array_equal(basis.site_projectors(), expected)
+
     def test_conserved_along_trajectory(self, shipped):
         from enaqt import kernel, linalg
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from enaqt import circuit, kernel, linalg
+from enaqt import circuit, cli, fmo, kernel, linalg
 from enaqt.errors import (
     DimensionMismatchError,
     ProbabilityOutOfRangeError,
@@ -380,6 +380,17 @@ class TestPropagate:
         assert np.array_equal(kernel.step_transfer_matrix(ops, chi, full=t_circuit), expected)
         assert not np.array_equal(t_circuit, kernel.step_transfer_matrix(ops, 1.0))
 
+    @pytest.mark.parametrize("chi", [0.06, 0.5, 1.0])
+    def test_transfer_matrix_equals_kron_form(self, rng, chi):
+        # the broadcast products give the bits of the np.kron closed form (chi = 0: above)
+        ops = self._shipped_like(rng, 7)
+        coh = np.kron(ops.unitary, ops.unitary.conj())
+        full = np.kron(ops.survival, ops.survival)[:, None] * coh
+        pops = np.arange(ops.dim) * (ops.dim + 1)
+        full[np.ix_(pops, pops)] += ops.rates.gamma.T
+        expected = {0.0: coh, 1.0: full}.get(chi, (1.0 - chi) * coh + chi * full)
+        assert np.array_equal(kernel.step_transfer_matrix(ops, chi), expected)
+
     def test_matches_manual_tunable_step_loop(self, rng):
         d = 4
         ops = self._shipped_like(rng, d)
@@ -424,9 +435,9 @@ class TestPropagate:
     @pytest.mark.parametrize("record", [True, False])
     def test_names_first_invalid_step_and_member_in_second_chunk(self, record):
         # from diag(0.5, 0.5) the leaking member's |1> population reaches 0 at
-        # step 50 and is negative from step 51; three members step CHUNK // 3
-        # steps per chunk, so that is inside the second chunk
-        per_chunk, first_bad = kernel.CHUNK // 3, 51
+        # step 50 and is negative from step 51; three members step a whole number
+        # of lane blocks, about CHUNK // 3 steps, per chunk, so that is inside the second chunk
+        per_chunk, first_bad = self._per_chunk(3), 51
         assert per_chunk <= first_bad < 2 * per_chunk
         stack = np.stack([np.eye(4), self._leaking(0.01), np.eye(4)]).astype(complex)
         rho = np.diag([0.5, 0.5]).astype(complex)
@@ -476,6 +487,101 @@ class TestPropagate:
         member = kernel.propagate(t[None], rho, 10.0, 300, obs).member(0)
         for field in ("times", "populations", "trace", "min_eig"):
             assert np.array_equal(getattr(member, field), getattr(single, field))
+
+    @staticmethod
+    def _per_chunk(members):
+        return kernel.LANES * max(1, kernel.CHUNK // (kernel.LANES * members))
+
+    @staticmethod
+    def _stepped(t, rho, steps, obs):
+        """Plain reference: one T @ v per step; populations, trace and min_eig of every state."""
+        d, v, rows = len(rho), rho.reshape(-1).astype(complex), []
+        for k in range(steps + 1):
+            if k:
+                v = t @ v
+            m = v.reshape(d, d)
+            rows.append([*np.einsum("oij,ji->o", obs, m).real, np.trace(m).real,
+                         np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()])
+        rows = np.array(rows)
+        return rows[:, :-2], rows[:, -2], rows[:, -1]
+
+    def _assert_matches_stepped(self, traj, t, rho, obs):
+        pops, trace, min_eig = self._stepped(t, rho, len(traj.times) - 1, obs)
+        assert np.max(np.abs(traj.populations - pops)) <= 1e-12
+        assert np.max(np.abs(traj.trace - trace)) <= 1e-12
+        assert np.max(np.abs(traj.min_eig - min_eig)) <= 1e-12
+
+    @pytest.mark.parametrize("members", [1, 3, 9])
+    def test_lanes_match_per_step_reference(self, rng, members):
+        # over three chunks and a partial fourth; nine members leave one lane block per chunk
+        ops, d = self._shipped_like(rng), 4
+        chis = np.linspace(0.0, 1.0, members)
+        stack = np.stack([kernel.step_transfer_matrix(ops, c) for c in chis])
+        rho, obs = random_density(d, rng), self._observers(d)
+        steps = 3 * self._per_chunk(members) + 5
+        batch = kernel.propagate(stack, rho, 10.0, steps, obs)
+        assert batch.populations.shape == (members, steps + 1, d)
+        for b in range(members):
+            self._assert_matches_stepped(batch.member(b), stack[b], rho, obs)
+
+    @pytest.mark.parametrize("steps", [0, 1, kernel.LANES - 1, kernel.LANES, kernel.LANES + 1,
+                                       kernel.CHUNK - 1, kernel.CHUNK, kernel.CHUNK + 1])
+    def test_lane_edge_step_counts(self, rng, steps):
+        ops, d = self._shipped_like(rng), 4
+        t, rho, obs = kernel.step_transfer_matrix(ops, 0.5), random_density(d, rng), self._observers(d)
+        traj = kernel.propagate(t, rho, 10.0, steps, obs)
+        assert traj.populations.shape == (steps + 1, d)
+        assert traj.times[-1] == pytest.approx(steps * 10.0)
+        self._assert_matches_stepped(traj, t, rho, obs)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("first_bad", [3 * kernel.LANES - 1, 3 * kernel.LANES])
+    def test_names_first_invalid_step_at_lane_boundary(self, members, first_bad, record):
+        # from diag(0.5, 0.5) the leaking member's |1> population is 0.5 - k a at
+        # step k, negative from first_bad: the last lane of a block, or the first
+        # lane of the next, which for three members opens the second chunk
+        a = 0.5 / (first_bad - 0.5)
+        stack = np.stack([self._leaking(a if b == members // 2 else 0.0) for b in range(members)])
+        t, rho, obs = (stack if members > 1 else stack[0]), np.diag([0.5, 0.5]).astype(complex), self._observers(2)
+        where = f"step {first_bad} of member {members // 2}" if members > 1 else f"step {first_bad}:"
+        with pytest.raises(StateInvalidError, match=where):
+            kernel.propagate(t, rho, 1.0, 3 * self._per_chunk(members), obs, record_min_eig=record)
+        # the bad state shares its lane block with the last checked one, and is not checked
+        traj = kernel.propagate(t, rho, 1.0, first_bad - 1, obs, record_min_eig=record)
+        assert traj.populations.shape[-2] == first_bad
+
+    @staticmethod
+    def _shipped_runner():
+        return cli._Runner(cli.RunConfig(model=str(fmo.default_model_path())))
+
+    def test_row_bits_do_not_depend_on_run_length(self):
+        # the population and trace products run over whole lane blocks, so no row
+        # is computed alone (numpy takes another BLAS route for a one-row product)
+        runner = self._shipped_runner()
+        stack = np.stack([runner.transfer_matrix(c) for c in (0.0, 0.06, 0.5, 1.0)])
+        run = (runner.initial_state(), 10.0)
+        for t, pick in ((stack[1], lambda traj: traj), (stack, lambda traj: traj.member(1))):
+            full = pick(kernel.propagate(t, *run, 300, runner.observers))
+            for k in (0, 1, 15, 16, 17, 127, 128, 129, 256):
+                short = pick(kernel.propagate(t, *run, k, runner.observers))
+                assert np.array_equal(short.populations[k], full.populations[k])
+                assert short.trace[k] == full.trace[k]
+                assert short.min_eig[k] == full.min_eig[k]
+
+    def test_long_run_keeps_trace_and_reference(self):
+        # 4e4 shipped steps at chi = 0.06: lanes stay within 1e-10 of one T @ v per step
+        runner, steps = self._shipped_runner(), 40_000
+        t, rho, obs = runner.transfer_matrix(0.06), runner.initial_state(), runner.observers
+        traj = kernel.propagate(t, rho, 10.0, steps, obs, record_min_eig=False)
+        assert np.max(np.abs(traj.trace - 1.0)) <= 1e-10
+        cols = obs.transpose(0, 2, 1).reshape(len(obs), -1).T
+        v, pops = rho.reshape(-1), np.empty((steps + 1, len(obs)))
+        for k in range(steps + 1):
+            if k:
+                v = t @ v
+            pops[k] = (v @ cols).real
+        assert np.max(np.abs(traj.populations - pops)) <= 1e-10
 
     def test_rejects_mismatched_shapes(self, rng):
         ops = self._shipped_like(rng, 3)
