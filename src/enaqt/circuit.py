@@ -24,10 +24,12 @@ agrees with it to first order in the jump probabilities.
 
 apply_circuit runs a stack of states through a plan compiled once per circuit
 (compile_circuit): each rotation or permutation acts on its two rows and columns,
-each reset on the few B2 = 1 entries that can be nonzero. A few stacks of the d^2
-basis elements give the step's row-major transfer matrix T (circuit_transfer_matrix);
-its Choi matrix is a reshuffle of T. sequential_kraus_step, the independent Kraus
-route, also runs on a stack, so the reference T takes one call.
+each reset on the few B2 = 1 entries that can be nonzero. One stack of the d(d+1)/2
+basis elements |a><b| with a <= b gives the step's row-major transfer matrix T
+(circuit_transfer_matrix, through hermitian_transfer_matrix): every gate and reset is
+a conjugation or a partial trace, so the output on |b><a| is the adjoint of the
+output on |a><b|. The Choi matrix is a reshuffle of T. sequential_kraus_step, the
+independent Kraus route, runs on the same stack, so the reference T takes one call.
 """
 
 from __future__ import annotations
@@ -136,11 +138,22 @@ class GateList:
         return len(self.gates)
 
 
-def _code_controls(layout: QubitLayout, code: int) -> tuple:
-    """Controls pinning the system register to a given code."""
-    n = layout.n_system
-    bits = [(code >> (n - 1 - b)) & 1 for b in range(n)]
-    return tuple((layout.system_wires[b], bits[b]) for b in range(n))
+def _code_controls(wires: tuple, code: int) -> tuple:
+    """Controls pinning the system register on `wires` (most significant bit first) to a given code."""
+    n = len(wires)
+    return tuple((w, (code >> (n - 1 - b)) & 1) for b, w in enumerate(wires))
+
+
+def _jump_gates(i: int, j: int, gamma: float, controls: tuple, wires: tuple, b2: int) -> list:
+    """Rotation and permutation of jump i -> j: `controls` pin B1 = 0 and the system to |i>,
+    `wires` are B1 then the system wires."""
+    if i == j:
+        raise IndexOutOfRangeError("jump needs distinct excitons")
+    if not np.isfinite(gamma) or gamma < 0.0 or gamma > 1.0:
+        raise ProbabilityOutOfRangeError(f"gamma must lie in [0, 1], got {gamma}")
+    theta = 2.0 * np.arcsin(np.sqrt(gamma))
+    return [Gate(kind=KIND_CRY, targets=(b2,), controls=controls, theta=theta, src=i, dst=j),
+            Gate(kind=KIND_CPERM, targets=wires, controls=((b2, 1),), src=i, dst=j)]
 
 
 def build_jump_circuit(i: int, j: int, gamma: float, layout: QubitLayout) -> GateList:
@@ -149,27 +162,11 @@ def build_jump_circuit(i: int, j: int, gamma: float, layout: QubitLayout) -> Gat
     Rotation angle theta = 2 arcsin(sqrt(gamma)), so the B2 excitation
     amplitude is sqrt(gamma).
     """
-    if i == j:
-        raise IndexOutOfRangeError("jump needs distinct excitons")
-    if not np.isfinite(gamma) or gamma < 0.0 or gamma > 1.0:
-        raise ProbabilityOutOfRangeError(f"gamma must lie in [0, 1], got {gamma}")
-    theta = 2.0 * np.arcsin(np.sqrt(gamma))
-    rot = Gate(
-        kind=KIND_CRY,
-        targets=(layout.b2_wire,),
-        controls=((layout.b1_wire, 0),) + _code_controls(layout, layout.code_of(i)),
-        theta=theta,
-        src=i,
-        dst=j,
-    )
-    perm = Gate(
-        kind=KIND_CPERM,
-        targets=(layout.b1_wire,) + layout.system_wires,
-        controls=((layout.b2_wire, 1),),
-        src=i,
-        dst=j,
-    )
-    return GateList(layout=layout, gates=[rot, perm])
+    b1, system = layout.b1_wire, layout.system_wires
+    controls = ((b1, 0),) + _code_controls(system, layout.code_of(i))
+    layout.code_of(j)  # both ends must be excitons of the layout
+    gates = _jump_gates(i, j, gamma, controls, (b1,) + system, layout.b2_wire)
+    return GateList(layout=layout, gates=gates)
 
 
 def build_step_circuit(rates: JumpRateSpec, u: np.ndarray) -> GateList:
@@ -183,33 +180,27 @@ def build_step_circuit(rates: JumpRateSpec, u: np.ndarray) -> GateList:
     if u.shape != (d, d):
         raise DimensionMismatchError(f"unitary shape {u.shape} does not match dim {d}")
     layout = QubitLayout(d)
+    b1, b2, system = layout.b1_wire, layout.b2_wire, layout.system_wires  # wiring, derived once
+    controls = [((b1, 0),) + _code_controls(system, code) for code in layout.codes()]
     out = GateList(layout=layout)
     for i in range(d):
         for j in range(d):
             if i == j:
                 continue
-            sub = build_jump_circuit(i, j, rates.gamma[i, j], layout)
-            out.gates.extend(sub.gates)
-            out.gates.append(Gate(kind=KIND_RESET_B2, targets=(layout.b2_wire,)))
-    out.gates.append(
-        Gate(
-            kind=KIND_CUNITARY,
-            targets=layout.system_wires,
-            controls=((layout.b1_wire, 0),),
-            matrix=u,
-        )
-    )
+            out.gates.extend(_jump_gates(i, j, rates.gamma[i, j], controls[i], (b1,) + system, b2))
+            out.gates.append(Gate(kind=KIND_RESET_B2, targets=(b2,)))
+    out.gates.append(Gate(kind=KIND_CUNITARY, targets=system, controls=((b1, 0),), matrix=u))
     out.gates.append(Gate(kind=KIND_TRACE_B1, targets=(layout.b1_wire,)))
     return out
 
 
-def _two_level_indices(gate: Gate, layout: QubitLayout) -> list:
-    """The two simulated-space indices a rotation or permutation gate of jump src -> dst acts on."""
+def _two_level_indices(gate: Gate, codes: list, n: int) -> list:
+    """The two simulated-space indices a rotation or permutation gate of jump src -> dst acts on,
+    from the layout's codes and n_system: index (B1, code, B2) is B1 << (n + 1) | code << 1 | B2."""
     if gate.kind == KIND_CPERM:
-        return [layout.basis_index(0, layout.code_of(gate.src), 1),
-                layout.basis_index(1, layout.code_of(gate.dst), 1)]
-    code = layout.code_of(gate.src)
-    return [layout.basis_index(0, code, 0), layout.basis_index(0, code, 1)]
+        return [(codes[gate.src] << 1) | 1, (1 << (n + 1)) | (codes[gate.dst] << 1) | 1]
+    p = codes[gate.src] << 1
+    return [p, p | 1]
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -223,7 +214,7 @@ def gate_matrix(gate: Gate, layout: QubitLayout) -> np.ndarray:
     if gate.kind in (KIND_CRY, KIND_CPERM):
         m = np.eye(dim, dtype=complex)
         block = _rotation(gate.theta) if gate.kind == KIND_CRY else [[0.0, 1.0], [1.0, 0.0]]
-        idx = _two_level_indices(gate, layout)
+        idx = _two_level_indices(gate, layout.codes(), layout.n_system)
         m[np.ix_(idx, idx)] = block
         return m
     if gate.kind == KIND_CUNITARY:  # identity off the codes
@@ -245,6 +236,7 @@ def compile_circuit(gates: GateList, layout: QubitLayout) -> tuple:
     dense gate: M, M^dag; B2 reset: the B2 = 1 indices that can be nonzero there, their B2 = 0 partners.
     """
     steps, live = [], set()
+    codes, n = layout.codes(), layout.n_system  # derived once per circuit
     for pos, gate in enumerate(gates):
         if gate.kind == KIND_RESET_B2:
             if live:
@@ -255,12 +247,12 @@ def compile_circuit(gates: GateList, layout: QubitLayout) -> tuple:
             if pos != len(gates.gates) - 1:
                 raise LayoutMismatchError("trace-out-b1 must be the final gate")
         elif gate.kind == KIND_CRY:
-            p = _two_level_indices(gate, layout)[0]  # B2 is the last bit: the pair is (p, p + 1)
+            p = _two_level_indices(gate, codes, n)[0]  # B2 is the last bit: the pair is (p, p + 1)
             r = _rotation(gate.theta).astype(complex)
             steps.append((KIND_CRY, slice(p, p + 2), (r, r.T)))
             live.add(p + 1)
         elif gate.kind == KIND_CPERM:
-            idx = _two_level_indices(gate, layout)  # both have B2 = 1
+            idx = _two_level_indices(gate, codes, n)  # both have B2 = 1
             steps.append((KIND_CPERM, idx, idx[::-1]))
             live = {idx[1] if k == idx[0] else idx[0] if k == idx[1] else k for k in live}
         else:  # 1 on B2: it mixes the B2 = 1 rows only among themselves
@@ -286,14 +278,14 @@ def apply_circuit(rho_sys: np.ndarray, gates, layout: QubitLayout | None = None)
             f"state shape {rho_sys.shape} does not fit layout dim {d}"
         )
     batch = rho_sys.shape[:-2]
-    n_full = 2 ** layout.n_system
+    n_full, sim = 2 ** layout.n_system, layout.sim_dim
     codes = np.array(layout.codes())
-    sigma = np.zeros(batch + (layout.sim_dim, layout.sim_dim), dtype=complex)
+    sigma = np.zeros(batch + (sim, sim), dtype=complex)
     embed = codes << 1  # basis_index(0, code, 0)
     sigma[..., embed[:, None], embed] = rho_sys
 
     plan = gates if isinstance(gates, tuple) else compile_circuit(gates, layout)
-    work = np.empty((layout.sim_dim, layout.sim_dim), dtype=complex)  # a dense half product
+    work = np.empty((sim, sim), dtype=complex)  # a dense half product
     for kind, a, b in plan:
         if kind == KIND_CRY:
             sigma[..., a, :] = b[0] @ sigma[..., a, :]
@@ -314,15 +306,12 @@ def apply_circuit(rho_sys: np.ndarray, gates, layout: QubitLayout | None = None)
     return reduced[..., codes[:, None], codes]
 
 
-SUBSTACKS = 3  # one stack of all d^2 basis elements is faster but holds 3x the registers
-
-
 def circuit_transfer_matrix(gates: GateList) -> np.ndarray:
-    """Row-major T of a compiled step: apply_circuit runs the d^2 basis elements through the plan,
-    compiled once, in SUBSTACKS stacks."""
+    """Row-major T of a compiled step: one apply_circuit call runs the d(d+1)/2 basis elements
+    of hermitian_transfer_matrix through the plan, compiled once."""
     layout = gates.layout
     plan = compile_circuit(gates, layout)
-    return channel_transfer_matrix(lambda part: apply_circuit(part, plan, layout), layout.dim, SUBSTACKS)
+    return hermitian_transfer_matrix(lambda stack: apply_circuit(stack, plan, layout), layout.dim)
 
 
 def sequential_kraus_step(rho: np.ndarray, rates: JumpRateSpec, u: np.ndarray) -> np.ndarray:
@@ -353,13 +342,29 @@ def sequential_kraus_step(rho: np.ndarray, rates: JumpRateSpec, u: np.ndarray) -
     return sigma[..., :d, :d] + sigma[..., d:, d:]
 
 
-def channel_transfer_matrix(apply_channel, dim: int, substacks: int | None = None) -> np.ndarray:
-    """Row-major superoperator T with vec(E(rho)) = T @ vec(rho), from E on each basis element
-    or, given `substacks`, on that many stacks of them."""
+def hermitian_transfer_matrix(apply_channel, dim: int) -> np.ndarray:
+    """Row-major T of a hermiticity-preserving channel E, from one call of E on the stack of the
+    dim(dim+1)/2 basis elements |a><b| with a <= b.
+
+    Column (b, a) is the adjoint of E(|a><b|). The columns a <= b are written last, so a diagonal
+    input's column is its own output, not its adjoint: its ~1e-17 imaginary parts keep their sign.
+    """
+    a, b = np.triu_indices(dim)
+    stack = np.zeros((a.size, dim, dim), dtype=complex)
+    stack[np.arange(a.size), a, b] = 1.0
+    out = np.asarray(apply_channel(stack), dtype=complex)
+    t = np.empty((dim, dim, dim, dim), dtype=complex)  # t[i, j, a, b] = E(|a><b|)[i, j]
+    t[:, :, b, a] = out.conj().transpose(2, 1, 0)
+    t[:, :, a, b] = out.transpose(1, 2, 0)
+    return t.reshape(dim * dim, dim * dim)
+
+
+def channel_transfer_matrix(apply_channel, dim: int) -> np.ndarray:
+    """Row-major superoperator T with vec(E(rho)) = T @ vec(rho), from E on each of the dim^2
+    basis elements in turn: the reference for any linear map."""
     basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-    parts = basis if substacks is None else np.array_split(basis, substacks)
-    out = [np.asarray(apply_channel(p), dtype=complex).reshape(-1, dim * dim) for p in parts]
-    return np.concatenate(out).T.copy()
+    out = [np.asarray(apply_channel(e), dtype=complex).reshape(dim * dim) for e in basis]
+    return np.stack(out, axis=1)
 
 
 def choi_from_transfer(t: np.ndarray) -> np.ndarray:

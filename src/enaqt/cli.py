@@ -245,9 +245,9 @@ def cmd_circuit_verify(args) -> int:
     scalings = _positive_floats(args.scalings, "--scalings")
     runner = _Runner(cfg)
     t_circuit = circuit.circuit_transfer_matrix(circuit.build_step_circuit(runner.rates, runner.unitary))
-    t_seq = circuit.channel_transfer_matrix(  # the Kraus reference, on one stack of basis elements
-        lambda basis: circuit.sequential_kraus_step(basis, runner.rates, runner.unitary),
-        runner.basis.dim, 1)
+    t_seq = circuit.hermitian_transfer_matrix(  # the Kraus reference, on the circuit's input stack
+        lambda stack: circuit.sequential_kraus_step(stack, runner.rates, runner.unitary),
+        runner.basis.dim)
     equiv = frob_dist(circuit.choi_from_transfer(t_circuit), circuit.choi_from_transfer(t_seq))
 
     rows = circuit.compare_step_channels(runner.rates, runner.h_exciton, cfg.dt_fs, scalings, t_circuit)

@@ -66,7 +66,7 @@ class JumpRateSpec:
         if np.any(row > 1.0):
             bad = int(np.argmax(row))
             raise SurvivalUnderflowError(
-                f"jump probability out of state {bad} sums to {row[bad]:.4f} > 1; "
+                f"jump probability out of state {bad} sums to {float(row[bad])!r} > 1; "
                 "use a smaller time step"
             )
         object.__setattr__(self, "gamma", g)

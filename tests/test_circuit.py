@@ -160,6 +160,9 @@ class TestBuildJumpCircuit:
             circuit.build_jump_circuit(1, 1, 0.2, ly)
         with pytest.raises(ProbabilityOutOfRangeError):
             circuit.build_jump_circuit(0, 1, 1.2, ly)
+        for j in (4, -1):  # the target exciton is checked when the jump is built
+            with pytest.raises(IndexOutOfRangeError):
+                circuit.build_jump_circuit(0, j, 0.2, ly)
 
 
 class TestBuildStepCircuit:
@@ -311,7 +314,7 @@ class TestChannelChoi:
                 expected += np.kron(e, chan(e))
         assert np.max(np.abs(circuit.channel_choi(chan, d) - expected)) <= 1e-15
 
-    @pytest.mark.parametrize("d", [3, 7])
+    @pytest.mark.parametrize("d", range(2, 9))
     def test_circuit_transfer_matrix_matches_per_element_build(self, rng, d):
         gates = circuit.build_step_circuit(random_rates(d, rng), random_unitary(d, rng))
         t = circuit.circuit_transfer_matrix(gates)
@@ -331,13 +334,13 @@ class TestStackedBuilds:
         assert np.max(np.abs(t - dense)) <= 1e-15
 
     @pytest.mark.parametrize("d", [3, 7])
-    def test_transfer_matrix_independent_of_substacks_and_plan_reuse(self, rng, d):
+    def test_transfer_matrix_bit_identical_under_plan_reuse(self, rng, d):
         gates = circuit.build_step_circuit(random_rates(d, rng, scale=0.08), random_unitary(d, rng))
         t = circuit.circuit_transfer_matrix(gates)
         plan = circuit.compile_circuit(gates, gates.layout)
-        for k in (1, 3, 7, 1, 3, 7):  # the plan is reused by every build
-            built = circuit.channel_transfer_matrix(
-                lambda p: circuit.apply_circuit(p, plan, gates.layout), d, k)
+        for _ in range(6):  # the plan is reused by every build
+            built = circuit.hermitian_transfer_matrix(
+                lambda p: circuit.apply_circuit(p, plan, gates.layout), d)
             assert np.array_equal(built, t)
 
     def test_resets_anywhere_match_dense_reference(self, rng):
@@ -369,6 +372,59 @@ class TestStackedBuilds:
         assert batched.shape == (3, 2, d, d)
         for idx in np.ndindex(3, 2):
             assert np.array_equal(batched[idx], circuit.sequential_kraus_step(stack[idx], rates, u))
+
+
+def basis_element(d, a, b):
+    e = np.zeros((d, d), dtype=complex)
+    e[a, b] = 1.0
+    return e
+
+
+class TestHermitianBuild:
+    """circuit_transfer_matrix fills the columns of |b><a|, a < b, from the adjoint of the output
+    on |a><b|. That holds only for a channel that preserves hermiticity, as both routes must."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_both_routes_map_adjoint_inputs_to_adjoint_outputs(self, rng, d):
+        rates, u = random_rates(d, rng, scale=0.08), random_unitary(d, rng)
+        gates = circuit.build_step_circuit(rates, u)
+        a, b = np.triu_indices(d)
+        upper = np.stack([basis_element(d, i, j) for i, j in zip(a, b)])
+        lower = upper.transpose(0, 2, 1)
+        for route in (lambda s: circuit.apply_circuit(s, gates),
+                      lambda s: circuit.sequential_kraus_step(s, rates, u)):
+            adjoint = route(upper).conj().transpose(0, 2, 1)
+            assert np.max(np.abs(route(lower) - adjoint)) <= 1e-15
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_kraus_transfer_matrix_matches_per_element_build(self, rng, d):
+        rates, u = random_rates(d, rng, scale=0.08), random_unitary(d, rng)
+        kraus = lambda r: circuit.sequential_kraus_step(r, rates, u)
+        reference = circuit.channel_transfer_matrix(kraus, d)
+        assert np.max(np.abs(circuit.hermitian_transfer_matrix(kraus, d) - reference)) <= 1e-15
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_diagonal_input_columns_are_the_circuit_outputs(self, rng, d):
+        # mirroring a diagonal input as well would flip the sign of its rounding-level
+        # imaginary parts
+        gates = circuit.build_step_circuit(random_rates(d, rng, scale=0.08), random_unitary(d, rng))
+        t = circuit.circuit_transfer_matrix(gates)
+        for a in range(d):
+            out = circuit.apply_circuit(basis_element(d, a, a), gates)
+            assert np.array_equal(t[:, a * d + a], out.reshape(-1))
+
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_one_build_is_one_circuit_call_on_the_upper_half(self, rng, d, monkeypatch):
+        calls, run = [], circuit.apply_circuit
+
+        def counted(stack, *args):
+            calls.append(np.shape(stack))
+            return run(stack, *args)
+
+        monkeypatch.setattr(circuit, "apply_circuit", counted)
+        gates = circuit.build_step_circuit(random_rates(d, rng), random_unitary(d, rng))
+        circuit.circuit_transfer_matrix(gates)
+        assert calls == [(d * (d + 1) // 2, d, d)]
 
 
 class TestSequentialKraus:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -434,6 +435,15 @@ class TestCircuitVerify:
         config_line = next(line for line in meta if line.startswith("# config: "))
         payload = json.loads(config_line[len("# config: "):])
         assert sorted(payload) == ["command", "dt_fs", "model", "scalings", "temperature_k"]
+
+    def test_oversized_scaling_names_the_state_in_one_short_line(self, default_config, capsys):
+        # the row sum is about 1e307: it prints as a float repr, not as 300 fixed-point digits
+        assert run_cli(["circuit-verify", "--config", default_config, "--scalings", "1e308",
+                        "--out", os.devnull]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and len(err[0]) <= 160, err
+        assert re.match(r"numerical invariant violated: jump probability out of state \d+ sums to "
+                        r"\S+ > 1; use a smaller time step$", err[0]), err
 
     def test_builds_the_scale_one_circuit_once(self, default_config, tmp_path, monkeypatch):
         # the Kraus-reference certificate and the scale 1 row share one build
