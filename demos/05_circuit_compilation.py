@@ -2,8 +2,9 @@
 
 Builds the 42-jump circuit for the shipped model (3 system qubits, 2 bath
 qubits, 3 ancillas reserved for multi-control decomposition), simulates it
-with mid-circuit B2 resets, and compares its Choi matrix against the
-operator-model reference (sequential Kraus pairs). Also shows how the
+on its Kraus operators (each mid-circuit B2 reset splits off one branch per
+jump), and compares the Choi matrix of the resulting transfer matrix against
+the operator-model reference (sequential Kraus pairs). Also shows how the
 circuit channel approaches the one-shot step map as the step shrinks, the
 gate/qubit complexity table, and the start of the exported gate program.
 
@@ -30,9 +31,7 @@ def main():
     print(f"compiled {circuit.gate_count(gates).jumps} jump sub-circuits, "
           f"{len(gates)} gate objects\n")
 
-    choi_circ = circuit.channel_choi(
-        lambda r: circuit.apply_circuit(r, gates, layout), 7
-    )
+    choi_circ = circuit.choi_from_transfer(circuit.circuit_transfer_matrix(gates))
     choi_seq = circuit.channel_choi(
         lambda r: circuit.sequential_kraus_step(r, rates, unitary), 7
     )

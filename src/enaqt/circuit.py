@@ -22,14 +22,15 @@ reset after each, applies the coherent gate C = |0><0|_B1 (x) U + |1><1|_B1
 preserving and completely positive, unlike the raw one-shot step map, and
 agrees with it to first order in the jump probabilities.
 
-apply_circuit runs a stack of states through a plan compiled once per circuit
-(compile_circuit): each rotation or permutation acts on its two rows and columns,
-each reset on the few B2 = 1 entries that can be nonzero. One stack of the d(d+1)/2
-basis elements |a><b| with a <= b gives the step's row-major transfer matrix T
-(circuit_transfer_matrix, through hermitian_transfer_matrix): every gate and reset is
-a conjugation or a partial trace, so the output on |b><a| is the adjoint of the
-output on |a><b|. The Choi matrix is a reshuffle of T. sequential_kraus_step, the
-independent Kraus route, runs on the same stack, so the reference T takes one call.
+The circuit is simulated on its Kraus operators, compiled once per circuit
+(compile_circuit) into row operations. circuit_kraus holds one amplitude matrix, each
+branch the image of the d system inputs in the B1 x system x B2 register: gates act
+on its rows, and each reset splits the B2 = 1 rows off as new branches. Tracing B1
+and B2 leaves the Kraus operators A, and T = sum A (x) conj(A), the step's row-major
+transfer matrix, is one Gram product (circuit_transfer_matrix); apply_circuit applies
+T. The Choi matrix is a reshuffle of T. sequential_kraus_step, the independent Kraus
+route, gives the reference T from one stack of the d(d+1)/2 basis elements |a><b|,
+a <= b (hermitian_transfer_matrix).
 """
 
 from __future__ import annotations
@@ -106,10 +107,6 @@ class QubitLayout:
     def codes(self) -> list:
         return [self.code_of(k) for k in range(self.dim)]
 
-    def basis_index(self, b1: int, code: int, b2: int) -> int:
-        """Index into the simulated space for (B1, system code, B2)."""
-        return (b1 << (self.n_system + 1)) | (code << 1) | b2
-
 
 @dataclass(frozen=True, eq=False)
 class Gate:
@@ -154,19 +151,6 @@ def _jump_gates(i: int, j: int, gamma: float, controls: tuple, wires: tuple, b2:
     theta = 2.0 * np.arcsin(np.sqrt(gamma))
     return [Gate(kind=KIND_CRY, targets=(b2,), controls=controls, theta=theta, src=i, dst=j),
             Gate(kind=KIND_CPERM, targets=wires, controls=((b2, 1),), src=i, dst=j)]
-
-
-def build_jump_circuit(i: int, j: int, gamma: float, layout: QubitLayout) -> GateList:
-    """Two-gate circuit for one jump from exciton i to exciton j (0-based).
-
-    Rotation angle theta = 2 arcsin(sqrt(gamma)), so the B2 excitation
-    amplitude is sqrt(gamma).
-    """
-    b1, system = layout.b1_wire, layout.system_wires
-    controls = ((b1, 0),) + _code_controls(system, layout.code_of(i))
-    layout.code_of(j)  # both ends must be excitons of the layout
-    gates = _jump_gates(i, j, gamma, controls, (b1,) + system, layout.b2_wire)
-    return GateList(layout=layout, gates=gates)
 
 
 def build_step_circuit(rates: JumpRateSpec, u: np.ndarray) -> GateList:
@@ -231,45 +215,88 @@ def gate_matrix(gate: Gate, layout: QubitLayout) -> np.ndarray:
 
 
 def compile_circuit(gates: GateList, layout: QubitLayout) -> tuple:
-    """Compile a GateList once into the steps apply_circuit runs (with the same layout), each
-    (kind, a, b). Rotation: its pair (p, p + 1) as a slice, (R, R^T); permutation: its pair, reversed;
-    dense gate: M, M^dag; B2 reset: the B2 = 1 indices that can be nonzero there, their B2 = 0 partners.
+    """Compile a GateList once into the row operations circuit_kraus runs (with the same layout), each
+    (kind, rows, op). Rotation: its pair (p, p + 1) as a slice and its 2x2 matrix; permutation: its
+    pair and the pair reversed; coherent gate: the B1 = 0 code rows of each B2 value, (2, d), and U;
+    B2 reset: no operands.
     """
-    steps, live = [], set()
+    steps = []
     codes, n = layout.codes(), layout.n_system  # derived once per circuit
     for pos, gate in enumerate(gates):
         if gate.kind == KIND_RESET_B2:
-            if live:
-                idx = np.array(sorted(live))
-                steps.append((KIND_RESET_B2, idx, idx - 1))
-            live = set()
+            steps.append((KIND_RESET_B2, None, None))
         elif gate.kind == KIND_TRACE_B1:
             if pos != len(gates.gates) - 1:
                 raise LayoutMismatchError("trace-out-b1 must be the final gate")
         elif gate.kind == KIND_CRY:
             p = _two_level_indices(gate, codes, n)[0]  # B2 is the last bit: the pair is (p, p + 1)
-            r = _rotation(gate.theta).astype(complex)
-            steps.append((KIND_CRY, slice(p, p + 2), (r, r.T)))
-            live.add(p + 1)
+            steps.append((KIND_CRY, slice(p, p + 2), _rotation(gate.theta).astype(complex)))
         elif gate.kind == KIND_CPERM:
             idx = _two_level_indices(gate, codes, n)  # both have B2 = 1
             steps.append((KIND_CPERM, idx, idx[::-1]))
-            live = {idx[1] if k == idx[0] else idx[0] if k == idx[1] else k for k in live}
-        else:  # 1 on B2: it mixes the B2 = 1 rows only among themselves
-            m = gate_matrix(gate, layout)
-            steps.append((KIND_CUNITARY, m, m.conj().T))
-            live = set(range(1, layout.sim_dim, 2)) if live else live
+        elif gate.kind == KIND_CUNITARY:  # identity on B1 = 1 and off the codes
+            rows = (np.array(codes) << 1) + np.arange(2)[:, None]
+            steps.append((KIND_CUNITARY, rows, np.asarray(gate.matrix, dtype=complex)))
+        else:
+            raise LayoutMismatchError(f"gate kind {gate.kind!r} has no row operation")
     return tuple(steps)
 
 
-def apply_circuit(rho_sys: np.ndarray, gates, layout: QubitLayout | None = None) -> np.ndarray:
-    """Run a GateList, or its compile_circuit plan, on a state or a stack (..., d, d).
+def circuit_kraus(gates, layout: QubitLayout | None = None) -> np.ndarray:
+    """System Kraus operators (m, d, d) of a GateList, or of its compile_circuit plan.
 
-    Each state is embedded with B1 = B2 = |0>. Rotations mix, and
-    permutations swap, their two rows and columns; the other unitary gates
-    act by dense conjugation; resets trace-and-retension B2; both bath
-    qubits are traced out at the end. The channel is exactly trace preserving.
+    The register holds each branch as d columns of sim_dim rows, its image of the d system
+    inputs; it starts as one branch, the embedding with B1 = B2 = |0>. Gates act on rows only.
+    A reset moves every branch's B2 = 1 rows to B2 = 0 as a new branch, dropping a new branch
+    that is exactly zero. The buffer holds 1 + resets branches, exact for a step circuit; when
+    the count passes the Kraus-rank bound d * sim_dim, the branches, as the columns of V, are
+    replaced by those of R^H, with R from qr(V^H): V V^H = R^H R, so the channel is unchanged.
+    Each branch's blocks at fixed (B1, B2) are Kraus operators; the exactly zero ones are dropped.
     """
+    layout = gates.layout if layout is None else layout
+    plan = gates if isinstance(gates, tuple) else compile_circuit(gates, layout)
+    d, sim, n_full = layout.dim, layout.sim_dim, 2 ** layout.n_system
+    codes = np.array(layout.codes())
+    reg = np.zeros((sim, (1 + sum(kind == KIND_RESET_B2 for kind, _, _ in plan)) * d), dtype=complex)
+    reg[codes << 1, np.arange(d)] = 1.0
+    nb = 1
+    for kind, rows, op in plan:
+        k = reg[:, :nb * d]
+        if kind == KIND_CPERM:
+            k[rows] = k[op]
+        elif kind != KIND_RESET_B2:
+            k[rows] = op @ k[rows]
+        else:
+            moved = k[1::2].reshape(sim // 2, nb, d)
+            keep = np.flatnonzero(moved.any(axis=0).any(axis=1))  # faster than axis=(0, 2)
+            grown = nb + keep.size
+            if grown * d > reg.shape[1]:  # more branches than the plan's resets
+                reg = np.concatenate([reg, np.zeros((sim, grown * d - reg.shape[1]), complex)], axis=1)
+            reg[0::2, nb * d:grown * d] = moved[:, keep].reshape(sim // 2, -1)
+            reg[1::2, :nb * d] = 0.0
+            nb = grown
+            if nb > d * sim:
+                v_h = reg[:, :nb * d].reshape(sim, nb, d).transpose(1, 0, 2).reshape(nb, sim * d).conj()
+                r = np.linalg.qr(v_h, mode="r")
+                nb = r.shape[0]
+                reg = r.conj().reshape(nb, sim, d).transpose(1, 0, 2).reshape(sim, nb * d)
+    blocks = reg[:, :nb * d].reshape(2, n_full, 2, nb, d).transpose(0, 2, 3, 1, 4)
+    a = blocks[:, :, :, codes].reshape(-1, d, d)  # (B1, B2, branch) x (code, input)
+    return a[a.any(axis=(1, 2))]
+
+
+def circuit_transfer_matrix(gates, layout: QubitLayout | None = None) -> np.ndarray:
+    """Row-major T = sum_k A_k (x) conj(A_k) of a GateList (or its plan, with the layout), from the
+    Kraus operators of one circuit_kraus pass, as one Gram product."""
+    a = circuit_kraus(gates, layout)
+    d = a.shape[-1]
+    x = a.reshape(-1, d * d)  # x[k, i d + a] = A_k[i, a]
+    return (x.T @ x.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def apply_circuit(rho_sys: np.ndarray, gates, layout: QubitLayout | None = None) -> np.ndarray:
+    """Run a GateList, or its compile_circuit plan, on a state or a stack (..., d, d): its transfer
+    matrix on vec(rho). The channel is exactly trace preserving."""
     layout = gates.layout if layout is None else layout
     d = layout.dim
     rho_sys = np.asarray(rho_sys, dtype=complex)
@@ -277,41 +304,8 @@ def apply_circuit(rho_sys: np.ndarray, gates, layout: QubitLayout | None = None)
         raise LayoutMismatchError(
             f"state shape {rho_sys.shape} does not fit layout dim {d}"
         )
-    batch = rho_sys.shape[:-2]
-    n_full, sim = 2 ** layout.n_system, layout.sim_dim
-    codes = np.array(layout.codes())
-    sigma = np.zeros(batch + (sim, sim), dtype=complex)
-    embed = codes << 1  # basis_index(0, code, 0)
-    sigma[..., embed[:, None], embed] = rho_sys
-
-    plan = gates if isinstance(gates, tuple) else compile_circuit(gates, layout)
-    work = np.empty((sim, sim), dtype=complex)  # a dense half product
-    for kind, a, b in plan:
-        if kind == KIND_CRY:
-            sigma[..., a, :] = b[0] @ sigma[..., a, :]
-            sigma[..., :, a] = sigma[..., :, a] @ b[1]
-        elif kind == KIND_CPERM:
-            sigma[..., a, :] = sigma[..., b, :]
-            sigma[..., :, a] = sigma[..., :, b]
-        elif kind == KIND_RESET_B2:
-            sigma[..., b[:, None], b] += sigma[..., a[:, None], a]
-            sigma[..., a, :] = 0.0
-            sigma[..., :, a] = 0.0
-        else:  # state by state, so the stack needs no second copy
-            for s in sigma.reshape((-1,) + work.shape):
-                np.matmul(np.matmul(a, s, out=work), b, out=s)
-
-    r = sigma.reshape(batch + (2, n_full, 2, 2, n_full, 2))
-    reduced = np.einsum("...xiyxjy->...ij", r)
-    return reduced[..., codes[:, None], codes]
-
-
-def circuit_transfer_matrix(gates: GateList) -> np.ndarray:
-    """Row-major T of a compiled step: one apply_circuit call runs the d(d+1)/2 basis elements
-    of hermitian_transfer_matrix through the plan, compiled once."""
-    layout = gates.layout
-    plan = compile_circuit(gates, layout)
-    return hermitian_transfer_matrix(lambda stack: apply_circuit(stack, plan, layout), layout.dim)
+    t = circuit_transfer_matrix(gates, layout)
+    return (rho_sys.reshape(rho_sys.shape[:-2] + (d * d,)) @ t.T).reshape(rho_sys.shape)
 
 
 def sequential_kraus_step(rho: np.ndarray, rates: JumpRateSpec, u: np.ndarray) -> np.ndarray:

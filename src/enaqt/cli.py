@@ -349,12 +349,14 @@ def _one_line_warning(message, category, filename, lineno, line=None) -> str:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # a shown warning is one stderr line; callers that record warnings still get them
+    # a shown warning is one stderr line; callers that record warnings still get them. Entering
+    # catch_warnings resets Python's once-per-location registries, so every run shows its warnings
     formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
-        args = parser.parse_args(argv)
-        # looked up by name per call: the memoized parser outlives any rebinding of a handler
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        with warnings.catch_warnings():
+            args = parser.parse_args(argv)
+            # looked up by name per call: the memoized parser outlives any rebinding of a handler
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except NumericalError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,15 @@ def jump_kraus_pair(d, i, j, g):
     return m0, m1
 
 
+def jump_gates(i, j, g, layout):
+    """The rotation and permutation of jump i -> j, wired as build_step_circuit wires them."""
+    b1, system = layout.b1_wire, layout.system_wires
+    controls = ((b1, 0),) + circuit._code_controls(system, layout.code_of(i))
+    layout.code_of(j)  # both ends must be excitons of the layout
+    return GateList(layout=layout,
+                    gates=circuit._jump_gates(i, j, g, controls, (b1,) + system, layout.b2_wire))
+
+
 def jump_circuit_channel(d, i, j, g):
     """Apply the two-gate jump circuit to a (B1 x system) state, tracing B2.
 
@@ -46,7 +55,7 @@ def jump_circuit_channel(d, i, j, g):
     channel acting on 2d x 2d states.
     """
     layout = QubitLayout(d)
-    gates = circuit.build_jump_circuit(i, j, g, layout)
+    gates = jump_gates(i, j, g, layout)
     mats = [circuit.gate_matrix(gate, layout) for gate in gates]
     n_full = 2 ** layout.n_system
     codes = layout.codes()
@@ -102,13 +111,6 @@ class TestQubitLayout:
         assert QubitLayout(2).codes() == [0, 1]
         assert QubitLayout(2).total_qubits == 4
 
-    def test_basis_index(self):
-        ly = QubitLayout(7)
-        assert ly.basis_index(0, 0, 0) == 0
-        assert ly.basis_index(0, 1, 0) == 2
-        assert ly.basis_index(1, 0, 0) == 16
-        assert ly.basis_index(0, 1, 1) == 3
-
     def test_code_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             QubitLayout(7).code_of(7)
@@ -120,12 +122,12 @@ class TestQubitLayout:
 
 class TestBuildJumpCircuit:
     def test_rotation_angle(self):
-        gates = circuit.build_jump_circuit(0, 1, 0.25, QubitLayout(7))
+        gates = jump_gates(0, 1, 0.25, QubitLayout(7))
         assert gates.gates[0].theta == pytest.approx(np.pi / 3.0)
 
     def test_gate_matrices_unitary(self):
         ly = QubitLayout(7)
-        gates = circuit.build_jump_circuit(2, 5, 0.4, ly)
+        gates = jump_gates(2, 5, 0.4, ly)
         for gate in gates:
             m = circuit.gate_matrix(gate, ly)
             assert np.max(np.abs(m @ m.conj().T - np.eye(ly.sim_dim))) <= 1e-12
@@ -157,12 +159,12 @@ class TestBuildJumpCircuit:
     def test_rejects_bad_input(self):
         ly = QubitLayout(4)
         with pytest.raises(IndexOutOfRangeError):
-            circuit.build_jump_circuit(1, 1, 0.2, ly)
+            jump_gates(1, 1, 0.2, ly)
         with pytest.raises(ProbabilityOutOfRangeError):
-            circuit.build_jump_circuit(0, 1, 1.2, ly)
+            jump_gates(0, 1, 1.2, ly)
         for j in (4, -1):  # the target exciton is checked when the jump is built
             with pytest.raises(IndexOutOfRangeError):
-                circuit.build_jump_circuit(0, j, 0.2, ly)
+                jump_gates(0, j, 0.2, ly)
 
 
 class TestBuildStepCircuit:
@@ -210,7 +212,7 @@ class TestApplyCircuit:
 
     def test_single_zero_gamma_jump(self, rng):
         ly = QubitLayout(7)
-        gates = circuit.build_jump_circuit(0, 1, 0.0, ly)
+        gates = jump_gates(0, 1, 0.0, ly)
         rho = random_density(7, rng)
         assert np.max(np.abs(circuit.apply_circuit(rho, gates, ly) - rho)) <= 1e-13
 
@@ -339,9 +341,7 @@ class TestStackedBuilds:
         t = circuit.circuit_transfer_matrix(gates)
         plan = circuit.compile_circuit(gates, gates.layout)
         for _ in range(6):  # the plan is reused by every build
-            built = circuit.hermitian_transfer_matrix(
-                lambda p: circuit.apply_circuit(p, plan, gates.layout), d)
-            assert np.array_equal(built, t)
+            assert np.array_equal(circuit.circuit_transfer_matrix(plan, gates.layout), t)
 
     def test_resets_anywhere_match_dense_reference(self, rng):
         # two jumps share a reset; a second coherent gate moves a lone rotation's
@@ -353,7 +353,7 @@ class TestStackedBuilds:
                                 controls=((ly.b1_wire, 0),), matrix=random_unitary(d, rng))
         mixer = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
                              controls=((ly.b1_wire, 0),), matrix=random_unitary(d, rng))
-        jump = [circuit.build_jump_circuit(i, j, g, ly).gates
+        jump = [jump_gates(i, j, g, ly).gates
                 for i, j, g in ((0, 3, 0.2), (2, 1, 0.35), (4, 0, 0.1), (1, 2, 0.5))]
         gates = GateList(layout=ly, gates=[
             *jump[0], *jump[1], coherent, reset, jump[2][0], mixer, reset, coherent, reset,
@@ -381,7 +381,7 @@ def basis_element(d, a, b):
 
 
 class TestHermitianBuild:
-    """circuit_transfer_matrix fills the columns of |b><a|, a < b, from the adjoint of the output
+    """hermitian_transfer_matrix fills the columns of |b><a|, a < b, from the adjoint of the output
     on |a><b|. That holds only for a channel that preserves hermiticity, as both routes must."""
 
     @pytest.mark.parametrize("d", range(2, 9))
@@ -405,26 +405,103 @@ class TestHermitianBuild:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_diagonal_input_columns_are_the_circuit_outputs(self, rng, d):
-        # mirroring a diagonal input as well would flip the sign of its rounding-level
-        # imaginary parts
+        # apply_circuit reads T, so a basis input reads its column exactly
         gates = circuit.build_step_circuit(random_rates(d, rng, scale=0.08), random_unitary(d, rng))
         t = circuit.circuit_transfer_matrix(gates)
         for a in range(d):
             out = circuit.apply_circuit(basis_element(d, a, a), gates)
             assert np.array_equal(t[:, a * d + a], out.reshape(-1))
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_diagonal_input_columns_are_the_kraus_outputs(self, rng, d):
+        # mirroring a diagonal input as well would flip the sign of its rounding-level
+        # imaginary parts
+        rates, u = random_rates(d, rng, scale=0.08), random_unitary(d, rng)
+        kraus = lambda r: circuit.sequential_kraus_step(r, rates, u)
+        t = circuit.hermitian_transfer_matrix(kraus, d)
+        for a in range(d):
+            assert np.array_equal(t[:, a * d + a], kraus(basis_element(d, a, a)).reshape(-1))
+
     @pytest.mark.parametrize("d", [2, 7])
-    def test_one_build_is_one_circuit_call_on_the_upper_half(self, rng, d, monkeypatch):
-        calls, run = [], circuit.apply_circuit
+    def test_one_build_is_one_kraus_pass(self, rng, d, monkeypatch):
+        calls, run = [], circuit.circuit_kraus
 
-        def counted(stack, *args):
-            calls.append(np.shape(stack))
-            return run(stack, *args)
+        def counted(*args):
+            calls.append(args)
+            return run(*args)
 
-        monkeypatch.setattr(circuit, "apply_circuit", counted)
+        def no_state_run(*args):
+            raise AssertionError("a build runs no state through the circuit")
+
+        monkeypatch.setattr(circuit, "circuit_kraus", counted)
+        monkeypatch.setattr(circuit, "apply_circuit", no_state_run)
         gates = circuit.build_step_circuit(random_rates(d, rng), random_unitary(d, rng))
         circuit.circuit_transfer_matrix(gates)
-        assert calls == [(d * (d + 1) // 2, d, d)]
+        assert len(calls) == 1
+
+
+def shipped_step():
+    model = fmo.load_model(fmo.default_model_path())
+    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
+    rates = fmo.jump_rates(basis, model, 10.0)
+    return rates, np.diag(np.exp(-1j * basis.energies_cm1 * 10.0 / linalg.HBAR_CM1_FS))
+
+
+class TestKrausRoute:
+    @pytest.mark.parametrize("d", [*range(2, 9), "shipped"])
+    def test_kraus_operators_are_trace_preserving(self, rng, d):
+        rates, u = shipped_step() if d == "shipped" else (random_rates(d, rng), random_unitary(d, rng))
+        a = circuit.circuit_kraus(circuit.build_step_circuit(rates, u))
+        completeness = np.einsum("kia,kib->ab", a.conj(), a)
+        assert np.max(np.abs(completeness - np.eye(rates.dim))) <= 1e-14
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_one_branch_per_jump_that_can_happen(self, rng, d, monkeypatch):
+        g = rng.uniform(0.01, 0.05, size=(d, d))
+        np.fill_diagonal(g, 0.0)
+        u = random_unitary(d, rng)
+        every = circuit.build_step_circuit(JumpRateSpec(g), u)
+        g[0, d - 1] = 0.0  # a jump that cannot happen adds no branch
+        one_fewer = circuit.build_step_circuit(JumpRateSpec(g), u)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a step circuit holds at most its 1 + resets branches")
+
+        monkeypatch.setattr(np, "concatenate", unexpected)  # the register grows
+        monkeypatch.setattr(np.linalg, "qr", unexpected)  # the branches are compressed
+        assert len(circuit.circuit_kraus(every)) == 1 + d * (d - 1)  # one Kraus operator each
+        assert len(circuit.circuit_kraus(one_fewer)) == d * (d - 1)
+
+    def test_branches_stay_bounded_when_every_reset_splits_them(self, rng, monkeypatch):
+        # without a permutation every branch splits at each reset: 2^30 branches uncompressed;
+        # the coherent gate makes the amplitudes complex
+        d = 3
+        ly = QubitLayout(d)
+        reset = circuit.Gate(kind=circuit.KIND_RESET_B2, targets=(ly.b2_wire,))
+        coherent = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
+                                controls=((ly.b1_wire, 0),), matrix=random_unitary(d, rng))
+        gates = GateList(layout=ly, gates=[coherent, *[jump_gates(1, 2, 0.3, ly).gates[0], reset] * 30])
+        held, qr = [], np.linalg.qr
+
+        def spy(v_h, *args, **kwargs):
+            held.append(v_h.shape[0])
+            return qr(v_h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        stack = np.stack([random_density(d, rng) for _ in range(3)])
+        out = circuit.apply_circuit(stack, gates)
+        assert held and max(held) <= 2 * d * ly.sim_dim
+        for k in range(len(stack)):
+            assert np.max(np.abs(out[k] - dense_apply_circuit(stack[k], gates))) <= 1e-14
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stack_is_the_transfer_matrix_on_vec_rho(self, rng, d):
+        gates = circuit.build_step_circuit(random_rates(d, rng, scale=0.08), random_unitary(d, rng))
+        t = circuit.circuit_transfer_matrix(gates)
+        stack = np.stack([random_density(d, rng) for _ in range(6)]).reshape(2, 3, d, d)
+        out = circuit.apply_circuit(stack, gates)
+        for idx in np.ndindex(2, 3):
+            assert np.max(np.abs(out[idx].reshape(-1) - t @ stack[idx].reshape(-1))) <= 1e-15
 
 
 class TestSequentialKraus:
@@ -480,7 +557,7 @@ class TestCompareStepChannels:
                 pairs = pairs[::-1]
             gates = GateList(layout=ly)
             for i, j in pairs:
-                sub = circuit.build_jump_circuit(i, j, gamma[i, j], ly)
+                sub = jump_gates(i, j, gamma[i, j], ly)
                 gates.gates.extend(sub.gates)
                 gates.gates.append(circuit.Gate(kind=circuit.KIND_RESET_B2, targets=(ly.b2_wire,)))
             gates.gates.append(circuit.Gate(kind=circuit.KIND_CUNITARY,

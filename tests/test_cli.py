@@ -203,6 +203,21 @@ class TestSimulate:
         assert err[0].startswith("warning: RK4 step 10.0 fs is coarse")
         assert err[1].startswith("numerical invariant violated: ")
 
+    def test_every_in_process_run_shows_its_warning(self, default_config, tmp_path):
+        # Python's default filter shows a repeated warning once per location and process;
+        # a caller's own ignore filter still silences the third run
+        args = ["simulate", "--config", default_config, "--backend", "lindblad-oracle",
+                "--steps", "5", "--out", str(tmp_path / "t.csv")]
+        script = ("import warnings\nfrom enaqt.cli import main\n"
+                  f"for _ in range(2):\n    assert main({args!r}) == 0\n"
+                  f"warnings.simplefilter('ignore')\nassert main({args!r}) == 0\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(enaqt.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 2 and all(line.startswith("warning: RK4 step") for line in err)
+
     def test_recorded_warning_is_not_shown(self, default_config, tmp_path, capsys):
         # a caller that records warnings gets the warning and no stderr line
         before = warnings.formatwarning
