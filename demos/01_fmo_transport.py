@@ -47,7 +47,7 @@ def main():
         row = "  ".join(f"{p:5.3f}" for p in traj.populations[k])
         print(f"{traj.times[k]:6.0f} {row}")
 
-    eff = fmo.transfer_efficiency(traj, model.sink_sites)
+    eff = fmo.transfer_efficiency(traj.populations[-1], model.sink_sites)
     print(f"\ntransfer efficiency at 4 ps (sites {model.sink_sites}): {eff:.4f}")
     print(f"trace drift over the run: {abs(traj.trace[-1] - 1.0):.2e}")
     print(f"most negative eigenvalue seen: {traj.min_eig.min():.2e}")

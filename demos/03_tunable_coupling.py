@@ -44,7 +44,7 @@ def main():
     print("chi    efficiency(4ps)   site-2 beat amplitude (first 500 fs)")
     for b, chi in enumerate(chis):
         traj = batch.member(b)
-        eff = fmo.transfer_efficiency(traj, model.sink_sites)
+        eff = fmo.transfer_efficiency(traj.populations[-1], model.sink_sites)
         beat = traj.populations[: window + 1, 1]
         print(f"{chi:4.2f}   {eff:10.4f}        {beat.max() - beat.min():.3f}")
 

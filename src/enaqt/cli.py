@@ -29,10 +29,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .linalg import HBAR_CM1_FS, frob_dist, successive_ratios
 
 BACKENDS = ("operator", "circuit", "lindblad-oracle")
 MAX_GATECOUNT_DIM = 64  # building a step circuit costs ~d^2 gates: 64 runs in a fraction of a second
-MAX_STEPS = 10_000_000  # states one command holds: 10 float64 columns each at 7 sites, ~0.8 GB
-# (a sweep holds one trajectory per chi, so it counts len(chis) x steps)
+MAX_STEPS = 10_000_000  # states one command may step: memory stays flat, so this bounds time (1e7 rows ~2.5 min)
+# (a sweep steps one trajectory per chi, so it counts len(chis) x steps)
 
 
 @dataclass
@@ -77,17 +77,16 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _sha256_file(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _run_fields(run) -> dict:
     """The RunConfig fields `run` carries; parsed arguments carry those their subcommand registers."""
     return {f.name: getattr(run, f.name) for f in fields(RunConfig) if hasattr(run, f.name)}
 
 
-def _config_lines(run, extra: dict) -> list:
-    """Header lines echoing the run fields of `run` (parsed arguments or a RunConfig) plus `extra`."""
+def _config_lines(run, model: fmo.FmoModel, extra: dict) -> list:
+    """Header lines echoing the run fields of `run` (parsed arguments or a RunConfig) plus `extra`.
+
+    The model hash is that of the file bytes `model` was parsed from, read once by load_model.
+    """
     payload = _run_fields(run)
     payload.update(extra)
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -96,7 +95,7 @@ def _config_lines(run, extra: dict) -> list:
         f"# enaqt {__version__}",
         f"# config: {canon}",
         f"# config_sha256: {digest}",
-        f"# model_sha256: {_sha256_file(run.model)}",
+        f"# model_sha256: {model.sha256}",
     ]
 
 
@@ -109,8 +108,19 @@ def _distance_table(header: str, rows) -> list:
 
 
 def _emit(lines, out_path: str | None):
-    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(f"{line}\n" for line in lines)
+    """Write each line as `lines` yields it, to out_path or stdout.
+
+    If `lines` raises, the rows already printed stay on stdout, but a partial
+    out_path file is removed (a regular file only: never a device such as /dev/null).
+    """
+    fh = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+    try:
+        with fh as stream:
+            stream.writelines(f"{line}\n" for line in lines)
+    except BaseException:
+        if out_path and os.path.isfile(out_path):
+            os.remove(out_path)
+        raise
 
 
 class _Runner:
@@ -149,28 +159,28 @@ class _Runner:
         ops = kernel.build_evolution_operators(self.rates, self.unitary)
         return kernel.step_transfer_matrix(ops, chi, self.circuit_t)
 
-    def trajectory(self) -> kernel.Trajectory:
+    def trajectory(self):
+        """The run's checked chunks (see kernel.chunks), stepped as they are read."""
         cfg = self.cfg
-        return kernel.propagate(self.transfer_matrix(cfg.chi), self.initial_state(), cfg.dt_fs,
-                                cfg.steps, self.observers)
+        return kernel.chunks(self.transfer_matrix(cfg.chi), self.initial_state(), cfg.dt_fs,
+                             cfg.steps, self.observers)
 
 
-def _trajectory_csv(run, traj: kernel.Trajectory, n_sites: int):
-    lines = _config_lines(run, {"command": "simulate"})
-    header = ["t_fs"] + [f"site{m}" for m in range(1, n_sites + 1)] + ["trace", "min_eig"]
+def _trajectory_csv(run, model: fmo.FmoModel, chunks):
+    """The trajectory CSV of member 0 of `chunks`, each chunk formatted as it arrives."""
+    lines = _config_lines(run, model, {"command": "simulate"})
+    header = ["t_fs"] + [f"site{m}" for m in range(1, model.hamiltonian.n_sites + 1)] + ["trace", "min_eig"]
     lines.append(",".join(header))
     row = ",".join(["%.17g"] * len(header))  # the same bytes as _fmt per value
-    table = (traj.times, traj.populations, traj.trace, traj.min_eig)
-    blocks = (np.column_stack([col[k:k + kernel.CHUNK] for col in table]).tolist()
-              for k in range(0, len(traj.times), kernel.CHUNK))
+    blocks = (np.column_stack([np.arange(start, start + trace.shape[1]) * run.dt_fs, pops[0], trace[0],
+                               min_eig[0]]).tolist()
+              for start, pops, trace, min_eig in chunks)
     return itertools.chain(lines, (row % tuple(r) for block in blocks for r in block))
 
 
 def cmd_simulate(args) -> int:
-    cfg = _run_config(args)
-    runner = _Runner(cfg)
-    traj = runner.trajectory()
-    _emit(_trajectory_csv(args, traj, runner.model.hamiltonian.n_sites), args.out)
+    runner = _Runner(_run_config(args))
+    _emit(_trajectory_csv(args, runner.model, runner.trajectory()), args.out)
     return 0
 
 
@@ -185,12 +195,11 @@ def cmd_oracle(args) -> int:
         if not (n < math.inf and abs(n - round(n)) <= 1e-9):
             raise ConfigError(f"--dt-list value {dt} fs does not divide --t-final {t_final} fs")
     runner = _Runner(cfg)
-    traj = runner.trajectory()
-    _emit(_trajectory_csv(args, traj, runner.model.hamiltonian.n_sites), args.out)
+    _emit(_trajectory_csv(args, runner.model, runner.trajectory()), args.out)
 
     model = lindblad.LindbladModel(runner.h_exciton, runner.rates.gamma / cfg.dt_fs)
     rows = lindblad.convergence_report(model, runner.initial_state(), t_final, dt_list)
-    lines = _config_lines(args, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
+    lines = _config_lines(args, runner.model, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
     lines.extend(_distance_table("dt_fs,frobenius_distance", rows))
     _emit(lines, args.convergence_out)
     return 0
@@ -205,18 +214,22 @@ def cmd_sweep_chi(args) -> int:
         if not 0.0 <= c <= 1.0:
             raise ConfigError(f"chi values must lie in [0, 1], got {c}")
     if len(chis) * cfg.steps > MAX_STEPS:
-        raise ConfigError(f"a sweep holds every chi's trajectory at once: {len(chis)} chi values "
-                          f"x {cfg.steps} steps exceeds {MAX_STEPS}")
+        raise ConfigError(f"a sweep steps {len(chis)} chi values x {cfg.steps} steps, "
+                          f"more than the {MAX_STEPS} states one command may step")
     runner = _Runner(cfg)
-    # every chi in one batch; efficiencies print no min_eig, so positivity is certified
-    batch = kernel.propagate(np.stack([runner.transfer_matrix(c) for c in chis]),
-                             runner.initial_state(), cfg.dt_fs, cfg.steps, runner.observers,
-                             record_min_eig=False)
-    lines = _config_lines(args, {"command": "sweep-chi", "chis": chis})
+    dd = runner.basis.dim ** 2
+    stack = np.empty((len(chis), dd, dd), dtype=complex)
+    for member, c in zip(stack, chis):
+        member[...] = runner.transfer_matrix(c)
+    # every chi in one batch; efficiencies print no min_eig, so positivity is certified,
+    # and only each member's last row is kept
+    for _, populations, _, _ in kernel.chunks(stack, runner.initial_state(), cfg.dt_fs, cfg.steps,
+                                              runner.observers, record_min_eig=False):
+        final = populations[:, -1]
+    lines = _config_lines(args, runner.model, {"command": "sweep-chi", "chis": chis})
     lines.append("chi,efficiency")
-    for b, c in enumerate(chis):
-        eff = fmo.transfer_efficiency(batch.member(b), runner.model.sink_sites)
-        lines.append(f"{_fmt(c)},{_fmt(eff)}")
+    for row, c in zip(final, chis):
+        lines.append(f"{_fmt(c)},{_fmt(fmo.transfer_efficiency(row, runner.model.sink_sites))}")
     _emit(lines, args.out)
     return 0
 
@@ -251,7 +264,7 @@ def cmd_circuit_verify(args) -> int:
     equiv = frob_dist(circuit.choi_from_transfer(t_circuit), circuit.choi_from_transfer(t_seq))
 
     rows = circuit.compare_step_channels(runner.rates, runner.h_exciton, cfg.dt_fs, scalings, t_circuit)
-    lines = _config_lines(args, {"command": "circuit-verify", "scalings": scalings})
+    lines = _config_lines(args, runner.model, {"command": "circuit-verify", "scalings": scalings})
     lines.append(f"# choi_distance_circuit_vs_operator_model: {_fmt(equiv)}")
     lines.extend(_distance_table("scale,choi_distance_vs_step_map", rows))
     _emit(lines, args.out)

@@ -22,6 +22,7 @@ verbatim when present, else the Ohmic rates at 300 K.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IndexOutOfRangeError, ModelFileError, SpecInvalidError
-from .kernel import JumpRateSpec, Trajectory
+from .kernel import JumpRateSpec
 from .linalg import HBAR_CM1_FS, KB_CM1_PER_K, eigh
 
 
@@ -172,18 +173,18 @@ def jump_rates(basis: ExcitonBasis, model: FmoModel, dt: float,
     return JumpRateSpec(rates * dt)
 
 
-def transfer_efficiency(traj: Trajectory, sink_sites) -> float:
-    """Sum of sink-site populations at the trajectory's final time.
+def transfer_efficiency(populations, sink_sites) -> float:
+    """Sum of the sink-site entries of one population row, such as a trajectory's final row.
 
-    sink_sites are 1-based site labels (FMO sink = {3, 4}); the trajectory's
-    population columns must be site populations in site order.
+    sink_sites are 1-based site labels (FMO sink = {3, 4}); the row must hold
+    site populations in site order.
     """
-    n = traj.populations.shape[1]
+    n = len(populations)
     total = 0.0
     for s in sink_sites:
         if not 1 <= s <= n:
             raise IndexOutOfRangeError(f"sink site {s} outside 1..{n}")
-        total += float(traj.populations[-1, s - 1])
+        total += float(populations[s - 1])
     return total
 
 
@@ -193,6 +194,8 @@ class FmoModel:
 
     lambda_cm1 (>= 0) and omega_c_cm1 (> 0) come together; rates_per_fs is an
     n x n exciton-to-exciton table in fs^-1 (finite, >= 0, zero diagonal).
+    sha256 is the hex digest of the file bytes load_model parsed, None for a
+    model built in code.
     """
 
     hamiltonian: HamiltonianSpec
@@ -200,6 +203,7 @@ class FmoModel:
     lambda_cm1: float | None = None
     omega_c_cm1: float | None = None
     rates_per_fs: np.ndarray | None = None
+    sha256: str | None = None
 
     def __post_init__(self):
         if (self.lambda_cm1 is None) != (self.omega_c_cm1 is None):
@@ -231,13 +235,17 @@ def load_model(path) -> FmoModel:
 
     Required fields: site_energies_cm1, couplings_cm1, sink_sites, and a
     bath object carrying {lambda_cm1, omega_c_cm1} and/or rates_per_fs; any
-    other field (such as a provenance block) is free-form and ignored.
+    other field (such as a provenance block) is free-form and ignored. The
+    file is read once: the model's sha256 is the digest of the bytes parsed.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        data = path.read_bytes()
+        raw = json.loads(data.decode("utf-8"))
     except FileNotFoundError as exc:
         raise ModelFileError(f"model file not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
@@ -279,6 +287,7 @@ def load_model(path) -> FmoModel:
 
     try:
         return FmoModel(hamiltonian=spec, sink_sites=tuple(sink), lambda_cm1=bath.get("lambda_cm1"),
-                        omega_c_cm1=bath.get("omega_c_cm1"), rates_per_fs=rates)
+                        omega_c_cm1=bath.get("omega_c_cm1"), rates_per_fs=rates,
+                        sha256=hashlib.sha256(data).hexdigest())
     except SpecInvalidError as exc:
         raise ModelFileError(f"{path}: bad bath: {exc}") from exc

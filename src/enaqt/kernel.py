@@ -191,21 +191,25 @@ def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray |
     return (1.0 - chi) * coh + chi * full
 
 
-CHUNK = 128  # about this many states are stepped and checked per batch in propagate, over all members
+CHUNK = 128  # about this many states are stepped, checked and yielded per chunk by chunks, over all members
 LANES = 16  # consecutive states of one member that one product with T^LANES moves on; a power of two
 STATE_TOL = 1e-6  # largest negative eigenvalue and hermiticity defect a stepped state may show
 
 
-def propagate(
+def chunks(
     t: np.ndarray, rho0: np.ndarray, dt: float, steps: int, observers: np.ndarray,
     record_min_eig: bool = True,
-) -> Trajectory:
-    """Iterate vec(rho) <- t @ vec(rho), recording projector populations per step.
+):
+    """Iterate vec(rho) <- t @ vec(rho), yielding the recorded rows one checked chunk at a time.
 
     t is a row-major d^2 x d^2 transfer matrix, or a (B, d^2, d^2) stack of them
-    stepped together from the one rho0; the trajectory then has a leading member
-    axis (see Trajectory.member). observers is an (n_obs, d, d) stack of hermitian
-    projectors; populations are Re tr(P_i rho_k).
+    stepped together from the one rho0 (a 2-D t is the case B = 1). observers is
+    an (n_obs, d, d) stack of hermitian projectors; populations are Re tr(P_i rho_k).
+    Each chunk is yielded as (start, populations (B, n, n_obs), trace (B, n),
+    min_eig (B, n) or None): the rows of steps start .. start + n - 1, in fresh
+    arrays, and only after every one of its states has passed the checks below.
+    The arguments are checked when the first chunk is asked for. Only the chunk
+    buffers live between yields, so memory does not grow with `steps`.
 
     The states advance in lanes: a block holds LANES consecutive states of every
     member, as rows. T^LANES is built once per call by repeated squaring, and a
@@ -213,10 +217,9 @@ def propagate(
     states 0 .. w-1 to states w .. 2w-1. After that, one batched product with
     T^LANES moves a whole block LANES steps on, so step k is T^LANES applied
     floor(k / LANES) times to warm-up state k mod LANES. A chunk of about CHUNK
-    states is a whole number of blocks (at least one); the states are stepped
-    and checked one chunk at a time, never held as the whole run. The population
-    and trace products always run over whole blocks, so a state's bits do not
-    depend on the length of the run; only the states up to `steps` are checked.
+    states is a whole number of blocks (at least one). The population and trace
+    products always run over whole blocks, so a state's bits do not depend on
+    the length of the run; only the states up to `steps` are checked.
 
     Every state is checked for hermiticity and positivity to STATE_TOL. With
     record_min_eig, eigvalsh records its smallest eigenvalue; without it,
@@ -243,10 +246,6 @@ def propagate(
 
     # tr(P rho) = vec(P^T) . vec(rho), and tr(rho) = vec(1) . vec(rho) in the last column
     cols = np.concatenate([obs.transpose(0, 2, 1).reshape(len(obs), d * d), np.eye(d).reshape(1, -1)]).T
-    times = np.arange(steps + 1) * dt
-    populations = np.empty((members, steps + 1, len(obs)))
-    trace = np.empty((members, steps + 1))
-    min_eig = np.empty((members, steps + 1)) if record_min_eig else None
     per_chunk = LANES * max(1, CHUNK // (LANES * members))  # steps per chunk
     held = min(per_chunk, -(-(steps + 1) // LANES) * LANES)  # steps a chunk buffer holds
     # buf[1 + j, l, m]: member m at step j * LANES + l of the chunk; buf[0] carries
@@ -261,29 +260,41 @@ def propagate(
         filled = -(-n // LANES)
         for j in range(1 if start == 0 else 0, filled):
             np.matmul(blocks[j], power, blocks[j + 1])  # out=, passed positionally: cheaper per call
-        rows, flat = slice(start, start + n), buf[1:1 + filled].reshape(-1, d * d)
+        flat = buf[1:1 + filled].reshape(-1, d * d)
         values = (flat @ cols).real[:n * members].reshape(n, members, -1).transpose(1, 0, 2)
-        populations[:, rows], trace[:, rows] = values[..., :-1], values[..., -1]
         buf[0] = buf[filled]
         mats = flat[:n * members].reshape(-1, d, d)
         adj = np.conjugate(mats.transpose(0, 2, 1), out=work[0, :len(mats)])
         rho_h = work[1, :len(mats)]
         herm = np.abs(np.subtract(mats, adj, out=rho_h), out=mag[:len(mats)]).max(axis=(1, 2))
-        if not record_min_eig and herm.max() <= STATE_TOL and _certified(mats, adj, rho_h):
-            continue
-        eig = np.linalg.eigvalsh(_hermitized(mats, adj, rho_h)).min(axis=1)
-        if record_min_eig:
-            min_eig[:, rows] = eig.reshape(n, members).T
-        bad = np.flatnonzero((eig < -STATE_TOL) | (herm > STATE_TOL))
-        if bad.size:
-            k, m = divmod(int(bad[0]), members)
-            where = f"step {start + k}" if t.ndim == 2 else f"step {start + k} of member {m}"
-            raise StateInvalidError(
-                f"state invalid at {where}: min eigenvalue {eig[bad[0]]:.3e}, "
-                f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {STATE_TOL:.1e})"
-            )
-    batch = Trajectory(times, populations, trace, min_eig)
-    return batch if t.ndim == 3 else batch.member(0)
+        if record_min_eig or herm.max() > STATE_TOL or not _certified(mats, adj, rho_h):
+            eig = np.linalg.eigvalsh(_hermitized(mats, adj, rho_h)).min(axis=1)
+            bad = np.flatnonzero((eig < -STATE_TOL) | (herm > STATE_TOL))
+            if bad.size:
+                k, m = divmod(int(bad[0]), members)
+                where = f"step {start + k}" if t.ndim == 2 else f"step {start + k} of member {m}"
+                raise StateInvalidError(
+                    f"state invalid at {where}: min eigenvalue {eig[bad[0]]:.3e}, "
+                    f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {STATE_TOL:.1e})"
+                )
+        yield start, values[..., :-1], values[..., -1], eig.reshape(n, members).T if record_min_eig else None
+
+
+def propagate(
+    t: np.ndarray, rho0: np.ndarray, dt: float, steps: int, observers: np.ndarray,
+    record_min_eig: bool = True,
+) -> Trajectory:
+    """The whole run of chunks(t, rho0, dt, steps, observers, record_min_eig), collected.
+
+    A (B, d^2, d^2) stack gives a trajectory with a leading member axis (see
+    Trajectory.member); a 2-D t gives the one trajectory. Holds every row until
+    it returns, so a long run is better read from chunks as it goes.
+    """
+    _, populations, trace, min_eig = zip(*chunks(t, rho0, dt, steps, observers, record_min_eig))
+    min_eig = np.concatenate(min_eig, axis=1) if record_min_eig else None
+    batch = Trajectory(np.arange(steps + 1) * dt, np.concatenate(populations, axis=1),
+                       np.concatenate(trace, axis=1), min_eig)
+    return batch if np.ndim(t) == 3 else batch.member(0)
 
 
 def _warm_up(rows_t: np.ndarray, vec0: np.ndarray, first: np.ndarray) -> np.ndarray:

@@ -84,7 +84,7 @@ def test_criterion_2_fmo_efficiency(shipped):
         start = time.perf_counter()
         traj = run_shipped(shipped, site)
         elapsed = time.perf_counter() - start
-        eff = fmo.transfer_efficiency(traj, model.sink_sites)
+        eff = fmo.transfer_efficiency(traj.populations[-1], model.sink_sites)
         assert eff >= 0.93
         assert elapsed < 2.0
         effs[site] = eff
@@ -100,7 +100,7 @@ def test_criterion_3_localization(shipped):
     coherent_sink = sink_series(model, coherent)
     assert coherent_sink.max() <= 0.4
 
-    enaqt_eff = fmo.transfer_efficiency(run_shipped(shipped, 1), model.sink_sites)
+    enaqt_eff = fmo.transfer_efficiency(run_shipped(shipped, 1).populations[-1], model.sink_sites)
     coherent_eff = coherent_sink[-1]
     assert enaqt_eff / coherent_eff >= 2.0
     print(

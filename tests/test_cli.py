@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -193,6 +195,7 @@ class TestSimulate:
         ) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "invalid at step 1:" in err[0]
+        assert not out.exists()  # the partial file is removed
 
     def test_shown_warning_is_one_line(self, default_config, tmp_path):
         code, err = run_cli_process(
@@ -229,6 +232,23 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
         assert warnings.formatwarning is before
 
+    def test_header_hashes_the_model_bytes_parsed(self, default_config, tmp_path, monkeypatch):
+        # the model file is read once: an edit during the run does not reach the header
+        model, original = tmp_path / "model.json", Path(default_config).read_bytes()
+        model.write_bytes(original)
+        jump_rates = fmo.jump_rates
+
+        def rewriting(*args, **kwargs):
+            model.write_bytes(original + b"\n")
+            return jump_rates(*args, **kwargs)
+
+        monkeypatch.setattr(fmo, "jump_rates", rewriting)
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--config", str(model), "--steps", "2", "--out", str(out)]) == 0
+        meta, _, _ = read_rows(out)
+        assert f"# model_sha256: {hashlib.sha256(original).hexdigest()}" in meta
+        assert model.read_bytes() != original
+
     def test_bad_backend_is_config_error(self, default_config):
         assert run_cli(["simulate", "--config", default_config, "--backend", "bogus"]) == 1
 
@@ -263,7 +283,11 @@ class TestCsvBytes:
             times=np.arange(n) * 2.5, populations=cycle[:, :7],
             trace=cycle[:, 8], min_eig=cycle[:, 9],
         )
-        lines = list(cli._trajectory_csv(cli.RunConfig(model=default_config), traj, 7))
+        # in the chunks of kernel.chunks: (start, populations, trace, min_eig), one member
+        chunks = ((k, traj.populations[None, k:k + kernel.CHUNK], traj.trace[None, k:k + kernel.CHUNK],
+                   traj.min_eig[None, k:k + kernel.CHUNK]) for k in range(0, n, kernel.CHUNK))
+        run = cli.RunConfig(model=default_config, dt_fs=2.5)
+        lines = list(cli._trajectory_csv(run, fmo.load_model(default_config), chunks))
         data = [line for line in lines if not line.startswith("#")][1:]
         expected = [
             ",".join(format(float(x), ".17g") for x in (t, *pops, tr, me))
@@ -280,6 +304,42 @@ class TestCsvBytes:
         assert out.read_bytes() == expected.encode()
         cli._emit(iter(lines), None)
         assert capsys.readouterr().out == expected
+
+    def test_failed_emit_removes_only_a_regular_file(self, tmp_path):
+        def failing():
+            yield "# enaqt"
+            raise errors.StateInvalidError("boom")
+
+        out = tmp_path / "out.csv"
+        for path in (out, os.devnull):
+            with pytest.raises(errors.StateInvalidError):
+                cli._emit(failing(), str(path))
+        assert not out.exists() and os.path.exists(os.devnull)
+
+
+def traced_peak_kb(argv) -> float:
+    """tracemalloc's peak over one in-process CLI run, in KB."""
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    # rows are formatted and written chunk by chunk, so the peak does not grow with --steps
+    def test_simulate_peak_does_not_grow_with_steps(self, default_config):
+        argv = ["simulate", "--config", default_config, "--out", os.devnull, "--steps"]
+        traced_peak_kb(argv + ["100"])  # first-run allocations out of the way
+        short, long = (traced_peak_kb(argv + [steps]) for steps in ("2000", "20000"))
+        assert long - short <= 100
+
+    def test_sweep_keeps_only_the_last_rows(self, default_config):
+        argv = ["sweep-chi", "--config", default_config, "--chis", "0,0.06,0.125,0.25,0.4,0.5,0.75,1",
+                "--steps", "1000", "--out", os.devnull]
+        traced_peak_kb(argv)
+        assert traced_peak_kb(argv) < 1400
 
 
 class TestSweepChi:
@@ -533,7 +593,7 @@ ARG_CASES = {
     "sweep-chi-explicit-rates": ["sweep-chi", "--explicit-rates"],
     "verify-explicit-rates": ["circuit-verify", "--explicit-rates"],
     "steps-above-max": ["simulate", "--steps", str(cli.MAX_STEPS + 1)],
-    # a sweep holds every chi's trajectory at once
+    # a sweep steps every chi's trajectory, so its work is len(chis) x steps states
     "sweep-above-max": ["sweep-chi", "--chis", "0,1", "--steps", str(cli.MAX_STEPS // 2 + 1)],
     "sweep-no-chi": ["sweep-chi", "--chis", ","],
 }
@@ -565,6 +625,13 @@ class TestBadInputCorpus:
             err = assert_one_line_config_error(["simulate", "--config", str(path), *temperature,
                                                 "--steps", "2", "--out", str(tmp_path / "t.csv")], capsys)
             assert str(path) in err  # a load-time failure names the file
+
+    def test_model_file_not_utf8(self, default_config, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(Path(default_config).read_bytes().replace(b'"bath"', b'"b\xffath"'))
+        err = assert_one_line_config_error(["simulate", "--config", str(path), "--steps", "2",
+                                            "--out", str(tmp_path / "t.csv")], capsys)
+        assert str(path) in err and "UTF-8" in err
 
     @pytest.mark.parametrize("args", ARG_CASES.values(), ids=ARG_CASES.keys())
     def test_run_arguments(self, args, default_config, tmp_path, capsys):

@@ -11,7 +11,6 @@ from enaqt.errors import (
     SpecInvalidError,
     SurvivalUnderflowError,
 )
-from enaqt.kernel import Trajectory
 
 
 @pytest.fixture(scope="module")
@@ -248,28 +247,17 @@ class TestSitePopulations:
 
 
 class TestTransferEfficiency:
-    def _traj(self, pops):
-        pops = np.asarray(pops, dtype=float)
-        n = len(pops)
-        return Trajectory(
-            times=np.arange(n) * 10.0,
-            populations=pops,
-            trace=np.ones(n),
-            min_eig=np.zeros(n),
-        )
+    # the efficiency reads one population row, a trajectory's final one
 
     def test_all_population_on_site3(self):
-        traj = self._traj([[0, 0, 1.0, 0, 0, 0, 0]])
-        assert fmo.transfer_efficiency(traj, (3, 4)) == pytest.approx(1.0)
+        assert fmo.transfer_efficiency(np.array([0, 0, 1.0, 0, 0, 0, 0]), (3, 4)) == pytest.approx(1.0)
 
     def test_uniform_population(self):
-        traj = self._traj([np.full(7, 1.0 / 7.0)])
-        assert fmo.transfer_efficiency(traj, (3, 4)) == pytest.approx(2.0 / 7.0)
+        assert fmo.transfer_efficiency(np.full(7, 1.0 / 7.0), (3, 4)) == pytest.approx(2.0 / 7.0)
 
     def test_bad_site_label(self):
-        traj = self._traj([[1, 0], [0, 1]])
         with pytest.raises(IndexOutOfRangeError):
-            fmo.transfer_efficiency(traj, (3,))
+            fmo.transfer_efficiency(np.array([0.0, 1.0]), (3,))
 
 
 def write_two_site_model(tmp_path, bath):

@@ -432,6 +432,35 @@ class TestPropagate:
         traj = kernel.propagate(t, rho, 1.0, first_bad - 1, self._observers(2))
         assert traj.min_eig[-1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_chunks_stop_before_the_failing_chunk(self):
+        # only checked chunks are yielded: the first chunk, then the error in the second
+        t, rho = self._leaking(1.0 / 300.0), np.diag([0.5, 0.5]).astype(complex)
+        run = kernel.chunks(t, rho, 1.0, 3 * kernel.CHUNK, self._observers(2))
+        start, pops, trace, min_eig = next(run)
+        assert start == 0 and pops.shape == (1, kernel.CHUNK, 2) and min_eig.min() >= 0.0
+        with pytest.raises(StateInvalidError, match="at step 151: "):
+            next(run)
+
+    def test_cli_run_failing_in_second_chunk_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # a 2-site model stepped by the leaking T from site 2: the |1> population is
+        # 1 - k / 150, negative from step 151, in the second chunk
+        model = tmp_path / "toy.json"
+        model.write_text('{"site_energies_cm1": [0, 0], "couplings_cm1": [[0, 0], [0, 0]], '
+                         '"sink_sites": [2], "bath": {"rates_per_fs": [[0, 0], [0, 0]]}}')
+        monkeypatch.setattr(cli._Runner, "transfer_matrix", lambda runner, chi: self._leaking(1.0 / 150.0))
+        argv = ["simulate", "--config", str(model), "--initial-site", "2", "--steps", "300"]
+        out = tmp_path / "t.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "invalid at step 151: " in err[0]
+        assert not out.exists()
+        # on stdout the rows of the one checked chunk stay, then the one-line error
+        assert cli.main(argv) == 2
+        printed = capsys.readouterr()
+        rows = [line for line in printed.out.splitlines() if not line.startswith("#")][1:]
+        assert len(rows) == kernel.CHUNK and rows[-1].startswith(f"{10.0 * (kernel.CHUNK - 1):.17g},")
+        assert len(printed.err.splitlines()) == 1
+
     @pytest.mark.parametrize("record", [True, False])
     def test_names_first_invalid_step_and_member_in_second_chunk(self, record):
         # from diag(0.5, 0.5) the leaking member's |1> population reaches 0 at
@@ -551,6 +580,26 @@ class TestPropagate:
         traj = kernel.propagate(t, rho, 1.0, first_bad - 1, obs, record_min_eig=record)
         assert traj.populations.shape[-2] == first_bad
 
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 127, 128, 129, 255, 256])
+    def test_concatenated_chunks_are_propagate(self, rng, members, steps, record):
+        ops, d = self._shipped_like(rng), 4
+        stack = np.stack([kernel.step_transfer_matrix(ops, c) for c in np.linspace(0.06, 1.0, members)])
+        run = (random_density(d, rng), 10.0, steps, self._observers(d), record)
+        # one member is chunked from its 2-D T and is member 0 of the stack of one
+        starts, pops, trace, min_eig = zip(*kernel.chunks(stack if members > 1 else stack[0], *run))
+        sizes = [p.shape[1] for p in pops]
+        assert list(starts) == list(np.cumsum([0, *sizes[:-1]])) and sum(sizes) == steps + 1
+        assert all(size == self._per_chunk(members) for size in sizes[:-1])
+        batch = kernel.propagate(stack, *run)
+        assert np.array_equal(np.concatenate(pops, axis=1), batch.populations)
+        assert np.array_equal(np.concatenate(trace, axis=1), batch.trace)
+        if record:
+            assert np.array_equal(np.concatenate(min_eig, axis=1), batch.min_eig)
+        else:
+            assert set(min_eig) == {None} and batch.min_eig is None
+
     @staticmethod
     def _shipped_runner():
         return cli._Runner(cli.RunConfig(model=str(fmo.default_model_path())))
@@ -603,5 +652,5 @@ def test_public_names():
     defined = {name for name, value in vars(kernel).items()
                if not name.startswith("_") and getattr(value, "__module__", None) == kernel.__name__}
     assert defined == {"JumpRateSpec", "EvolutionOperators", "build_evolution_operators", "enaqt_step",
-                       "tunable_step", "Trajectory", "step_transfer_matrix", "propagate",
+                       "tunable_step", "Trajectory", "step_transfer_matrix", "chunks", "propagate",
                        "evolve_trajectory"}
