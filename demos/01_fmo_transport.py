@@ -23,13 +23,11 @@ def run(initial_site):
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
     rates = fmo.jump_rates(basis, model, DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
-    ops = kernel.build_evolution_operators(rates, unitary)
+    step = kernel.step_transfer_matrix(rates, unitary, 1.0)
 
     rho_site = np.zeros((7, 7), dtype=complex)
     rho_site[initial_site - 1, initial_site - 1] = 1.0
-    traj = kernel.evolve_trajectory(
-        basis.to_exciton(rho_site), ops, DT_FS, STEPS, basis.site_projectors()
-    )
+    traj = kernel.propagate(step, basis.to_exciton(rho_site), DT_FS, STEPS, basis.site_projectors())
     return model, traj
 
 

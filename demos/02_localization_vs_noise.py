@@ -20,12 +20,10 @@ STEPS = 400
 
 def trajectory(model, basis, rates, initial_site):
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
-    ops = kernel.build_evolution_operators(rates, unitary)
+    step = kernel.step_transfer_matrix(rates, unitary, 1.0)
     rho = np.zeros((7, 7), dtype=complex)
     rho[initial_site - 1, initial_site - 1] = 1.0
-    return kernel.evolve_trajectory(
-        basis.to_exciton(rho), ops, DT_FS, STEPS, basis.site_projectors()
-    )
+    return kernel.propagate(step, basis.to_exciton(rho), DT_FS, STEPS, basis.site_projectors())
 
 
 def sink_series(model, traj):

@@ -30,7 +30,6 @@ def main():
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
     rates = fmo.jump_rates(basis, model, DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
-    ops = kernel.build_evolution_operators(rates, unitary)
 
     rho0_site = np.zeros((7, 7), dtype=complex)
     rho0_site[0, 0] = 1.0
@@ -38,7 +37,7 @@ def main():
     window = int(500.0 / DT_FS)
 
     # every chi in one batch, one step matrix per member
-    stack = np.stack([kernel.step_transfer_matrix(ops, chi) for chi in chis])
+    stack = np.stack([kernel.step_transfer_matrix(rates, unitary, chi) for chi in chis])
     batch = kernel.propagate(stack, rho0, DT_FS, STEPS, basis.site_projectors(), record_min_eig=False)
 
     print("chi    efficiency(4ps)   site-2 beat amplitude (first 500 fs)")

@@ -22,11 +22,11 @@ reset after each, applies the coherent gate C = |0><0|_B1 (x) U + |1><1|_B1
 preserving and completely positive, unlike the raw one-shot step map, and
 agrees with it to first order in the jump probabilities.
 
-The circuit is simulated on its Kraus operators, compiled once per circuit
-(compile_circuit) into row operations. circuit_kraus holds one amplitude matrix, each
-branch the image of the d system inputs in the B1 x system x B2 register: gates act
-on its rows, and each reset splits the B2 = 1 rows off as new branches. Tracing B1
-and B2 leaves the Kraus operators A, and T = sum A (x) conj(A), the step's row-major
+The circuit is simulated on its Kraus operators: circuit_kraus walks the gate list
+once, holding one amplitude matrix, each branch the image of the d system inputs in
+the B1 x system x B2 register. Each gate acts on its rows where it stands in the
+list, and each reset splits the B2 = 1 rows off as new branches. Tracing B1 and B2
+leaves the Kraus operators A, and T = sum A (x) conj(A), the step's row-major
 transfer matrix, is one Gram product (circuit_transfer_matrix); apply_circuit applies
 T. The Choi matrix is a reshuffle of T. sequential_kraus_step, the independent Kraus
 route, gives the reference T from one stack of the d(d+1)/2 basis elements |a><b|,
@@ -46,7 +46,7 @@ from .errors import (
     LayoutMismatchError,
     ProbabilityOutOfRangeError,
 )
-from .kernel import JumpRateSpec, build_evolution_operators, step_transfer_matrix
+from .kernel import JumpRateSpec, step_transfer_matrix
 from .linalg import evolution_unitary, frob_dist
 
 KIND_CRY = "controlled-ry"
@@ -214,63 +214,42 @@ def gate_matrix(gate: Gate, layout: QubitLayout) -> np.ndarray:
     raise LayoutMismatchError(f"gate kind {gate.kind!r} has no unitary matrix")
 
 
-def compile_circuit(gates: GateList, layout: QubitLayout) -> tuple:
-    """Compile a GateList once into the row operations circuit_kraus runs (with the same layout), each
-    (kind, rows, op). Rotation: its pair (p, p + 1) as a slice and its 2x2 matrix; permutation: its
-    pair and the pair reversed; coherent gate: the B1 = 0 code rows of each B2 value, (2, d), and U;
-    B2 reset: no operands.
-    """
-    steps = []
-    codes, n = layout.codes(), layout.n_system  # derived once per circuit
-    for pos, gate in enumerate(gates):
-        if gate.kind == KIND_RESET_B2:
-            steps.append((KIND_RESET_B2, None, None))
-        elif gate.kind == KIND_TRACE_B1:
-            if pos != len(gates.gates) - 1:
-                raise LayoutMismatchError("trace-out-b1 must be the final gate")
-        elif gate.kind == KIND_CRY:
-            p = _two_level_indices(gate, codes, n)[0]  # B2 is the last bit: the pair is (p, p + 1)
-            steps.append((KIND_CRY, slice(p, p + 2), _rotation(gate.theta).astype(complex)))
-        elif gate.kind == KIND_CPERM:
-            idx = _two_level_indices(gate, codes, n)  # both have B2 = 1
-            steps.append((KIND_CPERM, idx, idx[::-1]))
-        elif gate.kind == KIND_CUNITARY:  # identity on B1 = 1 and off the codes
-            rows = (np.array(codes) << 1) + np.arange(2)[:, None]
-            steps.append((KIND_CUNITARY, rows, np.asarray(gate.matrix, dtype=complex)))
-        else:
-            raise LayoutMismatchError(f"gate kind {gate.kind!r} has no row operation")
-    return tuple(steps)
-
-
-def circuit_kraus(gates, layout: QubitLayout | None = None) -> np.ndarray:
-    """System Kraus operators (m, d, d) of a GateList, or of its compile_circuit plan.
+def circuit_kraus(gates: GateList) -> np.ndarray:
+    """System Kraus operators (m, d, d) of a GateList, simulated gate by gate on its layout.
 
     The register holds each branch as d columns of sim_dim rows, its image of the d system
-    inputs; it starts as one branch, the embedding with B1 = B2 = |0>. Gates act on rows only.
+    inputs; it starts as one branch, the embedding with B1 = B2 = |0>. Gates act on rows only:
+    a rotation on its pair (p, p + 1) by its 2x2 matrix, a permutation swaps its pair, and the
+    coherent gate applies U to the B1 = 0 code rows of each B2 value (identity elsewhere).
     A reset moves every branch's B2 = 1 rows to B2 = 0 as a new branch, dropping a new branch
     that is exactly zero. The buffer holds 1 + resets branches, exact for a step circuit; when
     the count passes the Kraus-rank bound d * sim_dim, the branches, as the columns of V, are
     replaced by those of R^H, with R from qr(V^H): V V^H = R^H R, so the channel is unchanged.
     Each branch's blocks at fixed (B1, B2) are Kraus operators; the exactly zero ones are dropped.
     """
-    layout = gates.layout if layout is None else layout
-    plan = gates if isinstance(gates, tuple) else compile_circuit(gates, layout)
-    d, sim, n_full = layout.dim, layout.sim_dim, 2 ** layout.n_system
-    codes = np.array(layout.codes())
-    reg = np.zeros((sim, (1 + sum(kind == KIND_RESET_B2 for kind, _, _ in plan)) * d), dtype=complex)
-    reg[codes << 1, np.arange(d)] = 1.0
+    layout = gates.layout
+    d, sim, n = layout.dim, layout.sim_dim, layout.n_system
+    codes = layout.codes()  # derived once per circuit
+    code_rows = np.array(codes) << 1
+    reg = np.zeros((sim, (1 + sum(g.kind == KIND_RESET_B2 for g in gates)) * d), dtype=complex)
+    reg[code_rows, np.arange(d)] = 1.0
     nb = 1
-    for kind, rows, op in plan:
+    for pos, gate in enumerate(gates):
         k = reg[:, :nb * d]
-        if kind == KIND_CPERM:
-            k[rows] = k[op]
-        elif kind != KIND_RESET_B2:
-            k[rows] = op @ k[rows]
-        else:
+        if gate.kind == KIND_CRY:
+            p = _two_level_indices(gate, codes, n)[0]  # B2 is the last bit: the pair is (p, p + 1)
+            k[p:p + 2] = _rotation(gate.theta).astype(complex) @ k[p:p + 2]
+        elif gate.kind == KIND_CPERM:
+            idx = _two_level_indices(gate, codes, n)  # both have B2 = 1
+            k[idx] = k[idx[::-1]]
+        elif gate.kind == KIND_CUNITARY:
+            rows = code_rows + np.arange(2)[:, None]
+            k[rows] = np.asarray(gate.matrix, dtype=complex) @ k[rows]
+        elif gate.kind == KIND_RESET_B2:
             moved = k[1::2].reshape(sim // 2, nb, d)
             keep = np.flatnonzero(moved.any(axis=0).any(axis=1))  # faster than axis=(0, 2)
             grown = nb + keep.size
-            if grown * d > reg.shape[1]:  # more branches than the plan's resets
+            if grown * d > reg.shape[1]:  # more branches than the circuit's resets
                 reg = np.concatenate([reg, np.zeros((sim, grown * d - reg.shape[1]), complex)], axis=1)
             reg[0::2, nb * d:grown * d] = moved[:, keep].reshape(sim // 2, -1)
             reg[1::2, :nb * d] = 0.0
@@ -280,31 +259,34 @@ def circuit_kraus(gates, layout: QubitLayout | None = None) -> np.ndarray:
                 r = np.linalg.qr(v_h, mode="r")
                 nb = r.shape[0]
                 reg = r.conj().reshape(nb, sim, d).transpose(1, 0, 2).reshape(sim, nb * d)
-    blocks = reg[:, :nb * d].reshape(2, n_full, 2, nb, d).transpose(0, 2, 3, 1, 4)
+        elif gate.kind != KIND_TRACE_B1:
+            raise LayoutMismatchError(f"gate kind {gate.kind!r} has no row operation")
+        elif pos != len(gates) - 1:
+            raise LayoutMismatchError("trace-out-b1 must be the final gate")
+    blocks = reg[:, :nb * d].reshape(2, 2 ** n, 2, nb, d).transpose(0, 2, 3, 1, 4)
     a = blocks[:, :, :, codes].reshape(-1, d, d)  # (B1, B2, branch) x (code, input)
     return a[a.any(axis=(1, 2))]
 
 
-def circuit_transfer_matrix(gates, layout: QubitLayout | None = None) -> np.ndarray:
-    """Row-major T = sum_k A_k (x) conj(A_k) of a GateList (or its plan, with the layout), from the
-    Kraus operators of one circuit_kraus pass, as one Gram product."""
-    a = circuit_kraus(gates, layout)
+def circuit_transfer_matrix(gates: GateList) -> np.ndarray:
+    """Row-major T = sum_k A_k (x) conj(A_k) of a GateList, from the Kraus operators of one
+    circuit_kraus pass, as one Gram product."""
+    a = circuit_kraus(gates)
     d = a.shape[-1]
     x = a.reshape(-1, d * d)  # x[k, i d + a] = A_k[i, a]
     return (x.T @ x.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def apply_circuit(rho_sys: np.ndarray, gates, layout: QubitLayout | None = None) -> np.ndarray:
-    """Run a GateList, or its compile_circuit plan, on a state or a stack (..., d, d): its transfer
-    matrix on vec(rho). The channel is exactly trace preserving."""
-    layout = gates.layout if layout is None else layout
-    d = layout.dim
+def apply_circuit(rho_sys: np.ndarray, gates: GateList) -> np.ndarray:
+    """Run a GateList on a state or a stack (..., d, d): its transfer matrix on vec(rho).
+    The channel is exactly trace preserving."""
+    d = gates.layout.dim
     rho_sys = np.asarray(rho_sys, dtype=complex)
     if rho_sys.shape[-2:] != (d, d):
         raise LayoutMismatchError(
             f"state shape {rho_sys.shape} does not fit layout dim {d}"
         )
-    t = circuit_transfer_matrix(gates, layout)
+    t = circuit_transfer_matrix(gates)
     return (rho_sys.reshape(rho_sys.shape[:-2] + (d * d,)) @ t.T).reshape(rho_sys.shape)
 
 
@@ -403,7 +385,7 @@ def compare_step_channels(
             t_c = t_circuit
         else:
             t_c = circuit_transfer_matrix(build_step_circuit(gam, u))
-        t_map = step_transfer_matrix(build_evolution_operators(gam, u), 1.0)
+        t_map = step_transfer_matrix(gam, u, 1.0)
         rows.append((float(s), frob_dist(choi_from_transfer(t_c), choi_from_transfer(t_map))))
     return rows
 

@@ -112,15 +112,26 @@ def _emit(lines, out_path: str | None):
 
     If `lines` raises, the rows already printed stay on stdout, but a partial
     out_path file is removed (a regular file only: never a device such as /dev/null).
+    An OSError while opening or writing (a missing directory, a closed pipe) is a
+    ConfigError naming the path, and stops the iteration of `lines`.
     """
-    fh = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+    try:
+        fh = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     try:
         with fh as stream:
             stream.writelines(f"{line}\n" for line in lines)
-    except BaseException:
+    except BaseException as exc:
         if out_path and os.path.isfile(out_path):
             os.remove(out_path)
-        raise
+        if not isinstance(exc, OSError):
+            raise
+        if not out_path:  # the interpreter's last flush of stdout goes to /dev/null, not to a closed pipe
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ConfigError(f"cannot write {out_path or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 class _Runner:
@@ -156,14 +167,12 @@ class _Runner:
             # the blended step is the master equation with rates chi * Gamma
             model = lindblad.LindbladModel(self.h_exciton, chi * self.rates.gamma / dt)
             return lindblad.rk4_transfer_matrix(model, dt)
-        ops = kernel.build_evolution_operators(self.rates, self.unitary)
-        return kernel.step_transfer_matrix(ops, chi, self.circuit_t)
+        return kernel.step_transfer_matrix(self.rates, self.unitary, chi, self.circuit_t)
 
     def trajectory(self):
         """The run's checked chunks (see kernel.chunks), stepped as they are read."""
         cfg = self.cfg
-        return kernel.chunks(self.transfer_matrix(cfg.chi), self.initial_state(), cfg.dt_fs,
-                             cfg.steps, self.observers)
+        return kernel.chunks(self.transfer_matrix(cfg.chi), self.initial_state(), cfg.steps, self.observers)
 
 
 def _trajectory_csv(run, model: fmo.FmoModel, chunks):
@@ -223,8 +232,8 @@ def cmd_sweep_chi(args) -> int:
         member[...] = runner.transfer_matrix(c)
     # every chi in one batch; efficiencies print no min_eig, so positivity is certified,
     # and only each member's last row is kept
-    for _, populations, _, _ in kernel.chunks(stack, runner.initial_state(), cfg.dt_fs, cfg.steps,
-                                              runner.observers, record_min_eig=False):
+    for _, populations, _, _ in kernel.chunks(stack, runner.initial_state(), cfg.steps, runner.observers,
+                                              record_min_eig=False):
         final = populations[:, -1]
     lines = _config_lines(args, runner.model, {"command": "sweep-chi", "chis": chis})
     lines.append("chi,efficiency")

@@ -244,6 +244,8 @@ def load_model(path) -> FmoModel:
         raw = json.loads(data.decode("utf-8"))
     except FileNotFoundError as exc:
         raise ModelFileError(f"model file not found: {path}") from exc
+    except OSError as exc:  # a directory, say, or no read permission
+        raise ModelFileError(f"{path}: cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ModelFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
@@ -282,8 +284,8 @@ def load_model(path) -> FmoModel:
 
     sink = require("sink_sites")
     if (not isinstance(sink, list) or not sink
-            or any(type(s) is not int or not 1 <= s <= spec.n_sites for s in sink)):
-        raise ModelFileError(f"{path}: sink_sites must be a list of integer labels 1..{spec.n_sites}")
+            or any(type(s) is not int or not 1 <= s <= spec.n_sites for s in sink) or len(set(sink)) < len(sink)):
+        raise ModelFileError(f"{path}: sink_sites must be a list of distinct integer labels 1..{spec.n_sites}")
 
     try:
         return FmoModel(hamiltonian=spec, sink_sites=tuple(sink), lambda_cm1=bath.get("lambda_cm1"),

@@ -171,21 +171,25 @@ class Trajectory:
                           None if self.min_eig is None else self.min_eig[b])
 
 
-def step_transfer_matrix(ops: EvolutionOperators, chi: float, full: np.ndarray | None = None) -> np.ndarray:
+def step_transfer_matrix(rates: JumpRateSpec, u: np.ndarray, chi: float,
+                         full: np.ndarray | None = None) -> np.ndarray:
     """Row-major transfer matrix of tunable_step, in the module docstring's closed form.
 
     `full` stands in for T_full (the circuit backend passes its circuit's T); chi in
     [0, 1], and chi = 0 and chi = 1 return the unblended ends.
     """
     _check_chi(chi)
-    u, dd = ops.unitary, ops.dim * ops.dim
-    coh = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(dd, dd)  # U (x) conj(U)
+    u, d = np.asarray(u, dtype=complex), rates.dim
+    if u.shape != (d, d):
+        raise DimensionMismatchError(f"unitary shape {u.shape} does not match rate dimension {d}")
+    coh = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)  # U (x) conj(U)
     if chi == 0.0:
         return coh
     if full is None:
-        full = np.outer(ops.survival, ops.survival).ravel()[:, None] * coh
-        pops = np.arange(ops.dim) * (ops.dim + 1)  # vec indices of the diagonal
-        full[np.ix_(pops, pops)] += ops.rates.gamma.T
+        s = rates.survival_amplitudes()
+        full = np.outer(s, s).ravel()[:, None] * coh
+        pops = np.arange(d) * (d + 1)  # vec indices of the diagonal
+        full[np.ix_(pops, pops)] += rates.gamma.T
     if chi == 1.0:
         return full
     return (1.0 - chi) * coh + chi * full
@@ -196,10 +200,7 @@ LANES = 16  # consecutive states of one member that one product with T^LANES mov
 STATE_TOL = 1e-6  # largest negative eigenvalue and hermiticity defect a stepped state may show
 
 
-def chunks(
-    t: np.ndarray, rho0: np.ndarray, dt: float, steps: int, observers: np.ndarray,
-    record_min_eig: bool = True,
-):
+def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, record_min_eig: bool = True):
     """Iterate vec(rho) <- t @ vec(rho), yielding the recorded rows one checked chunk at a time.
 
     t is a row-major d^2 x d^2 transfer matrix, or a (B, d^2, d^2) stack of them
@@ -233,8 +234,6 @@ def chunks(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     t = np.asarray(t, dtype=complex)
     stack = t if t.ndim == 3 else t[None]
     obs = np.asarray(observers, dtype=complex)
@@ -284,13 +283,16 @@ def propagate(
     t: np.ndarray, rho0: np.ndarray, dt: float, steps: int, observers: np.ndarray,
     record_min_eig: bool = True,
 ) -> Trajectory:
-    """The whole run of chunks(t, rho0, dt, steps, observers, record_min_eig), collected.
+    """The whole run of chunks(t, rho0, steps, observers, record_min_eig), collected, with times in
+    steps of dt > 0.
 
     A (B, d^2, d^2) stack gives a trajectory with a leading member axis (see
     Trajectory.member); a 2-D t gives the one trajectory. Holds every row until
     it returns, so a long run is better read from chunks as it goes.
     """
-    _, populations, trace, min_eig = zip(*chunks(t, rho0, dt, steps, observers, record_min_eig))
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    _, populations, trace, min_eig = zip(*chunks(t, rho0, steps, observers, record_min_eig))
     min_eig = np.concatenate(min_eig, axis=1) if record_min_eig else None
     batch = Trajectory(np.arange(steps + 1) * dt, np.concatenate(populations, axis=1),
                        np.concatenate(trace, axis=1), min_eig)
@@ -341,5 +343,4 @@ def evolve_trajectory(
     chi: float = 1.0,
 ) -> Trajectory:
     """Iterate tunable_step from rho0 through its transfer matrix; see propagate."""
-    t = step_transfer_matrix(ops, chi)
-    return propagate(t, rho0, dt, steps, observers)
+    return propagate(step_transfer_matrix(ops.rates, ops.unitary, chi), rho0, dt, steps, observers)

@@ -17,8 +17,9 @@ to stay structurally independent of the discrete kernel it cross-checks). For
 the linear master equation one RK4 step of size h is exactly
 T = 1 + hL (1 + hL/2 (1 + hL/3 (1 + hL/4))), with the Liouvillian matrix L
 built by one lindblad_rhs call on the stack of d^2 basis elements.
-rk4_integrate steps T through kernel.propagate; convergence_report needs only final states,
-so it raises T and the kernel's transfer matrix to their step counts by squaring.
+rk4_integrate steps T through kernel.propagate. convergence_report needs only final states:
+it raises T, and the kernel's step_transfer_matrix built from the per-step probabilities
+rates * dt and U(dt), to their step counts by squaring.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def convergence_report(model: LindbladModel, rho0: np.ndarray, t_final: float, d
     rows = []
     for dt in sorted(dt_list, reverse=True):
         u = evolution_unitary(model.hamiltonian, dt)
-        ops = kernel.build_evolution_operators(JumpRateSpec(model.rates_per_fs * dt), u)
-        final = _final_state(kernel.step_transfer_matrix(ops, 1.0), rho0, int(round(t_final / dt)))
+        t = kernel.step_transfer_matrix(JumpRateSpec(model.rates_per_fs * dt), u, 1.0)
+        final = _final_state(t, rho0, int(round(t_final / dt)))
         rows.append((dt, frob_dist(final, ref)))
     return rows

@@ -205,9 +205,7 @@ def test_criterion_8_invariant_suite(shipped):
     # Kraus completeness of the underlying (U = 1) operator family is trace
     # preservation of its channel: sum_n T[n(d+1), :] = vec(1)
     d = basis.dim
-    bare = kernel.step_transfer_matrix(
-        kernel.build_evolution_operators(rates, np.eye(d, dtype=complex)), 1.0
-    )
+    bare = kernel.step_transfer_matrix(rates, np.eye(d, dtype=complex), 1.0)
     completeness = np.max(np.abs(bare[:: d + 1].sum(axis=0) - np.eye(d).reshape(-1)))
     assert completeness <= 1e-12
 

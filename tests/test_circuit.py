@@ -214,7 +214,7 @@ class TestApplyCircuit:
         ly = QubitLayout(7)
         gates = jump_gates(0, 1, 0.0, ly)
         rho = random_density(7, rng)
-        assert np.max(np.abs(circuit.apply_circuit(rho, gates, ly) - rho)) <= 1e-13
+        assert np.max(np.abs(circuit.apply_circuit(rho, gates) - rho)) <= 1e-13
 
     def test_two_jump_step_matches_sequential_kraus(self, rng):
         d = 4
@@ -248,6 +248,23 @@ class TestApplyCircuit:
     def test_state_shape_checked(self):
         with pytest.raises(LayoutMismatchError):
             circuit.apply_circuit(np.eye(3), GateList(layout=QubitLayout(4)))
+
+    def test_trace_out_must_be_the_final_gate(self, rng):
+        gates = circuit.build_step_circuit(random_rates(3, rng), random_unitary(3, rng))
+        gates.gates.insert(-1, gates.gates.pop())  # the trace before the coherent gate
+        with pytest.raises(LayoutMismatchError, match="trace-out-b1 must be the final gate"):
+            circuit.circuit_transfer_matrix(gates)
+
+    def test_unknown_gate_kind_has_no_row_operation(self, rng):
+        gates = circuit.build_step_circuit(random_rates(3, rng), random_unitary(3, rng))
+        gates.gates.insert(0, circuit.Gate(kind="swap", targets=(1, 2)))
+        with pytest.raises(LayoutMismatchError, match="'swap' has no row operation"):
+            circuit.circuit_transfer_matrix(gates)
+
+    def test_reset_has_no_dense_matrix(self):
+        ly = QubitLayout(3)
+        with pytest.raises(LayoutMismatchError, match="has no unitary matrix"):
+            circuit.gate_matrix(circuit.Gate(kind=circuit.KIND_RESET_B2, targets=(ly.b2_wire,)), ly)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_stack_matches_per_state_and_dense_reference(self, rng, d):
@@ -336,12 +353,11 @@ class TestStackedBuilds:
         assert np.max(np.abs(t - dense)) <= 1e-15
 
     @pytest.mark.parametrize("d", [3, 7])
-    def test_transfer_matrix_bit_identical_under_plan_reuse(self, rng, d):
+    def test_transfer_matrix_bit_identical_over_rebuilds(self, rng, d):
         gates = circuit.build_step_circuit(random_rates(d, rng, scale=0.08), random_unitary(d, rng))
         t = circuit.circuit_transfer_matrix(gates)
-        plan = circuit.compile_circuit(gates, gates.layout)
-        for _ in range(6):  # the plan is reused by every build
-            assert np.array_equal(circuit.circuit_transfer_matrix(plan, gates.layout), t)
+        for _ in range(6):  # every build walks the same GateList
+            assert np.array_equal(circuit.circuit_transfer_matrix(gates), t)
 
     def test_resets_anywhere_match_dense_reference(self, rng):
         # two jumps share a reset; a second coherent gate moves a lone rotation's
@@ -564,7 +580,7 @@ class TestCompareStepChannels:
                                             targets=ly.system_wires,
                                             controls=((ly.b1_wire, 0),), matrix=u))
             gates.gates.append(circuit.Gate(kind=circuit.KIND_TRACE_B1, targets=(ly.b1_wire,)))
-            return circuit.channel_choi(lambda r: circuit.apply_circuit(r, gates, ly), d)
+            return circuit.channel_choi(lambda r: circuit.apply_circuit(r, gates), d)
 
         dists = []
         for s in (1.0, 0.5):

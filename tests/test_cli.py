@@ -135,11 +135,8 @@ class TestSimulate:
 
         runner = cli._Runner(cli.RunConfig(model=default_config))
         d = runner.basis.dim
-        layout = circuit.QubitLayout(d)
         gates = circuit.build_step_circuit(runner.rates, runner.unitary)
-        step_t = circuit.channel_transfer_matrix(
-            lambda r: circuit.apply_circuit(r, gates, layout), d
-        )
+        step_t = circuit.channel_transfer_matrix(lambda r: circuit.apply_circuit(r, gates), d)
         if chi != 1.0:
             coh_t = circuit.channel_transfer_matrix(
                 lambda r: runner.unitary @ r @ runner.unitary.conj().T, d
@@ -543,6 +540,8 @@ MODEL_EDITS = {
     "sink-fractional": lambda m: m.update(sink_sites=[3.7]),
     "sink-not-a-list": lambda m: m.update(sink_sites="34"),
     "sink-empty": lambda m: m.update(sink_sites=[]),
+    # transfer_efficiency would count the site twice
+    "sink-duplicate": lambda m: m.update(sink_sites=[3, 3]),
     "nan-site-energy": lambda m: m["site_energies_cm1"].__setitem__(0, float("nan")),
     "inf-coupling": lambda m: m["couplings_cm1"][2].__setitem__(3, float("inf")),
     "coupling-asymmetric-1e-7": _bump_coupling,
@@ -601,6 +600,17 @@ TAKES_STEPS = ("simulate", "oracle", "sweep-chi")
 
 DIMS_CASES = ["2.5", "nan", "inf", "3,-2", "2,65"]
 
+# paths a run cannot read or write: (option, what the path is)
+PATH_CASES = {
+    "config-directory": ("--config", "directory"),
+    "config-unreadable": ("--config", "no-permission"),
+    "out-missing-directory": ("--out", "missing-directory"),
+    "out-directory": ("--out", "directory"),
+    "out-unwritable-directory": ("--out", "no-permission"),
+    "convergence-out-missing-directory": ("--convergence-out", "missing-directory"),
+    "convergence-out-directory": ("--convergence-out", "directory"),
+}
+
 
 def assert_one_line_config_error(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -642,6 +652,39 @@ class TestBadInputCorpus:
     @pytest.mark.parametrize("dims", DIMS_CASES)
     def test_gatecount_dims(self, dims, capsys):
         assert_one_line_config_error(["gatecount", "--dims", dims], capsys)
+
+    @pytest.mark.parametrize("flag, kind", PATH_CASES.values(), ids=PATH_CASES.keys())
+    def test_unusable_path(self, flag, kind, default_config, tmp_path, capsys):
+        path = {"directory": tmp_path, "missing-directory": tmp_path / "missing" / "t.csv"}.get(kind)
+        if kind == "no-permission":
+            if os.geteuid() == 0:
+                pytest.skip("permissions do not bind root")
+            path = tmp_path / "locked" / ("model.json" if flag == "--config" else "t.csv")
+            path.parent.mkdir()
+            if flag == "--config":
+                path.write_bytes(Path(default_config).read_bytes())
+                path.chmod(0)
+            else:
+                path.parent.chmod(0o500)
+        # oracle takes all three paths; at 1 fs its RK4 steps are fine enough not to warn
+        argv = ["oracle", "--config", default_config, "--dt-fs", "1", "--steps", "2", "--t-final", "20",
+                "--dt-list", "20,10", "--out", str(tmp_path / "t.csv"), flag, str(path)]
+        err = assert_one_line_config_error(argv, capsys)
+        assert str(path) in err
+
+
+def test_closed_stdout_ends_in_one_line(default_config, tmp_path):
+    # the reader closes the pipe after the first line: stepping stops, and the run exits 1
+    # with one stderr line, with no traceback and no failed flush at interpreter shutdown
+    env = dict(os.environ, PYTHONPATH=str(Path(enaqt.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "enaqt.cli", "simulate", "--config", default_config,
+                             "--steps", "100000"], cwd=tmp_path, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith("# enaqt ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err.splitlines() == ["error: cannot write stdout: Broken pipe"]
 
 
 ERROR_CLASSES = sorted((c for c in vars(errors).values()

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,9 +109,8 @@ class TestBuildEvolutionOperators:
     def test_zero_rates_partition_unitary(self):
         d = 4
         u = linalg.evolution_unitary(np.diag([0.0, 10.0, 20.0, 30.0]) + 5.0, 10.0)
-        ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((d, d))), u)
         survival, jumps = documented_kraus(np.zeros((d, d)), u)
-        t = kernel.step_transfer_matrix(ops, 1.0)
+        t = kernel.step_transfer_matrix(JumpRateSpec(np.zeros((d, d))), u, 1.0)
         assert np.max(np.abs(t - kraus_transfer([survival, *jumps]))) <= 1e-15
         # no jump term: the survival branch alone is U rho U^dag
         assert np.max(np.abs(t - np.kron(u, u.conj()))) <= 1e-15
@@ -120,38 +118,34 @@ class TestBuildEvolutionOperators:
     def test_two_level_operators(self):
         p, q = 0.2, 0.05
         u = linalg.evolution_unitary(np.array([[0.0, 60.0], [60.0, 0.0]]), 4.0)
-        ops = kernel.build_evolution_operators(
-            JumpRateSpec(np.array([[0.0, p], [q, 0.0]])), u
-        )
+        rates = JumpRateSpec(np.array([[0.0, p], [q, 0.0]]))
         e0, e1 = np.eye(2)[0], np.eye(2)[1]
         kraus = [
             np.sqrt(1 - p) * np.outer(e0, e0) @ u + np.sqrt(1 - q) * np.outer(e1, e1) @ u,
             np.sqrt(p) * np.outer(e1, e0),
             np.sqrt(q) * np.outer(e0, e1),
         ]
-        t = kernel.step_transfer_matrix(ops, 1.0)
+        t = kernel.step_transfer_matrix(rates, u, 1.0)
         assert np.allclose(t, kraus_transfer(kraus))
 
     def test_completeness_dim7(self, rng):
         d = 7
         u = linalg.evolution_unitary(np.diag(rng.normal(size=d) * 100), 10.0)
         rates = random_rates(d, rng, scale=0.1)
-        ops = kernel.build_evolution_operators(rates, u)
         # completeness is a property of the unprimed operators: undo U first;
         # then sum M^dag M = 1 is trace preservation, sum_n T[n(d+1), :] = vec(1)
-        bare = kernel.step_transfer_matrix(replace(ops, unitary=np.eye(d, dtype=complex)), 1.0)
+        bare = kernel.step_transfer_matrix(rates, np.eye(d, dtype=complex), 1.0)
         assert np.max(np.abs(bare[:: d + 1].sum(axis=0) - np.eye(d).reshape(-1))) <= 1e-12
 
     def test_jump_ops_rank_one(self, rng):
         d = 5
         rates = random_rates(d, rng, scale=0.05)
-        ops = kernel.build_evolution_operators(rates, np.eye(d, dtype=complex))
         survival, jumps = documented_kraus(rates.gamma, np.eye(d, dtype=complex))
         for op in jumps:
             assert np.linalg.matrix_rank(op) == 1
         # with U = 1 the jump branch is the channel minus its survival branch;
         # its Choi matrix is that of the rank-one family above
-        t = kernel.step_transfer_matrix(ops, 1.0) - kraus_transfer([survival])
+        t = kernel.step_transfer_matrix(rates, np.eye(d, dtype=complex), 1.0) - kraus_transfer([survival])
         choi = circuit.channel_choi(lambda r: (t @ r.reshape(-1)).reshape(d, d), d)
         vecs = [k.T.reshape(-1) for k in jumps]  # Choi index (c, a) holds K[a, c]
         assert np.max(np.abs(choi - sum(np.outer(v, v.conj()) for v in vecs))) <= 1e-15
@@ -159,6 +153,12 @@ class TestBuildEvolutionOperators:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             kernel.build_evolution_operators(random_rates(3, rng), np.eye(4))
+
+    def test_transfer_matrix_dimension_mismatch(self, rng):
+        # the unitary must match the rates, whatever the chi
+        for chi in (0.0, 0.5, 1.0):
+            with pytest.raises(DimensionMismatchError, match="unitary shape"):
+                kernel.step_transfer_matrix(random_rates(3, rng), np.eye(4), chi)
 
 
 class TestEnaqtStep:
@@ -289,10 +289,10 @@ class TestTunableStep:
         ops = kernel.build_evolution_operators(JumpRateSpec(np.zeros((2, 2))), np.eye(2))
         rho, obs = np.diag([1.0, 0.0]).astype(complex), np.eye(2)[None].astype(complex)
         with pytest.raises(ValueError, match="dt must be positive"):
-            kernel.propagate(kernel.step_transfer_matrix(ops, 1.0), rho, 0.0, 1, obs)
+            kernel.propagate(kernel.step_transfer_matrix(ops.rates, ops.unitary, 1.0), rho, 0.0, 1, obs)
         for chi in (1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="chi must lie in"):
-                kernel.step_transfer_matrix(ops, chi)
+                kernel.step_transfer_matrix(ops.rates, ops.unitary, chi)
             with pytest.raises(ValueError, match="chi must lie in"):
                 kernel.tunable_step(rho, ops, chi)
 
@@ -361,12 +361,12 @@ class TestPropagate:
         reference = circuit.channel_transfer_matrix(
             lambda r: kernel.tunable_step(r, ops, chi), ops.dim
         )
-        assert np.max(np.abs(kernel.step_transfer_matrix(ops, chi) - reference)) <= 1e-14
+        assert np.max(np.abs(kernel.step_transfer_matrix(ops.rates, ops.unitary, chi) - reference)) <= 1e-14
 
     def test_chi_zero_is_bare_unitary_product(self, rng):
         ops = self._shipped_like(rng)
         assert np.array_equal(
-            kernel.step_transfer_matrix(ops, 0.0), np.kron(ops.unitary, ops.unitary.conj())
+            kernel.step_transfer_matrix(ops.rates, ops.unitary, 0.0), np.kron(ops.unitary, ops.unitary.conj())
         )
 
     @pytest.mark.parametrize("chi", [0.0, 0.06, 0.5, 1.0])
@@ -377,8 +377,8 @@ class TestPropagate:
         t_circuit = circuit.circuit_transfer_matrix(circuit.build_step_circuit(ops.rates, ops.unitary))
         coh = np.kron(ops.unitary, ops.unitary.conj())
         expected = {0.0: coh, 1.0: t_circuit}.get(chi, (1.0 - chi) * coh + chi * t_circuit)
-        assert np.array_equal(kernel.step_transfer_matrix(ops, chi, full=t_circuit), expected)
-        assert not np.array_equal(t_circuit, kernel.step_transfer_matrix(ops, 1.0))
+        assert np.array_equal(kernel.step_transfer_matrix(ops.rates, ops.unitary, chi, full=t_circuit), expected)
+        assert not np.array_equal(t_circuit, kernel.step_transfer_matrix(ops.rates, ops.unitary, 1.0))
 
     @pytest.mark.parametrize("chi", [0.06, 0.5, 1.0])
     def test_transfer_matrix_equals_kron_form(self, rng, chi):
@@ -389,7 +389,7 @@ class TestPropagate:
         pops = np.arange(ops.dim) * (ops.dim + 1)
         full[np.ix_(pops, pops)] += ops.rates.gamma.T
         expected = {0.0: coh, 1.0: full}.get(chi, (1.0 - chi) * coh + chi * full)
-        assert np.array_equal(kernel.step_transfer_matrix(ops, chi), expected)
+        assert np.array_equal(kernel.step_transfer_matrix(ops.rates, ops.unitary, chi), expected)
 
     def test_matches_manual_tunable_step_loop(self, rng):
         d = 4
@@ -398,7 +398,7 @@ class TestPropagate:
         steps = 2 * kernel.CHUNK + 3
         rho = random_density(d, rng)
         obs = self._observers(d)
-        traj = kernel.propagate(kernel.step_transfer_matrix(ops, chi), rho, dt, steps, obs)
+        traj = kernel.propagate(kernel.step_transfer_matrix(ops.rates, ops.unitary, chi), rho, dt, steps, obs)
         assert traj.populations.shape == (steps + 1, d)
         manual = rho.copy()
         for k in range(steps + 1):
@@ -435,7 +435,7 @@ class TestPropagate:
     def test_chunks_stop_before_the_failing_chunk(self):
         # only checked chunks are yielded: the first chunk, then the error in the second
         t, rho = self._leaking(1.0 / 300.0), np.diag([0.5, 0.5]).astype(complex)
-        run = kernel.chunks(t, rho, 1.0, 3 * kernel.CHUNK, self._observers(2))
+        run = kernel.chunks(t, rho, 3 * kernel.CHUNK, self._observers(2))
         start, pops, trace, min_eig = next(run)
         assert start == 0 and pops.shape == (1, kernel.CHUNK, 2) and min_eig.min() >= 0.0
         with pytest.raises(StateInvalidError, match="at step 151: "):
@@ -511,7 +511,7 @@ class TestPropagate:
 
     def test_member_of_one_is_the_single_run(self, rng):
         ops = self._shipped_like(rng)
-        t, rho, obs = kernel.step_transfer_matrix(ops, 0.5), random_density(4, rng), self._observers(4)
+        t, rho, obs = kernel.step_transfer_matrix(ops.rates, ops.unitary, 0.5), random_density(4, rng), self._observers(4)
         single = kernel.propagate(t, rho, 10.0, 300, obs)
         member = kernel.propagate(t[None], rho, 10.0, 300, obs).member(0)
         for field in ("times", "populations", "trace", "min_eig"):
@@ -545,7 +545,7 @@ class TestPropagate:
         # over three chunks and a partial fourth; nine members leave one lane block per chunk
         ops, d = self._shipped_like(rng), 4
         chis = np.linspace(0.0, 1.0, members)
-        stack = np.stack([kernel.step_transfer_matrix(ops, c) for c in chis])
+        stack = np.stack([kernel.step_transfer_matrix(ops.rates, ops.unitary, c) for c in chis])
         rho, obs = random_density(d, rng), self._observers(d)
         steps = 3 * self._per_chunk(members) + 5
         batch = kernel.propagate(stack, rho, 10.0, steps, obs)
@@ -557,7 +557,7 @@ class TestPropagate:
                                        kernel.CHUNK - 1, kernel.CHUNK, kernel.CHUNK + 1])
     def test_lane_edge_step_counts(self, rng, steps):
         ops, d = self._shipped_like(rng), 4
-        t, rho, obs = kernel.step_transfer_matrix(ops, 0.5), random_density(d, rng), self._observers(d)
+        t, rho, obs = kernel.step_transfer_matrix(ops.rates, ops.unitary, 0.5), random_density(d, rng), self._observers(d)
         traj = kernel.propagate(t, rho, 10.0, steps, obs)
         assert traj.populations.shape == (steps + 1, d)
         assert traj.times[-1] == pytest.approx(steps * 10.0)
@@ -585,14 +585,15 @@ class TestPropagate:
     @pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 127, 128, 129, 255, 256])
     def test_concatenated_chunks_are_propagate(self, rng, members, steps, record):
         ops, d = self._shipped_like(rng), 4
-        stack = np.stack([kernel.step_transfer_matrix(ops, c) for c in np.linspace(0.06, 1.0, members)])
-        run = (random_density(d, rng), 10.0, steps, self._observers(d), record)
+        stack = np.stack([kernel.step_transfer_matrix(ops.rates, ops.unitary, c) for c in np.linspace(0.06, 1.0, members)])
+        rho, obs = random_density(d, rng), self._observers(d)
         # one member is chunked from its 2-D T and is member 0 of the stack of one
-        starts, pops, trace, min_eig = zip(*kernel.chunks(stack if members > 1 else stack[0], *run))
+        starts, pops, trace, min_eig = zip(*kernel.chunks(stack if members > 1 else stack[0], rho, steps, obs,
+                                                          record))
         sizes = [p.shape[1] for p in pops]
         assert list(starts) == list(np.cumsum([0, *sizes[:-1]])) and sum(sizes) == steps + 1
         assert all(size == self._per_chunk(members) for size in sizes[:-1])
-        batch = kernel.propagate(stack, *run)
+        batch = kernel.propagate(stack, rho, 10.0, steps, obs, record)
         assert np.array_equal(np.concatenate(pops, axis=1), batch.populations)
         assert np.array_equal(np.concatenate(trace, axis=1), batch.trace)
         if record:
@@ -634,7 +635,7 @@ class TestPropagate:
 
     def test_rejects_mismatched_shapes(self, rng):
         ops = self._shipped_like(rng, 3)
-        t = kernel.step_transfer_matrix(ops, 1.0)
+        t = kernel.step_transfer_matrix(ops.rates, ops.unitary, 1.0)
         with pytest.raises(DimensionMismatchError):
             kernel.propagate(np.empty((0, 9, 9)), np.eye(3) / 3, 1.0, 1, self._observers(3))
         with pytest.raises(DimensionMismatchError):

@@ -238,7 +238,7 @@ class TestFinalState:
         else:
             u = linalg.evolution_unitary(model.hamiltonian, 5.0)
             rates = kernel.JumpRateSpec(model.rates_per_fs * 5.0)
-            t = kernel.step_transfer_matrix(kernel.build_evolution_operators(rates, u), 1.0)
+            t = kernel.step_transfer_matrix(rates, u, 1.0)
         rho0 = random_density(7, np.random.default_rng(9))
         expected = self.matvec_loop(t, rho0, 4000)
         powered = lindblad._final_state(t, rho0, 4000)

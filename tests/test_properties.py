@@ -50,8 +50,7 @@ def test_circuit_channel_is_cptp(model):
 @given(models(), st.floats(0.0, 1.0))
 def test_step_map_is_completely_positive(model, chi):
     rates, h, dt = model
-    ops = kernel.build_evolution_operators(rates, linalg.evolution_unitary(h, dt))
-    assert min_choi_eig(kernel.step_transfer_matrix(ops, chi)) >= -1e-12
+    assert min_choi_eig(kernel.step_transfer_matrix(rates, linalg.evolution_unitary(h, dt), chi)) >= -1e-12
 
 
 @PROPERTY
@@ -64,7 +63,7 @@ def test_populations_stay_in_unit_interval(model, chi, amplitudes):
     assume(np.linalg.norm(psi) > 0.1)
     rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
     u = np.diag(np.exp(-1j * np.diag(h).real * dt / linalg.HBAR_CM1_FS))
-    t = kernel.step_transfer_matrix(kernel.build_evolution_operators(rates, u), chi)
+    t = kernel.step_transfer_matrix(rates, u, chi)
     observers = np.stack([np.diag(e).astype(complex) for e in np.eye(d)])
     pops = kernel.propagate(t, rho0, dt, 20, observers).populations
     assert pops.min() >= -1e-12 and pops.max() <= 1.0 + 1e-12
