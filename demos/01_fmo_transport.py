@@ -21,7 +21,7 @@ STEPS = 400
 def run(initial_site):
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model, DT_FS)
+    rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model) * DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
     step = kernel.step_transfer_matrix(rates, unitary, 1.0)
 

@@ -28,7 +28,7 @@ def main():
 
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model, DT_FS)
+    rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model) * DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
 
     rho0_site = np.zeros((7, 7), dtype=complex)

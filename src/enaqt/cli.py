@@ -107,31 +107,37 @@ def _distance_table(header: str, rows) -> list:
     return lines
 
 
-def _emit(lines, out_path: str | None):
-    """Write each line as `lines` yields it, to out_path or stdout.
+def _emit(*outputs):
+    """Write each (lines, out_path) pair in turn, each line as `lines` yields it, to out_path or stdout.
 
-    If `lines` raises, the rows already printed stay on stdout, but a partial
-    out_path file is removed (a regular file only: never a device such as /dev/null).
-    An OSError while opening or writing (a missing directory, a closed pipe) is a
-    ConfigError naming the path, and stops the iteration of `lines`.
+    Every out_path is opened before the first line is asked for. If a `lines` raises,
+    the rows already printed stay on stdout, but every out_path file opened is removed
+    (a regular file only: never a device such as /dev/null). An OSError while opening
+    or writing (a missing directory, a closed pipe) is a ConfigError naming the path,
+    and stops the iteration of `lines`.
     """
+    streams = []  # one per output opened so far
     try:
-        fh = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
-    try:
-        with fh as stream:
+        for _, current in outputs:
+            streams.append(open(current, "w") if current else sys.stdout)
+        for (lines, current), stream in zip(outputs, streams):
             stream.writelines(f"{line}\n" for line in lines)
+            if current:
+                stream.close()
     except BaseException as exc:
-        if out_path and os.path.isfile(out_path):
-            os.remove(out_path)
+        for (_, out_path), stream in zip(outputs, streams):
+            if out_path:
+                with contextlib.suppress(OSError):  # a failed flush: the file goes anyway
+                    stream.close()
+                if os.path.isfile(out_path):
+                    os.remove(out_path)
         if not isinstance(exc, OSError):
             raise
-        if not out_path:  # the interpreter's last flush of stdout goes to /dev/null, not to a closed pipe
+        if not current:  # the interpreter's last flush of stdout goes to /dev/null, not to a closed pipe
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-        raise ConfigError(f"cannot write {out_path or 'stdout'}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot write {current or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 class _Runner:
@@ -143,7 +149,8 @@ class _Runner:
         cfg.validate(self.model.hamiltonian.n_sites)
         self.h_site = fmo.site_hamiltonian(self.model.hamiltonian)
         self.basis = fmo.exciton_basis(self.h_site)
-        self.rates = fmo.jump_rates(self.basis, self.model, cfg.dt_fs, cfg.temperature_k)
+        self.rates_per_fs = fmo.jump_rates(self.basis, self.model, cfg.temperature_k)
+        self.rates = kernel.JumpRateSpec(self.rates_per_fs * cfg.dt_fs)
         self.h_exciton = np.diag(self.basis.energies_cm1).astype(complex)
         self.unitary = np.diag(
             np.exp(-1j * self.basis.energies_cm1 * cfg.dt_fs / HBAR_CM1_FS)
@@ -161,18 +168,17 @@ class _Runner:
 
     def transfer_matrix(self, chi: float) -> np.ndarray:
         """The row-major step T of this run's backend at chi."""
-        dt = self.cfg.dt_fs
         if self.cfg.backend == "lindblad-oracle":
             # chi scales the dissipator linearly, so the continuum counterpart of
             # the blended step is the master equation with rates chi * Gamma
-            model = lindblad.LindbladModel(self.h_exciton, chi * self.rates.gamma / dt)
-            return lindblad.rk4_transfer_matrix(model, dt)
+            model = lindblad.LindbladModel(self.h_exciton, chi * self.rates_per_fs)
+            return lindblad.rk4_transfer_matrix(model, self.cfg.dt_fs)
         return kernel.step_transfer_matrix(self.rates, self.unitary, chi, self.circuit_t)
 
     def trajectory(self):
-        """The run's checked chunks (see kernel.chunks), stepped as they are read."""
+        """The run's checked chunks (see kernel.chunks), stepped as they are read; T is built at the first."""
         cfg = self.cfg
-        return kernel.chunks(self.transfer_matrix(cfg.chi), self.initial_state(), cfg.steps, self.observers)
+        yield from kernel.chunks(self.transfer_matrix(cfg.chi), self.initial_state(), cfg.steps, self.observers)
 
 
 def _trajectory_csv(run, model: fmo.FmoModel, chunks):
@@ -189,7 +195,7 @@ def _trajectory_csv(run, model: fmo.FmoModel, chunks):
 
 def cmd_simulate(args) -> int:
     runner = _Runner(_run_config(args))
-    _emit(_trajectory_csv(args, runner.model, runner.trajectory()), args.out)
+    _emit((_trajectory_csv(args, runner.model, runner.trajectory()), args.out))
     return 0
 
 
@@ -203,15 +209,23 @@ def cmd_oracle(args) -> int:
         n = t_final / dt
         if not (n < math.inf and abs(n - round(n)) <= 1e-9):
             raise ConfigError(f"--dt-list value {dt} fs does not divide --t-final {t_final} fs")
+    # both files are open at once, so one regular file for both would interleave them
+    out, conv = args.out, args.convergence_out
+    if (out and conv and os.path.realpath(out) == os.path.realpath(conv)
+            and (os.path.isfile(out) or not os.path.exists(out))):
+        raise ConfigError(f"--out and --convergence-out are the same file {out}")
     runner = _Runner(cfg)
-    _emit(_trajectory_csv(args, runner.model, runner.trajectory()), args.out)
-
-    model = lindblad.LindbladModel(runner.h_exciton, runner.rates.gamma / cfg.dt_fs)
-    rows = lindblad.convergence_report(model, runner.initial_state(), t_final, dt_list)
-    lines = _config_lines(args, runner.model, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
-    lines.extend(_distance_table("dt_fs,frobenius_distance", rows))
-    _emit(lines, args.convergence_out)
+    _emit((_trajectory_csv(args, runner.model, runner.trajectory()), args.out),
+          (_convergence_csv(args, runner, t_final, dt_list), args.convergence_out))
     return 0
+
+
+def _convergence_csv(args, runner: _Runner, t_final: float, dt_list: list):
+    """The oracle's convergence table; its RK4 runs start when its first line is asked for."""
+    rows = lindblad.convergence_report(lindblad.LindbladModel(runner.h_exciton, runner.rates_per_fs),
+                                       runner.initial_state(), t_final, dt_list)
+    yield from _config_lines(args, runner.model, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
+    yield from _distance_table("dt_fs,frobenius_distance", rows)
 
 
 def cmd_sweep_chi(args) -> int:
@@ -239,7 +253,7 @@ def cmd_sweep_chi(args) -> int:
     lines.append("chi,efficiency")
     for row, c in zip(final, chis):
         lines.append(f"{_fmt(c)},{_fmt(fmo.transfer_efficiency(row, runner.model.sink_sites))}")
-    _emit(lines, args.out)
+    _emit((lines, args.out))
     return 0
 
 
@@ -258,7 +272,7 @@ def cmd_gatecount(args) -> int:
             f"{d},{rep.jumps},{rep.per_jump_elementary},"
             f"{rep.jump_elementary_total},{rep.coherent_gates},{rep.qubits}"
         )
-    _emit(lines, args.out)
+    _emit((lines, args.out))
     return 0
 
 
@@ -276,7 +290,7 @@ def cmd_circuit_verify(args) -> int:
     lines = _config_lines(args, runner.model, {"command": "circuit-verify", "scalings": scalings})
     lines.append(f"# choi_distance_circuit_vs_operator_model: {_fmt(equiv)}")
     lines.extend(_distance_table("scale,choi_distance_vs_step_map", rows))
-    _emit(lines, args.out)
+    _emit((lines, args.out))
     if equiv > 1e-10:
         print(
             f"circuit/operator-model Choi distance {equiv:.3e} exceeds 1e-10",

@@ -17,7 +17,8 @@ A model file's bath carries the Ohmic parameters (lambda, omega_c), an
 explicit exciton-to-exciton rate table (fs^-1), or both; `load_model`
 validates every field it carries. `jump_rates` is the one place that picks
 the source: a temperature selects the Ohmic rates, otherwise the table is used
-verbatim when present, else the Ohmic rates at 300 K.
+verbatim when present, else the Ohmic rates at 300 K. Rates stay in fs^-1 here;
+the per-step probabilities Gamma * dt are formed where a step is built.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IndexOutOfRangeError, ModelFileError, SpecInvalidError
-from .kernel import JumpRateSpec
 from .linalg import HBAR_CM1_FS, KB_CM1_PER_K, eigh
 
 
@@ -153,24 +153,20 @@ def thermal_rate_matrix(
     return rates
 
 
-def jump_rates(basis: ExcitonBasis, model: FmoModel, dt: float,
-               temperature_k: float | None = None) -> JumpRateSpec:
-    """Per-step jump probabilities gamma = Gamma * dt for the exciton basis.
+def jump_rates(basis: ExcitonBasis, model: FmoModel, temperature_k: float | None = None) -> np.ndarray:
+    """Exciton-to-exciton jump rates Gamma[M, N] (fs^-1) for the exciton basis.
 
     A temperature selects the model's Ohmic rates; without one the model's
     rate table is used verbatim when present, else the Ohmic rates at 300 K.
     Raises ModelFileError when the Ohmic rates are asked for and the model has
-    no Ohmic parameters, and SurvivalUnderflowError (via JumpRateSpec) if any
-    row of gamma sums above 1; use a smaller dt.
+    no Ohmic parameters. A step of dt fs jumps with probability Gamma * dt.
     """
     if temperature_k is None and model.rates_per_fs is not None:
-        rates = model.rates_per_fs
-    elif model.lambda_cm1 is None:
+        return model.rates_per_fs
+    if model.lambda_cm1 is None:
         raise ModelFileError("model file has no Ohmic bath parameters; cannot generate rates")
-    else:
-        rates = thermal_rate_matrix(basis, model.lambda_cm1, model.omega_c_cm1,
-                                    300.0 if temperature_k is None else temperature_k)
-    return JumpRateSpec(rates * dt)
+    return thermal_rate_matrix(basis, model.lambda_cm1, model.omega_c_cm1,
+                               300.0 if temperature_k is None else temperature_k)
 
 
 def transfer_efficiency(populations, sink_sites) -> float:

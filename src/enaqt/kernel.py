@@ -13,8 +13,8 @@ transfer. The map is linear, hermiticity-preserving, and built from a Kraus
 family satisfying sum M^dag M = 1 exactly; its trace drift per step is
 second order in dt because U does not commute with the projectors.
 
-Jump probabilities are per-step values gamma = Gamma * dt supplied by the
-caller; the kernel never sees rates and time steps separately.
+Jump probabilities are per-step values gamma = Gamma * dt, formed by the caller from
+rates in fs^-1 (fmo.jump_rates): the kernel never sees rates and time steps separately.
 
 Trajectories are stepped by the transfer matrix T of the step map,
 vec(rho') = T vec(rho), in the row-major convention vec(rho)[a*d + b] = rho[a, b]:
@@ -209,8 +209,8 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
     Each chunk is yielded as (start, populations (B, n, n_obs), trace (B, n),
     min_eig (B, n) or None): the rows of steps start .. start + n - 1, in fresh
     arrays, and only after every one of its states has passed the checks below.
-    The arguments are checked when the first chunk is asked for. Only the chunk
-    buffers live between yields, so memory does not grow with `steps`.
+    The arguments are checked when the first chunk is asked for. Only one chunk's
+    lane buffer lives between yields, so memory does not grow with `steps`.
 
     The states advance in lanes: a block holds LANES consecutive states of every
     member, as rows. T^LANES is built once per call by repeated squaring, and a
@@ -246,12 +246,9 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
     # tr(P rho) = vec(P^T) . vec(rho), and tr(rho) = vec(1) . vec(rho) in the last column
     cols = np.concatenate([obs.transpose(0, 2, 1).reshape(len(obs), d * d), np.eye(d).reshape(1, -1)]).T
     per_chunk = LANES * max(1, CHUNK // (LANES * members))  # steps per chunk
-    held = min(per_chunk, -(-(steps + 1) // LANES) * LANES)  # steps a chunk buffer holds
     # buf[1 + j, l, m]: member m at step j * LANES + l of the chunk; buf[0] carries
     # the previous chunk's last block
-    buf = np.empty((1 + held // LANES, LANES, members, d * d), dtype=complex)
-    work = np.empty((2, held * members, d, d), dtype=complex)  # check buffers: adjoints, rho_h
-    mag = np.empty((held * members, d, d))
+    buf = np.empty((1 + per_chunk // LANES, LANES, members, d * d), dtype=complex)
     blocks = list(buf.transpose(0, 2, 1, 3))  # (B, LANES, d^2) operands of the lane products
     power = _warm_up(stack.transpose(0, 2, 1), np.asarray(rho0, dtype=complex).reshape(-1), blocks[1])
     for start in range(0, steps + 1, per_chunk):
@@ -263,11 +260,12 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
         values = (flat @ cols).real[:n * members].reshape(n, members, -1).transpose(1, 0, 2)
         buf[0] = buf[filled]
         mats = flat[:n * members].reshape(-1, d, d)
-        adj = np.conjugate(mats.transpose(0, 2, 1), out=work[0, :len(mats)])
-        rho_h = work[1, :len(mats)]
-        herm = np.abs(np.subtract(mats, adj, out=rho_h), out=mag[:len(mats)]).max(axis=(1, 2))
-        if record_min_eig or herm.max() > STATE_TOL or not _certified(mats, adj, rho_h):
-            eig = np.linalg.eigvalsh(_hermitized(mats, adj, rho_h)).min(axis=1)
+        # a contiguous adjoint: the elementwise loops below run slower on a strided view
+        adj = np.conjugate(mats.transpose(0, 2, 1), order="C")
+        herm = np.abs(mats - adj).max(axis=(1, 2))
+        rho_h = (adj + mats) * 0.5
+        if record_min_eig or herm.max() > STATE_TOL or not _certified(rho_h + STATE_TOL * np.eye(d)):
+            eig = np.linalg.eigvalsh(rho_h).min(axis=1)
             bad = np.flatnonzero((eig < -STATE_TOL) | (herm > STATE_TOL))
             if bad.size:
                 k, m = divmod(int(bad[0]), members)
@@ -302,35 +300,22 @@ def propagate(
 def _warm_up(rows_t: np.ndarray, vec0: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Fill the first lane block from vec0 and return (T^T)^LANES, stepping as rows @ T^T.
 
-    Each squaring of a member's power ladder T, T^2, T^4, ... first carries its
-    filled lanes forward: lanes [w, 2w) are lanes [0, w) times (T^T)^w. A member's
-    squarings alternate between its slot of the result and one scratch matrix,
-    ending in the slot.
+    Each squaring of the power ladder T, T^2, T^4, ..., one batched product over all
+    members, first carries the filled lanes forward: lanes [w, 2w) are lanes [0, w) times (T^T)^w.
     """
     first[:, 0] = vec0
-    power, scratch = np.empty(rows_t.shape, dtype=complex), np.empty(rows_t.shape[1:], dtype=complex)
-    squarings = LANES.bit_length() - 1
-    for lanes, p, slot in zip(first, rows_t, power):
-        for i in range(squarings):
-            width = 1 << i
-            np.matmul(lanes[:width], p, lanes[width:2 * width])
-            p = np.matmul(p, p, (slot, scratch)[(squarings - 1 - i) % 2])
-    return power
+    for i in range(LANES.bit_length() - 1):
+        width = 1 << i
+        np.matmul(first[:, :width], rows_t, first[:, width:2 * width])
+        rows_t = rows_t @ rows_t
+    return rows_t
 
 
-def _hermitized(mats: np.ndarray, adj: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(mats + adj) / 2 into out: the hermitian parts of a stack, given its adjoints."""
-    return np.multiply(np.add(adj, mats, out=out), 0.5, out=out)
+def _certified(shifted: np.ndarray) -> bool:
+    """Whether every matrix of a hermitian stack is positive definite, by one Cholesky.
 
-
-def _certified(mats: np.ndarray, adj: np.ndarray, out: np.ndarray) -> bool:
-    """Whether every hermitized state has min eigenvalue > -STATE_TOL, by one Cholesky.
-
-    rho_h + STATE_TOL 1 (built in out) has a Cholesky factor only when it is
-    positive definite; a state at the boundary meets a zero pivot.
+    Given rho_h + STATE_TOL 1, a state at min_eig(rho_h) = -STATE_TOL meets a zero pivot.
     """
-    shifted = _hermitized(mats, adj, out)
-    shifted.reshape(len(shifted), -1)[:, :: shifted.shape[-1] + 1] += STATE_TOL
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

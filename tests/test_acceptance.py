@@ -27,7 +27,7 @@ TOY3_RATES = np.array(
 def shipped():
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model, DT_FS)
+    rates = JumpRateSpec(fmo.jump_rates(basis, model) * DT_FS)
     unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
     ops = kernel.build_evolution_operators(rates, unitary)
     return model, basis, rates, unitary, ops

@@ -297,9 +297,9 @@ class TestCsvBytes:
         expected = "\n".join(lines) + "\n"
         out = tmp_path / "out.csv"
         out.write_text("stale\n" * 100)
-        cli._emit(iter(lines), str(out))
+        cli._emit((iter(lines), str(out)))
         assert out.read_bytes() == expected.encode()
-        cli._emit(iter(lines), None)
+        cli._emit((iter(lines), None))
         assert capsys.readouterr().out == expected
 
     def test_failed_emit_removes_only_a_regular_file(self, tmp_path):
@@ -310,8 +310,13 @@ class TestCsvBytes:
         out = tmp_path / "out.csv"
         for path in (out, os.devnull):
             with pytest.raises(errors.StateInvalidError):
-                cli._emit(failing(), str(path))
+                cli._emit((failing(), str(path)))
         assert not out.exists() and os.path.exists(os.devnull)
+        # a later output's failure removes an earlier, complete one too
+        first = tmp_path / "first.csv"
+        with pytest.raises(errors.StateInvalidError):
+            cli._emit((iter(["# enaqt"]), str(first)), (failing(), str(out)))
+        assert not first.exists() and not out.exists()
 
 
 def traced_peak_kb(argv) -> float:
@@ -377,12 +382,14 @@ class TestSweepChi:
             assert eff == sim[-1, header.index("site3")] + sim[-1, header.index("site4")]
         assert rows[0, 1] < rows[1, 1] < rows[2, 1]
 
-    @pytest.mark.parametrize("backend", cli.BACKENDS)
-    def test_batch_members_match_single_runs(self, default_config, backend):
+    # nine members make every chunk of the batch a single lane block (kernel.CHUNK // kernel.LANES < 9)
+    @pytest.mark.parametrize("backend, chis", [pytest.param(b, (0.0, 0.06, 0.5, 1.0), id=b) for b in cli.BACKENDS]
+                             + [pytest.param(b, (0.0, 0.06, 0.125, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0), id=f"{b}-9chi")
+                                for b in cli.BACKENDS])
+    def test_batch_members_match_single_runs(self, default_config, backend, chis):
         # bit for bit, certified or recorded; no single run has a one-row chunk at
         # 300 steps (numpy takes another BLAS route for a one-row product)
         runner = cli._Runner(cli.RunConfig(model=default_config, dt_fs=1.0, steps=300, backend=backend))
-        chis = (0.0, 0.06, 0.5, 1.0)
         stack = np.stack([runner.transfer_matrix(c) for c in chis])
         run = (runner.initial_state(), 1.0, 300, runner.observers)
         certified, recorded = (kernel.propagate(stack, *run, record_min_eig=r) for r in (False, True))
@@ -464,6 +471,28 @@ class TestOracle:
         assert list(rows[:, 0]) == [20.0, 10.0, 5.0]
         ratios = rows[:-1, 1] / rows[1:, 1]
         assert np.all((1.6 <= ratios) & (ratios <= 2.4))
+
+    def test_one_file_for_both_outputs_is_config_error(self, default_config, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        for path in (out, tmp_path / "." / "t.csv"):
+            err = assert_one_line_config_error(["oracle", "--config", default_config, "--steps", "2",
+                                                "--out", str(out), "--convergence-out", str(path)], capsys)
+            assert str(out) in err and not out.exists()
+        # a device is not a regular file: both outputs may go there
+        assert run_cli(["oracle", "--config", default_config, "--dt-fs", "1", "--steps", "2", "--t-final", "20",
+                        "--dt-list", "20,10", "--out", os.devnull, "--convergence-out", os.devnull]) == 0
+
+    def test_convergence_table_does_not_depend_on_dt(self, default_config, tmp_path):
+        # the table's RK4 runs take the rates in fs^-1: --dt-fs, the trajectory's step, does not round them
+        tables = []
+        for dt in ("3", "10"):
+            conv_out = tmp_path / f"conv{dt}.csv"
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                assert run_cli(["oracle", "--config", default_config, "--steps", "2", "--dt-fs", dt,
+                                "--out", str(tmp_path / "traj.csv"), "--convergence-out", str(conv_out)]) == 0
+            tables.append([line for line in conv_out.read_text().splitlines() if not line.startswith("# config")])
+        assert tables[0] == tables[1]
 
 
 class TestGatecount:
@@ -666,11 +695,14 @@ class TestBadInputCorpus:
                 path.chmod(0)
             else:
                 path.parent.chmod(0o500)
-        # oracle takes all three paths; at 1 fs its RK4 steps are fine enough not to warn
-        argv = ["oracle", "--config", default_config, "--dt-fs", "1", "--steps", "2", "--t-final", "20",
+        # oracle takes all three paths, and checks them before it builds its RK4 step, which
+        # warns at the default 10 fs
+        argv = ["oracle", "--config", default_config, "--steps", "2", "--t-final", "20",
                 "--dt-list", "20,10", "--out", str(tmp_path / "t.csv"), flag, str(path)]
         err = assert_one_line_config_error(argv, capsys)
         assert str(path) in err
+        if flag == "--convergence-out":  # both paths are opened before any stepping; the failed run leaves neither
+            assert not (tmp_path / "t.csv").exists()
 
 
 def test_closed_stdout_ends_in_one_line(default_config, tmp_path):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from enaqt import fmo, linalg
+from enaqt import fmo, kernel, linalg
 from enaqt.errors import (
     IndexOutOfRangeError,
     ModelFileError,
@@ -167,13 +167,13 @@ class TestRates:
     def test_explicit_table_used_verbatim(self, shipped):
         model, _, basis = shipped
         dt = 10.0
-        spec = fmo.jump_rates(basis, model, dt)
+        spec = kernel.JumpRateSpec(fmo.jump_rates(basis, model) * dt)
         assert np.array_equal(spec.gamma, model.rates_per_fs * dt)
 
     def test_survival_underflow_propagates(self, shipped):
         model, _, basis = shipped
         with pytest.raises(SurvivalUnderflowError, match="smaller time step"):
-            fmo.jump_rates(basis, model, 100.0)
+            kernel.JumpRateSpec(fmo.jump_rates(basis, model) * 100.0)
 
     def test_bath_spec_validation(self, shipped, tmp_path):
         _, _, basis = shipped
@@ -232,10 +232,8 @@ class TestSitePopulations:
         assert np.array_equal(basis.site_projectors(), expected)
 
     def test_conserved_along_trajectory(self, shipped):
-        from enaqt import kernel, linalg
-
         model, _, basis = shipped
-        rates = fmo.jump_rates(basis, model, 10.0)
+        rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model) * 10.0)
         u = np.diag(np.exp(-1j * basis.energies_cm1 * 10.0 / linalg.HBAR_CM1_FS))
         ops = kernel.build_evolution_operators(rates, u)
         rho0 = np.zeros((7, 7), dtype=complex)
@@ -323,18 +321,17 @@ class TestLoadModel:
 
     def test_bath_resolution_rules(self, shipped):
         model, _, basis = shipped
-        dt = 10.0
 
         def ohmic(temperature_k):
-            return fmo.thermal_rate_matrix(basis, model.lambda_cm1, model.omega_c_cm1, temperature_k) * dt
+            return fmo.thermal_rate_matrix(basis, model.lambda_cm1, model.omega_c_cm1, temperature_k)
 
-        assert np.array_equal(fmo.jump_rates(basis, model, dt).gamma, model.rates_per_fs * dt)
-        assert np.array_equal(fmo.jump_rates(basis, model, dt, temperature_k=250.0).gamma, ohmic(250.0))
+        assert np.array_equal(fmo.jump_rates(basis, model), model.rates_per_fs)
+        assert np.array_equal(fmo.jump_rates(basis, model, temperature_k=250.0), ohmic(250.0))
         ohmic_only = dataclasses.replace(model, rates_per_fs=None)
-        assert np.array_equal(fmo.jump_rates(basis, ohmic_only, dt).gamma, ohmic(300.0))
+        assert np.array_equal(fmo.jump_rates(basis, ohmic_only), ohmic(300.0))
         table_only = dataclasses.replace(model, lambda_cm1=None, omega_c_cm1=None)
         with pytest.raises(ModelFileError, match="no Ohmic bath parameters"):
-            fmo.jump_rates(basis, table_only, dt, temperature_k=250.0)
+            fmo.jump_rates(basis, table_only, temperature_k=250.0)
 
     @pytest.mark.parametrize("bath,field", [
         ({"rates_per_fs": [[0.0, float("nan")], [0.0, 0.0]]}, "rates_per_fs"),

@@ -137,13 +137,11 @@ def rk4_final_state(rho, model, dt, steps):
     return lindblad._final_state(lindblad.rk4_transfer_matrix(model, dt), rho, steps)
 
 
-def shipped_exciton_model(dt):
-    """The shipped FMO model in its exciton basis, rates per fs from the step-dt table."""
+def shipped_exciton_model():
+    """The shipped FMO model in its exciton basis, with its rate table (fs^-1)."""
     model = fmo.load_model(fmo.default_model_path())
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = fmo.jump_rates(basis, model, dt)
-    h = np.diag(basis.energies_cm1).astype(complex)
-    return LindbladModel(h, rates.gamma / dt)
+    return LindbladModel(np.diag(basis.energies_cm1).astype(complex), fmo.jump_rates(basis, model))
 
 
 class TestRk4Integrate:
@@ -163,7 +161,7 @@ class TestRk4Integrate:
         assert np.array_equal(traj.times, np.arange(steps + 1) * dt)
 
     def test_warns_once_on_coarse_step_only(self):
-        coarse = shipped_exciton_model(10.0)
+        coarse = shipped_exciton_model()
         rho = np.diag(np.eye(7)[0]).astype(complex)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -232,7 +230,7 @@ class TestFinalState:
 
     @pytest.mark.parametrize("which", ["rk4", "kernel"])
     def test_powered_matches_matvec_loop(self, which):
-        model = shipped_exciton_model(5.0)
+        model = shipped_exciton_model()
         if which == "rk4":
             t = lindblad.rk4_transfer_matrix(model, 0.5)
         else:

@@ -127,7 +127,7 @@ def test_bath_fields_load_or_fail_cleanly(model_dir, kinds):
     basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
     for temperature_k in (None, 300.0):
         try:
-            rates = fmo.jump_rates(basis, model, 10.0, temperature_k)
+            rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model, temperature_k) * 10.0)
         except ModelFileError:
             assert not has["lambda_cm1"]
             continue
