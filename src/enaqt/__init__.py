@@ -3,9 +3,9 @@
 Library layout (each name is imported from its module, e.g.
 `from enaqt import kernel`; the package itself holds only `__version__`):
 
-- linalg: dense hermitian eigendecomposition, unitary exponentials,
-  Frobenius distance, successive ratios of a distance table (units: cm^-1
-  and fs).
+- linalg: dense hermitian eigendecomposition, unitary exponentials, the
+  matrix of a linear map on vec(rho), Frobenius distance, successive ratios
+  of a distance table (units: cm^-1 and fs).
 - kernel: the one-step operator-sum map combining unitary evolution with
   incoherent jumps, its tunable-coupling variant, its chi-blended transfer
   matrix T, and the propagator that steps and checks vec(rho) <- T vec(rho).

@@ -29,8 +29,8 @@ list, and each reset splits the B2 = 1 rows off as new branches. Tracing B1 and 
 leaves the Kraus operators A, and T = sum A (x) conj(A), the step's row-major
 transfer matrix, is one Gram product (circuit_transfer_matrix); apply_circuit applies
 T. The Choi matrix is a reshuffle of T. sequential_kraus_step, the independent Kraus
-route, gives the reference T from one stack of the d(d+1)/2 basis elements |a><b|,
-a <= b (hermitian_transfer_matrix).
+route, gives the reference T by linalg.superoperator, from one stack of the d^2 basis
+elements |a><b|.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (
     ProbabilityOutOfRangeError,
 )
 from .kernel import JumpRateSpec, step_transfer_matrix
-from .linalg import evolution_unitary, frob_dist
+from .linalg import evolution_unitary, frob_dist, superoperator
 
 KIND_CRY = "controlled-ry"
 KIND_CPERM = "controlled-permutation"
@@ -318,29 +318,10 @@ def sequential_kraus_step(rho: np.ndarray, rates: JumpRateSpec, u: np.ndarray) -
     return sigma[..., :d, :d] + sigma[..., d:, d:]
 
 
-def hermitian_transfer_matrix(apply_channel, dim: int) -> np.ndarray:
-    """Row-major T of a hermiticity-preserving channel E, from one call of E on the stack of the
-    dim(dim+1)/2 basis elements |a><b| with a <= b.
-
-    Column (b, a) is the adjoint of E(|a><b|). The columns a <= b are written last, so a diagonal
-    input's column is its own output, not its adjoint: its ~1e-17 imaginary parts keep their sign.
-    """
-    a, b = np.triu_indices(dim)
-    stack = np.zeros((a.size, dim, dim), dtype=complex)
-    stack[np.arange(a.size), a, b] = 1.0
-    out = np.asarray(apply_channel(stack), dtype=complex)
-    t = np.empty((dim, dim, dim, dim), dtype=complex)  # t[i, j, a, b] = E(|a><b|)[i, j]
-    t[:, :, b, a] = out.conj().transpose(2, 1, 0)
-    t[:, :, a, b] = out.transpose(1, 2, 0)
-    return t.reshape(dim * dim, dim * dim)
-
-
 def channel_transfer_matrix(apply_channel, dim: int) -> np.ndarray:
     """Row-major superoperator T with vec(E(rho)) = T @ vec(rho), from E on each of the dim^2
-    basis elements in turn: the reference for any linear map."""
-    basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-    out = [np.asarray(apply_channel(e), dtype=complex).reshape(dim * dim) for e in basis]
-    return np.stack(out, axis=1)
+    basis elements in turn: the reference for any linear map, even one that takes one state."""
+    return superoperator(lambda basis: [apply_channel(e) for e in basis], dim)
 
 
 def choi_from_transfer(t: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__, circuit, fmo, kernel, lindblad
 from .errors import ConfigError, EnaqtError, NumericalError
-from .linalg import HBAR_CM1_FS, frob_dist, successive_ratios
+from .linalg import HBAR_CM1_FS, frob_dist, successive_ratios, superoperator
 
 BACKENDS = ("operator", "circuit", "lindblad-oracle")
 MAX_GATECOUNT_DIM = 64  # building a step circuit costs ~d^2 gates: 64 runs in a fraction of a second
@@ -281,9 +281,8 @@ def cmd_circuit_verify(args) -> int:
     scalings = _positive_floats(args.scalings, "--scalings")
     runner = _Runner(cfg)
     t_circuit = circuit.circuit_transfer_matrix(circuit.build_step_circuit(runner.rates, runner.unitary))
-    t_seq = circuit.hermitian_transfer_matrix(  # the Kraus reference, on the circuit's input stack
-        lambda stack: circuit.sequential_kraus_step(stack, runner.rates, runner.unitary),
-        runner.basis.dim)
+    t_seq = superoperator(  # the Kraus reference
+        lambda basis: circuit.sequential_kraus_step(basis, runner.rates, runner.unitary), runner.basis.dim)
     equiv = frob_dist(circuit.choi_from_transfer(t_circuit), circuit.choi_from_transfer(t_seq))
 
     rows = circuit.compare_step_channels(runner.rates, runner.h_exciton, cfg.dt_fs, scalings, t_circuit)

@@ -113,9 +113,8 @@ def ohmic_spectral_density(omega_cm1, lambda_cm1: float, omega_c_cm1: float):
 
 def bose_occupation(omega_cm1, temperature_k: float):
     """n(omega) = 1 / (exp(omega/kT) - 1) with omega in cm^-1."""
-    x = np.asarray(omega_cm1, dtype=float) / (KB_CM1_PER_K * temperature_k)
-    with np.errstate(over="ignore"):  # exp overflow means n -> 0 exactly
-        return 1.0 / np.expm1(x)
+    with np.errstate(over="ignore"):  # overflow of omega/kT or of exp means n -> 0 exactly
+        return 1.0 / np.expm1(np.asarray(omega_cm1, dtype=float) / (KB_CM1_PER_K * temperature_k))
 
 
 def _check_number(name: str, value, allow_zero: bool = False):

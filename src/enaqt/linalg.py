@@ -1,4 +1,6 @@
-"""Dense complex linear-algebra primitives shared by all other modules.
+"""Dense complex linear-algebra primitives shared by all other modules. A linear map E is held
+as its row-major matrix M, vec(E(rho)) = M @ vec(rho) with vec(rho) the rows of rho end to end,
+which superoperator alone builds.
 
 Units convention: energies in cm^-1, times in fs. The phase accumulated by a
 level of energy E over time t is 2*pi*c * E[cm^-1] * t[fs] with
@@ -64,6 +66,13 @@ def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
+
+
+def superoperator(apply_stack, dim: int) -> np.ndarray:
+    """Row-major M with vec(E(rho)) = M @ vec(rho), from one call of E on the stack of the dim^2
+    basis elements |a><b|, element a*dim + b: the transposed view of the stacked outputs."""
+    basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    return np.asarray(apply_stack(basis), dtype=complex).reshape(dim * dim, dim * dim).T
 
 
 def successive_ratios(rows) -> list:

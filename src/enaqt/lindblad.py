@@ -16,7 +16,7 @@ eigendecomposition-based exponential, and never the kernel's operator-sum step,
 to stay structurally independent of the discrete kernel it cross-checks). For
 the linear master equation one RK4 step of size h is exactly
 T = 1 + hL (1 + hL/2 (1 + hL/3 (1 + hL/4))), with the Liouvillian matrix L
-built by one lindblad_rhs call on the stack of d^2 basis elements.
+built by linalg.superoperator from one lindblad_rhs call on the stack of d^2 basis elements.
 rk4_integrate steps T through kernel.propagate. convergence_report needs only final states:
 it raises T, and the kernel's step_transfer_matrix built from the per-step probabilities
 rates * dt and U(dt), to their step counts by squaring.
@@ -32,7 +32,7 @@ import numpy as np
 from . import kernel
 from .errors import DimensionMismatchError, NotHermitianError, StepTooLargeWarning
 from .kernel import JumpRateSpec, Trajectory
-from .linalg import HBAR_CM1_FS, evolution_unitary, frob_dist, herm_defect
+from .linalg import HBAR_CM1_FS, evolution_unitary, frob_dist, herm_defect, superoperator
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def rk4_transfer_matrix(model: LindbladModel, dt: float) -> np.ndarray:
     Warns if dt is coarse (see rk4_integrate), at the line that called its caller.
     """
     d = model.dim
-    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    hl = dt * lindblad_rhs(basis, model).reshape(d * d, d * d).T
+    hl = dt * superoperator(lambda basis: lindblad_rhs(basis, model), d)
     bound = np.sqrt(np.linalg.norm(hl, 1) * np.linalg.norm(hl, np.inf))  # >= ||dt L||_2
     if bound >= 0.1:
         warnings.warn(f"RK4 step {dt} fs is coarse: ||dt L||_2 bound {bound:.3f} >= 0.1",

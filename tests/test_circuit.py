@@ -397,8 +397,8 @@ def basis_element(d, a, b):
 
 
 class TestHermitianBuild:
-    """hermitian_transfer_matrix fills the columns of |b><a|, a < b, from the adjoint of the output
-    on |a><b|. That holds only for a channel that preserves hermiticity, as both routes must."""
+    """The Kraus reference that circuit-verify certifies against: linalg.superoperator on one stack
+    of the d^2 basis elements. Both routes preserve hermiticity, as a quantum channel must."""
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_both_routes_map_adjoint_inputs_to_adjoint_outputs(self, rng, d):
@@ -416,8 +416,8 @@ class TestHermitianBuild:
     def test_kraus_transfer_matrix_matches_per_element_build(self, rng, d):
         rates, u = random_rates(d, rng, scale=0.08), random_unitary(d, rng)
         kraus = lambda r: circuit.sequential_kraus_step(r, rates, u)
-        reference = circuit.channel_transfer_matrix(kraus, d)
-        assert np.max(np.abs(circuit.hermitian_transfer_matrix(kraus, d) - reference)) <= 1e-15
+        # a state's bits do not depend on the stack it is stepped in
+        assert np.array_equal(linalg.superoperator(kraus, d), circuit.channel_transfer_matrix(kraus, d))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_diagonal_input_columns_are_the_circuit_outputs(self, rng, d):
@@ -430,13 +430,22 @@ class TestHermitianBuild:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_diagonal_input_columns_are_the_kraus_outputs(self, rng, d):
-        # mirroring a diagonal input as well would flip the sign of its rounding-level
-        # imaginary parts
         rates, u = random_rates(d, rng, scale=0.08), random_unitary(d, rng)
         kraus = lambda r: circuit.sequential_kraus_step(r, rates, u)
-        t = circuit.hermitian_transfer_matrix(kraus, d)
+        t = linalg.superoperator(kraus, d)
         for a in range(d):
             assert np.array_equal(t[:, a * d + a], kraus(basis_element(d, a, a)).reshape(-1))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_off_diagonal_input_columns_are_the_kraus_outputs(self, rng, d):
+        # each column is the map's own output, not the adjoint of another's
+        rates, u = random_rates(d, rng, scale=0.08), random_unitary(d, rng)
+        kraus = lambda r: circuit.sequential_kraus_step(r, rates, u)
+        t = linalg.superoperator(kraus, d)
+        for a in range(d):
+            for b in range(d):
+                if a != b:
+                    assert np.array_equal(t[:, a * d + b], kraus(basis_element(d, a, b)).reshape(-1))
 
     @pytest.mark.parametrize("d", [2, 7])
     def test_one_build_is_one_kraus_pass(self, rng, d, monkeypatch):

@@ -269,6 +269,12 @@ class TestSimulate:
              "--steps", "20", "--out", str(out)]
         ) == 0
 
+    def test_tiny_temperature_prints_nothing(self, default_config, tmp_path):
+        # omega/kT overflows below about 1e-306 K, and n is then exactly 0, with no warning line
+        code, err = run_cli_process(["simulate", "--config", default_config, "--temperature", "1e-306",
+                                     "--steps", "2", "--out", str(tmp_path / "t.csv")], tmp_path)
+        assert code == 0 and err == []
+
 
 class TestCsvBytes:
     SPECIALS = [0.0, -0.0, 5e-324, 1e308, 0.1 + 0.2, -2.2e-16, np.nan, np.inf, -np.inf]
@@ -656,7 +662,7 @@ def assert_one_line_config_error(argv, capsys):
 class TestBadInputCorpus:
     @pytest.mark.parametrize("edit", MODEL_EDITS.values(), ids=MODEL_EDITS.keys())
     def test_model_file(self, edit, default_config, tmp_path, capsys):
-        model = json.loads(open(default_config).read())
+        model = json.loads(Path(default_config).read_text())
         edit(model)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(model))

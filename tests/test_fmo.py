@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,12 @@ class TestRates:
 
     def test_bose_occupation_vanishes_at_low_temperature(self):
         assert fmo.bose_occupation(200.0, 1e-3) == pytest.approx(0.0, abs=1e-300)
+
+    def test_bose_occupation_quotient_overflow_is_silent(self):
+        # at 1e-320 K omega/kT overflows before exp does; n is still exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(fmo.bose_occupation([10.0, 500.0], 1e-320), [0.0, 0.0])
 
     def test_detailed_balance_identity(self, shipped):
         _, _, basis = shipped

@@ -113,3 +113,14 @@ class TestFrobDist:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linalg.frob_dist(np.eye(2), np.eye(3))
+
+
+class TestSuperoperator:
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_two_sided_product_is_the_kron(self, rng, d):
+        # row-major vec: vec(a rho b) = (a (x) b^T) vec(rho). Each entry is one product
+        # a[i, k] b[l, j], which a matmul may round differently from kron (BLAS FMA)
+        a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
+        kron = np.kron(a, b.T)
+        error = np.abs(linalg.superoperator(lambda s: a @ s @ b, d) - kron)
+        assert np.all(error <= 2.0 * np.finfo(float).eps * np.abs(kron))
