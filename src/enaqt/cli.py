@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -110,19 +111,24 @@ def _distance_table(header: str, rows) -> list:
 def _emit(*outputs):
     """Write each (lines, out_path) pair in turn, each line as `lines` yields it, to out_path or stdout.
 
-    Every out_path is opened before the first line is asked for. If a `lines` raises,
-    the rows already printed stay on stdout, but every out_path file opened is removed
-    (a regular file only: never a device such as /dev/null). An OSError while opening
-    or writing (a missing directory, a closed pipe) is a ConfigError naming the path,
-    and stops the iteration of `lines`.
+    Every out_path is opened before the first line is asked for. A regular file is written
+    in place, not truncated on open (on ext4, truncating a file whose old contents are still
+    dirty flushes them), and trimmed after its last line; a run killed hard mid-write leaves
+    the new head followed by the old tail. If a `lines` raises, the rows already printed stay
+    on stdout, but every out_path file opened is removed (a regular file only: never a device
+    such as /dev/null). An OSError while opening or writing (a missing directory, a closed
+    pipe) is a ConfigError naming the path, and stops the iteration of `lines`.
     """
     streams = []  # one per output opened so far
     try:
         for _, current in outputs:
-            streams.append(open(current, "w") if current else sys.stdout)
+            streams.append(open(current, "w", opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
+                           if current else sys.stdout)
         for (lines, current), stream in zip(outputs, streams):
             stream.writelines(f"{line}\n" for line in lines)
             if current:
+                if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):  # ftruncate fails on /dev/null and pipes
+                    stream.truncate()
                 stream.close()
     except BaseException as exc:
         for (_, out_path), stream in zip(outputs, streams):
@@ -284,18 +290,14 @@ def cmd_circuit_verify(args) -> int:
     t_seq = superoperator(  # the Kraus reference
         lambda basis: circuit.sequential_kraus_step(basis, runner.rates, runner.unitary), runner.basis.dim)
     equiv = frob_dist(circuit.choi_from_transfer(t_circuit), circuit.choi_from_transfer(t_seq))
+    if equiv > 1e-10:
+        raise NumericalError(f"circuit/operator-model Choi distance {equiv:.3e} exceeds 1e-10")
 
     rows = circuit.compare_step_channels(runner.rates, runner.h_exciton, cfg.dt_fs, scalings, t_circuit)
     lines = _config_lines(args, runner.model, {"command": "circuit-verify", "scalings": scalings})
     lines.append(f"# choi_distance_circuit_vs_operator_model: {_fmt(equiv)}")
     lines.extend(_distance_table("scale,choi_distance_vs_step_map", rows))
     _emit((lines, args.out))
-    if equiv > 1e-10:
-        print(
-            f"circuit/operator-model Choi distance {equiv:.3e} exceeds 1e-10",
-            file=sys.stderr,
-        )
-        return 2
     return 0
 
 

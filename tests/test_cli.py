@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -324,6 +325,43 @@ class TestCsvBytes:
             cli._emit((iter(["# enaqt"]), str(first)), (failing(), str(out)))
         assert not first.exists() and not out.exists()
 
+    # an existing file is written in place and trimmed after its last line, never truncated on open
+    LINES = ["# enaqt", "t_fs,site1", "0,1", "10,0.5"]
+    EXPECTED = "".join(f"{line}\n" for line in LINES).encode()
+
+    def test_rewrite_over_a_larger_file_keeps_it_until_trimmed(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("stale\n" * 1000)
+        inode, sizes = out.stat().st_ino, []
+
+        def lines():
+            sizes.append(out.stat().st_size)  # as the first line is asked for
+            yield from self.LINES
+
+        cli._emit((lines(), str(out)))
+        assert sizes == [6000]
+        assert out.read_bytes() == self.EXPECTED and out.stat().st_ino == inode
+
+    def test_rewrite_over_a_shorter_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("x\n")
+        cli._emit((iter(self.LINES), str(out)))
+        assert out.read_bytes() == self.EXPECTED
+
+    def test_rewrite_keeps_the_mode(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("stale\n" * 100)
+        out.chmod(0o640)
+        cli._emit((iter(self.LINES), str(out)))
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640 and out.read_bytes() == self.EXPECTED
+
+    def test_rewrite_through_a_symlink_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("stale\n" * 100)
+        link.symlink_to(target)
+        cli._emit((iter(self.LINES), str(link)))
+        assert link.is_symlink() and target.read_bytes() == self.EXPECTED
+
 
 def traced_peak_kb(argv) -> float:
     """tracemalloc's peak over one in-process CLI run, in KB."""
@@ -459,6 +497,19 @@ class TestOracle:
         assert header == ["dt_fs", "frobenius_distance"]
         assert np.all(rows[:, 1] <= 1e-9)
 
+    def test_rewrite_over_longer_files_equals_a_fresh_run(self, default_config, tmp_path):
+        def oracle(out, conv):
+            assert run_cli(["oracle", "--config", default_config, "--dt-fs", "1", "--steps", "300",
+                            "--t-final", "40", "--dt-list", "4,2,1", "--out", str(out),
+                            "--convergence-out", str(conv)]) == 0
+            return out.read_bytes(), conv.read_bytes()
+
+        fresh = oracle(tmp_path / "fresh.csv", tmp_path / "fresh_conv.csv")
+        out, conv = tmp_path / "out.csv", tmp_path / "conv.csv"
+        for path, text in ((out, fresh[0]), (conv, fresh[1])):
+            path.write_bytes(text * 3)
+        assert oracle(out, conv) == fresh
+
     def test_defaults_warn_in_one_line(self, default_config, tmp_path):
         code, err = run_cli_process(["oracle", "--config", default_config, "--out", str(tmp_path / "traj.csv"),
                                      "--convergence-out", str(tmp_path / "conv.csv")], tmp_path)
@@ -551,6 +602,18 @@ class TestCircuitVerify:
         assert len(err) == 1 and len(err[0]) <= 160, err
         assert re.match(r"numerical invariant violated: jump probability out of state \d+ sums to "
                         r"\S+ > 1; use a smaller time step$", err[0]), err
+
+    def test_failed_certificate_is_one_numerical_error_line(self, default_config, tmp_path, monkeypatch,
+                                                             capsys):
+        reference = circuit.sequential_kraus_step
+        monkeypatch.setattr(circuit, "sequential_kraus_step",
+                            lambda *args: reference(*args) * (1 + 1e-6))  # a Choi distance of about 6.6e-6
+        out = tmp_path / "verify.csv"
+        assert run_cli(["circuit-verify", "--config", default_config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match(r"numerical invariant violated: circuit/operator-model Choi "
+                                          r"distance \S+ exceeds 1e-10$", err[0]), err
+        assert not out.exists()
 
     def test_builds_the_scale_one_circuit_once(self, default_config, tmp_path, monkeypatch):
         # the Kraus-reference certificate and the scale 1 row share one build
