@@ -113,11 +113,13 @@ def _emit(*outputs):
 
     Every out_path is opened before the first line is asked for. A regular file is written
     in place, not truncated on open (on ext4, truncating a file whose old contents are still
-    dirty flushes them), and trimmed after its last line; a run killed hard mid-write leaves
-    the new head followed by the old tail. If a `lines` raises, the rows already printed stay
-    on stdout, but every out_path file opened is removed (a regular file only: never a device
-    such as /dev/null). An OSError while opening or writing (a missing directory, a closed
-    pipe) is a ConfigError naming the path, and stops the iteration of `lines`.
+    dirty flushes them), and trimmed after its last line. Not atomic: a run killed mid-write
+    leaves the new head and the old tail; after a power loss the file may hold any mix of old
+    and new blocks at either length (ext4's auto_da_alloc guard for a truncate-and-rewrite
+    does not apply). If a `lines` raises, the rows already printed stay on stdout, but every
+    out_path file opened is removed (a regular file only: never a device such as /dev/null).
+    An OSError while opening or writing (a missing directory, a closed pipe) is a ConfigError
+    naming the path, and stops the iteration of `lines`.
     """
     streams = []  # one per output opened so far
     try:

@@ -497,17 +497,22 @@ class TestOracle:
         assert header == ["dt_fs", "frobenius_distance"]
         assert np.all(rows[:, 1] <= 1e-9)
 
-    def test_rewrite_over_longer_files_equals_a_fresh_run(self, default_config, tmp_path):
-        def oracle(out, conv):
-            assert run_cli(["oracle", "--config", default_config, "--dt-fs", "1", "--steps", "300",
-                            "--t-final", "40", "--dt-list", "4,2,1", "--out", str(out),
+    @pytest.mark.parametrize("stale", ["repeated", "longer-run"])
+    def test_rewrite_over_longer_files_equals_a_fresh_run(self, default_config, tmp_path, stale):
+        def oracle(out, conv, steps="300", dt_list="4,2,1"):
+            assert run_cli(["oracle", "--config", default_config, "--dt-fs", "1", "--steps", steps,
+                            "--t-final", "40", "--dt-list", dt_list, "--out", str(out),
                             "--convergence-out", str(conv)]) == 0
             return out.read_bytes(), conv.read_bytes()
 
         fresh = oracle(tmp_path / "fresh.csv", tmp_path / "fresh_conv.csv")
         out, conv = tmp_path / "out.csv", tmp_path / "conv.csv"
-        for path, text in ((out, fresh[0]), (conv, fresh[1])):
-            path.write_bytes(text * 3)
+        if stale == "repeated":
+            for path, text in ((out, fresh[0]), (conv, fresh[1])):
+                path.write_bytes(text * 3)
+        else:  # the same paths, just written by a longer run with a longer table
+            oracle(out, conv, steps="10000", dt_list="4,2,1,0.5,0.25")
+        assert all(len(path.read_bytes()) > len(text) for path, text in zip((out, conv), fresh))
         assert oracle(out, conv) == fresh
 
     def test_defaults_warn_in_one_line(self, default_config, tmp_path):
