@@ -23,14 +23,15 @@ preserving and completely positive, unlike the raw one-shot step map, and
 agrees with it to first order in the jump probabilities.
 
 The circuit is simulated on its Kraus operators: circuit_kraus walks the gate list
-once, holding one amplitude matrix, each branch the image of the d system inputs in
-the B1 x system x B2 register. Each gate acts on its rows where it stands in the
-list, and each reset splits the B2 = 1 rows off as new branches. Tracing B1 and B2
-leaves the Kraus operators A, and T = sum A (x) conj(A), the step's row-major
-transfer matrix, is one Gram product (circuit_transfer_matrix); apply_circuit applies
-T. The Choi matrix is a reshuffle of T. sequential_kraus_step, the independent Kraus
-route, gives the reference T by linalg.superoperator, from one stack of the d^2 basis
-elements |a><b|.
+once, holding one sim_dim x d amplitude block, the branch that has not jumped: the
+image of the d system inputs in the B1 x system x B2 register. Each gate acts on its
+rows where it stands in the list. A jump's amplitude reaches B2 = 1 in B1 = 1, and a
+reset would move it to B1 = 1, B2 = 0, where no gate acts, so each reset finishes it
+as one Kraus operator and clears its rows. Tracing B1 and B2 leaves the Kraus
+operators A, and T = sum A (x) conj(A), the step's row-major transfer matrix, is one
+Gram product (circuit_transfer_matrix); apply_circuit applies T. The Choi matrix is a
+reshuffle of T. sequential_kraus_step, the independent Kraus route, gives the
+reference T by linalg.superoperator, from one stack of the d^2 basis elements |a><b|.
 """
 
 from __future__ import annotations
@@ -217,54 +218,43 @@ def gate_matrix(gate: Gate, layout: QubitLayout) -> np.ndarray:
 def circuit_kraus(gates: GateList) -> np.ndarray:
     """System Kraus operators (m, d, d) of a GateList, simulated gate by gate on its layout.
 
-    The register holds each branch as d columns of sim_dim rows, its image of the d system
-    inputs; it starts as one branch, the embedding with B1 = B2 = |0>. Gates act on rows only:
-    a rotation on its pair (p, p + 1) by its 2x2 matrix, a permutation swaps its pair, and the
-    coherent gate applies U to the B1 = 0 code rows of each B2 value (identity elsewhere).
-    A reset moves every branch's B2 = 1 rows to B2 = 0 as a new branch, dropping a new branch
-    that is exactly zero. The buffer holds 1 + resets branches, exact for a step circuit; when
-    the count passes the Kraus-rank bound d * sim_dim, the branches, as the columns of V, are
-    replaced by those of R^H, with R from qr(V^H): V V^H = R^H R, so the channel is unchanged.
-    Each branch's blocks at fixed (B1, B2) are Kraus operators; the exactly zero ones are dropped.
+    One sim_dim x d block holds the branch that has not jumped, its image of the d system inputs;
+    it starts as the embedding with B1 = B2 = |0>. Gates act on rows only: a rotation on its pair
+    (p, p + 1) by its 2x2 matrix, a permutation swaps its pair, and the coherent gate applies U to
+    the B1 = 0 code rows of each B2 value (identity elsewhere). At a reset the B2 = 1 rows must lie
+    in B1 = 1, which the reset would move to B2 = 0, where no gate acts: their code block is a
+    finished Kraus operator, kept unless exactly zero, and the rows are cleared. The Kraus operators are the block's (B1, B2) code
+    blocks, the finished ones after (B1 = 1, B2 = 0); the exactly zero ones are dropped.
     """
     layout = gates.layout
-    d, sim, n = layout.dim, layout.sim_dim, layout.n_system
+    d, n = layout.dim, layout.n_system
     codes = layout.codes()  # derived once per circuit
     code_rows = np.array(codes) << 1
-    reg = np.zeros((sim, (1 + sum(g.kind == KIND_RESET_B2 for g in gates)) * d), dtype=complex)
-    reg[code_rows, np.arange(d)] = 1.0
-    nb = 1
+    b1 = 1 << (n + 1)  # offset of the B1 = 1 rows
+    block = np.zeros((layout.sim_dim, d), dtype=complex)
+    block[code_rows, np.arange(d)] = 1.0
+    finished = []
     for pos, gate in enumerate(gates):
-        k = reg[:, :nb * d]
         if gate.kind == KIND_CRY:
             p = _two_level_indices(gate, codes, n)[0]  # B2 is the last bit: the pair is (p, p + 1)
-            k[p:p + 2] = _rotation(gate.theta).astype(complex) @ k[p:p + 2]
+            block[p:p + 2] = _rotation(gate.theta).astype(complex) @ block[p:p + 2]
         elif gate.kind == KIND_CPERM:
             idx = _two_level_indices(gate, codes, n)  # both have B2 = 1
-            k[idx] = k[idx[::-1]]
+            block[idx] = block[idx[::-1]]
         elif gate.kind == KIND_CUNITARY:
             rows = code_rows + np.arange(2)[:, None]
-            k[rows] = np.asarray(gate.matrix, dtype=complex) @ k[rows]
+            block[rows] = np.asarray(gate.matrix, dtype=complex) @ block[rows]
         elif gate.kind == KIND_RESET_B2:
-            moved = k[1::2].reshape(sim // 2, nb, d)
-            keep = np.flatnonzero(moved.any(axis=0).any(axis=1))  # faster than axis=(0, 2)
-            grown = nb + keep.size
-            if grown * d > reg.shape[1]:  # more branches than the circuit's resets
-                reg = np.concatenate([reg, np.zeros((sim, grown * d - reg.shape[1]), complex)], axis=1)
-            reg[0::2, nb * d:grown * d] = moved[:, keep].reshape(sim // 2, -1)
-            reg[1::2, :nb * d] = 0.0
-            nb = grown
-            if nb > d * sim:
-                v_h = reg[:, :nb * d].reshape(sim, nb, d).transpose(1, 0, 2).reshape(nb, sim * d).conj()
-                r = np.linalg.qr(v_h, mode="r")
-                nb = r.shape[0]
-                reg = r.conj().reshape(nb, sim, d).transpose(1, 0, 2).reshape(sim, nb * d)
+            if block[1:b1:2].any():
+                raise LayoutMismatchError(f"reset at gate {pos}: B2 = 1 amplitude with B1 = 0")
+            if block[b1 + 1::2].any():
+                finished.append(block[b1 + 1 + code_rows])
+                block[b1 + 1::2] = 0.0
         elif gate.kind != KIND_TRACE_B1:
             raise LayoutMismatchError(f"gate kind {gate.kind!r} has no row operation")
         elif pos != len(gates) - 1:
             raise LayoutMismatchError("trace-out-b1 must be the final gate")
-    blocks = reg[:, :nb * d].reshape(2, 2 ** n, 2, nb, d).transpose(0, 2, 3, 1, 4)
-    a = blocks[:, :, :, codes].reshape(-1, d, d)  # (B1, B2, branch) x (code, input)
+    a = np.stack([block[code_rows + r] for r in (0, 1, b1)] + finished + [block[code_rows + b1 + 1]])
     return a[a.any(axis=(1, 2))]
 
 

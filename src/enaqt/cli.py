@@ -116,18 +116,24 @@ def _emit(*outputs):
     dirty flushes them), and trimmed after its last line. Not atomic: a run killed mid-write
     leaves the new head and the old tail; after a power loss the file may hold any mix of old
     and new blocks at either length (ext4's auto_da_alloc guard for a truncate-and-rewrite
-    does not apply). If a `lines` raises, the rows already printed stay on stdout, but every
-    out_path file opened is removed (a regular file only: never a device such as /dev/null).
+    does not apply). If a `lines` raises, the rows already printed stay on stdout, and every
+    out_path file that this run created or handed a line is removed (a regular file only:
+    never a device such as /dev/null); a file that existed before and got no line is kept.
     An OSError while opening or writing (a missing directory, a closed pipe) is a ConfigError
     naming the path, and stops the iteration of `lines`.
     """
     streams = []  # one per output opened so far
+    untouched = {path for _, path in outputs if path and os.path.exists(path)}  # older files, kept until a line reaches them
     try:
         for _, current in outputs:
             streams.append(open(current, "w", opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
                            if current else sys.stdout)
         for (lines, current), stream in zip(outputs, streams):
-            stream.writelines(f"{line}\n" for line in lines)
+            text = (f"{line}\n" for line in lines)
+            first = next(text, "")  # from here the file is this run's: it gets a line or its trim
+            untouched.discard(current)
+            stream.write(first)
+            stream.writelines(text)
             if current:
                 if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):  # ftruncate fails on /dev/null and pipes
                     stream.truncate()
@@ -137,7 +143,7 @@ def _emit(*outputs):
             if out_path:
                 with contextlib.suppress(OSError):  # a failed flush: the file goes anyway
                     stream.close()
-                if os.path.isfile(out_path):
+                if os.path.isfile(out_path) and out_path not in untouched:
                     os.remove(out_path)
         if not isinstance(exc, OSError):
             raise
@@ -217,10 +223,10 @@ def cmd_oracle(args) -> int:
         n = t_final / dt
         if not (n < math.inf and abs(n - round(n)) <= 1e-9):
             raise ConfigError(f"--dt-list value {dt} fs does not divide --t-final {t_final} fs")
-    # both files are open at once, so one regular file for both would interleave them
+    # both files are open at once, so one regular file for both (a hard link too) would interleave them
     out, conv = args.out, args.convergence_out
-    if (out and conv and os.path.realpath(out) == os.path.realpath(conv)
-            and (os.path.isfile(out) or not os.path.exists(out))):
+    if out and conv and (os.path.samefile(out, conv) if os.path.isfile(out) and os.path.exists(conv) else
+                         not os.path.exists(out) and os.path.realpath(out) == os.path.realpath(conv)):
         raise ConfigError(f"--out and --convergence-out are the same file {out}")
     runner = _Runner(cfg)
     _emit((_trajectory_csv(args, runner.model, runner.trajectory()), args.out),

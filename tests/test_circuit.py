@@ -360,25 +360,30 @@ class TestStackedBuilds:
             assert np.array_equal(circuit.circuit_transfer_matrix(gates), t)
 
     def test_resets_anywhere_match_dense_reference(self, rng):
-        # two jumps share a reset; a second coherent gate moves a lone rotation's
-        # B2 = 1 amplitude to other codes before a reset; a reset follows a reset
+        # two jumps share a reset; a reset follows a reset; coherent gates stand between jumps
         d = 5
         ly = QubitLayout(d)
         reset = circuit.Gate(kind=circuit.KIND_RESET_B2, targets=(ly.b2_wire,))
         coherent = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
                                 controls=((ly.b1_wire, 0),), matrix=random_unitary(d, rng))
-        mixer = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
-                             controls=((ly.b1_wire, 0),), matrix=random_unitary(d, rng))
-        jump = [jump_gates(i, j, g, ly).gates
-                for i, j, g in ((0, 3, 0.2), (2, 1, 0.35), (4, 0, 0.1), (1, 2, 0.5))]
+        jump = [jump_gates(i, j, g, ly).gates for i, j, g in ((0, 3, 0.2), (2, 1, 0.35), (1, 2, 0.5))]
         gates = GateList(layout=ly, gates=[
-            *jump[0], *jump[1], coherent, reset, jump[2][0], mixer, reset, coherent, reset,
-            *jump[3], coherent, *jump[0], reset,
+            *jump[0], *jump[1], coherent, reset, reset, coherent, reset,
+            *jump[2], coherent, *jump[0], reset,
         ])
         stack = np.stack([random_density(d, rng) for _ in range(4)])
         out = circuit.apply_circuit(stack, gates)
         for k in range(len(stack)):
             assert np.max(np.abs(out[k] - dense_apply_circuit(stack[k], gates))) <= 1e-15
+
+    def test_reset_after_a_lone_rotation_is_rejected(self):
+        # without its permutation the rotation leaves B2 = 1 amplitude in B1 = 0, where later
+        # gates still act, so the reset cannot finish it as a Kraus operator
+        ly = QubitLayout(3)
+        reset = circuit.Gate(kind=circuit.KIND_RESET_B2, targets=(ly.b2_wire,))
+        gates = GateList(layout=ly, gates=[jump_gates(1, 2, 0.3, ly).gates[0], reset])
+        with pytest.raises(LayoutMismatchError, match="^reset at gate 1: B2 = 1 amplitude with B1 = 0$"):
+            circuit.circuit_kraus(gates)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_stacked_kraus_step_matches_per_state_calls(self, rng, d):
@@ -481,43 +486,15 @@ class TestKrausRoute:
         assert np.max(np.abs(completeness - np.eye(rates.dim))) <= 1e-14
 
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_one_branch_per_jump_that_can_happen(self, rng, d, monkeypatch):
+    def test_one_branch_per_jump_that_can_happen(self, rng, d):
         g = rng.uniform(0.01, 0.05, size=(d, d))
         np.fill_diagonal(g, 0.0)
         u = random_unitary(d, rng)
         every = circuit.build_step_circuit(JumpRateSpec(g), u)
         g[0, d - 1] = 0.0  # a jump that cannot happen adds no branch
         one_fewer = circuit.build_step_circuit(JumpRateSpec(g), u)
-
-        def unexpected(*args, **kwargs):
-            raise AssertionError("a step circuit holds at most its 1 + resets branches")
-
-        monkeypatch.setattr(np, "concatenate", unexpected)  # the register grows
-        monkeypatch.setattr(np.linalg, "qr", unexpected)  # the branches are compressed
         assert len(circuit.circuit_kraus(every)) == 1 + d * (d - 1)  # one Kraus operator each
         assert len(circuit.circuit_kraus(one_fewer)) == d * (d - 1)
-
-    def test_branches_stay_bounded_when_every_reset_splits_them(self, rng, monkeypatch):
-        # without a permutation every branch splits at each reset: 2^30 branches uncompressed;
-        # the coherent gate makes the amplitudes complex
-        d = 3
-        ly = QubitLayout(d)
-        reset = circuit.Gate(kind=circuit.KIND_RESET_B2, targets=(ly.b2_wire,))
-        coherent = circuit.Gate(kind=circuit.KIND_CUNITARY, targets=ly.system_wires,
-                                controls=((ly.b1_wire, 0),), matrix=random_unitary(d, rng))
-        gates = GateList(layout=ly, gates=[coherent, *[jump_gates(1, 2, 0.3, ly).gates[0], reset] * 30])
-        held, qr = [], np.linalg.qr
-
-        def spy(v_h, *args, **kwargs):
-            held.append(v_h.shape[0])
-            return qr(v_h, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", spy)
-        stack = np.stack([random_density(d, rng) for _ in range(3)])
-        out = circuit.apply_circuit(stack, gates)
-        assert held and max(held) <= 2 * d * ly.sim_dim
-        for k in range(len(stack)):
-            assert np.max(np.abs(out[k] - dense_apply_circuit(stack[k], gates))) <= 1e-14
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_stack_is_the_transfer_matrix_on_vec_rho(self, rng, d):

@@ -325,6 +325,22 @@ class TestCsvBytes:
             cli._emit((iter(["# enaqt"]), str(first)), (failing(), str(out)))
         assert not first.exists() and not out.exists()
 
+    def test_failed_emit_keeps_an_older_file_that_got_no_line(self, tmp_path):
+        def failing_at_once():
+            raise errors.StateInvalidError("boom")
+            yield
+
+        first, out = tmp_path / "first.csv", tmp_path / "out.csv"
+        for path in (first, out):
+            path.write_bytes(b"older\n")
+        with pytest.raises(errors.StateInvalidError):
+            cli._emit((failing_at_once(), str(out)))
+        assert out.read_bytes() == b"older\n"
+        # an older file that a complete output rewrote goes; the one the failing output never reached stays
+        with pytest.raises(errors.StateInvalidError):
+            cli._emit((iter(["# enaqt"]), str(first)), (failing_at_once(), str(out)))
+        assert not first.exists() and out.read_bytes() == b"older\n"
+
     # an existing file is written in place and trimmed after its last line, never truncated on open
     LINES = ["# enaqt", "t_fs,site1", "0,1", "10,0.5"]
     EXPECTED = "".join(f"{line}\n" for line in LINES).encode()
@@ -540,9 +556,24 @@ class TestOracle:
             err = assert_one_line_config_error(["oracle", "--config", default_config, "--steps", "2",
                                                 "--out", str(out), "--convergence-out", str(path)], capsys)
             assert str(out) in err and not out.exists()
+        # a hard link is the same file by another name; neither name loses its bytes
+        conv = tmp_path / "conv.csv"
+        conv.write_bytes(b"older\n")
+        os.link(conv, out)
+        err = assert_one_line_config_error(["oracle", "--config", default_config, "--dt-fs", "1", "--steps", "50",
+                                            "--out", str(out), "--convergence-out", str(conv)], capsys)
+        assert str(out) in err and out.read_bytes() == conv.read_bytes() == b"older\n"
         # a device is not a regular file: both outputs may go there
         assert run_cli(["oracle", "--config", default_config, "--dt-fs", "1", "--steps", "2", "--t-final", "20",
                         "--dt-list", "20,10", "--out", os.devnull, "--convergence-out", os.devnull]) == 0
+
+    def test_unusable_second_path_keeps_an_older_first_file(self, default_config, tmp_path, capsys):
+        # opened in place, the older --out got no line before the convergence path failed to open
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"older\n")
+        assert_one_line_config_error(["oracle", "--config", default_config, "--out", str(out),
+                                      "--convergence-out", str(tmp_path / "missing" / "c.csv")], capsys)
+        assert out.read_bytes() == b"older\n"
 
     def test_convergence_table_does_not_depend_on_dt(self, default_config, tmp_path):
         # the table's RK4 runs take the rates in fs^-1: --dt-fs, the trajectory's step, does not round them
