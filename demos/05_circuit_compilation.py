@@ -31,7 +31,7 @@ def main():
     print(f"compiled {circuit.gate_count(gates).jumps} jump sub-circuits, "
           f"{len(gates)} gate objects\n")
 
-    choi_circ = circuit.choi_from_transfer(circuit.circuit_transfer_matrix(gates))
+    choi_circ = linalg.choi_from_transfer(circuit.circuit_transfer_matrix(gates))
     choi_seq = circuit.channel_choi(
         lambda r: circuit.sequential_kraus_step(r, rates, unitary), 7
     )

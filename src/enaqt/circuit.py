@@ -30,13 +30,13 @@ reset would move it to B1 = 1, B2 = 0, where no gate acts, so each reset finishe
 as one Kraus operator and clears its rows. Tracing B1 and B2 leaves the Kraus
 operators A, and T = sum A (x) conj(A), the step's row-major transfer matrix, is one
 Gram product (circuit_transfer_matrix); apply_circuit applies T. The Choi matrix is a
-reshuffle of T. sequential_kraus_step, the independent Kraus route, gives the
-reference T by linalg.superoperator, from one stack of the d^2 basis elements |a><b|.
+reshuffle of T (linalg.choi_from_transfer). sequential_kraus_step, the independent
+Kraus route, gives the reference T by linalg.superoperator, from one stack of the d^2
+basis elements |a><b|.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +48,7 @@ from .errors import (
     ProbabilityOutOfRangeError,
 )
 from .kernel import JumpRateSpec, step_transfer_matrix
-from .linalg import evolution_unitary, frob_dist, superoperator
+from .linalg import choi_from_transfer, evolution_unitary, frob_dist, superoperator
 
 KIND_CRY = "controlled-ry"
 KIND_CPERM = "controlled-permutation"
@@ -312,15 +312,6 @@ def channel_transfer_matrix(apply_channel, dim: int) -> np.ndarray:
     """Row-major superoperator T with vec(E(rho)) = T @ vec(rho), from E on each of the dim^2
     basis elements in turn: the reference for any linear map, even one that takes one state."""
     return superoperator(lambda basis: [apply_channel(e) for e in basis], dim)
-
-
-def choi_from_transfer(t: np.ndarray) -> np.ndarray:
-    """Choi matrix of the channel with row-major transfer matrix t, a reshuffle of t.
-
-    choi[a*d + i, b*d + j] = E(|a><b|)[i, j] = t[i*d + j, a*d + b].
-    """
-    d = math.isqrt(t.shape[0])
-    return t.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def channel_choi(apply_channel, dim: int) -> np.ndarray:

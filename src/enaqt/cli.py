@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__, circuit, fmo, kernel, lindblad
-from .errors import ConfigError, EnaqtError, NumericalError
+from .errors import ConfigError, EnaqtError, NumericalError, StateInvalidError
 from .linalg import HBAR_CM1_FS, frob_dist, successive_ratios, superoperator
 
 BACKENDS = ("operator", "circuit", "lindblad-oracle")
@@ -254,19 +254,19 @@ def cmd_sweep_chi(args) -> int:
         raise ConfigError(f"a sweep steps {len(chis)} chi values x {cfg.steps} steps, "
                           f"more than the {MAX_STEPS} states one command may step")
     runner = _Runner(cfg)
-    dd = runner.basis.dim ** 2
-    stack = np.empty((len(chis), dd, dd), dtype=complex)
-    for member, c in zip(stack, chis):
-        member[...] = runner.transfer_matrix(c)
-    # every chi in one batch; efficiencies print no min_eig, so positivity is certified,
-    # and only each member's last row is kept
-    for _, populations, _, _ in kernel.chunks(stack, runner.initial_state(), cfg.steps, runner.observers,
-                                              record_min_eig=False):
-        final = populations[:, -1]
+    rho0, sinks = runner.initial_state(), runner.model.sink_sites
     lines = _config_lines(args, runner.model, {"command": "sweep-chi", "chis": chis})
     lines.append("chi,efficiency")
-    for row, c in zip(final, chis):
-        lines.append(f"{_fmt(c)},{_fmt(fmo.transfer_efficiency(row, runner.model.sink_sites))}")
+    # one chi at a time, so memory does not grow with len(chis); efficiencies print no
+    # min_eig, so a certified step map runs unchecked, and only the last row is kept
+    for member, c in enumerate(chis):
+        try:
+            for _, populations, _, _ in kernel.chunks(runner.transfer_matrix(c), rho0, cfg.steps,
+                                                      runner.observers, record_min_eig=False):
+                final = populations[0, -1]
+        except StateInvalidError as exc:
+            raise StateInvalidError(f"member {member} (chi {c!r}): {exc}") from exc
+        lines.append(f"{_fmt(c)},{_fmt(fmo.transfer_efficiency(final, sinks))}")
     _emit((lines, args.out))
     return 0
 

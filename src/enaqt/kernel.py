@@ -37,6 +37,7 @@ from .errors import (
     StateInvalidError,
     SurvivalUnderflowError,
 )
+from .linalg import choi_from_transfer, herm_defect
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,7 @@ def step_transfer_matrix(rates: JumpRateSpec, u: np.ndarray, chi: float,
 CHUNK = 128  # about this many states are stepped, checked and yielded per chunk by chunks, over all members
 LANES = 16  # consecutive states of one member that one product with T^LANES moves on; a power of two
 STATE_TOL = 1e-6  # largest negative eigenvalue and hermiticity defect a stepped state may show
+CHANNEL_TOL = 1e-12  # largest negative Choi eigenvalue, TP and HP defect of a certified step map
 
 
 def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, record_min_eig: bool = True):
@@ -228,9 +230,11 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
     rho_h + STATE_TOL 1 (rho_h the hermitized state), which succeeds only if
     every min_eig(rho_h) > -STATE_TOL, to rounding. A chunk the Cholesky rejects goes to
     eigvalsh, whose criterion min_eig < -STATE_TOL decides, so a state at
-    exactly -STATE_TOL passes either way. Raises StateInvalidError at the
-    first step (and member) whose state fails a check: a symptom of gamma/dt
-    misconfiguration, or of a step map that is not positive.
+    exactly -STATE_TOL passes either way. Without record_min_eig, a run whose every
+    member's T passes _channel_certified maps states to states, so only rho0 and
+    the last state are checked. Raises StateInvalidError at the first step (and
+    member) whose state fails a check: a symptom of gamma/dt misconfiguration, or
+    of a step map that is not positive.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -242,6 +246,7 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
             or obs.shape[1:] != (d, d)):
         raise DimensionMismatchError(f"state {np.shape(rho0)} and observers {obs.shape} "
                                      f"do not match the transfer matrix {t.shape}")
+    certified = not record_min_eig and all(_channel_certified(member, steps) for member in stack)
 
     # tr(P rho) = vec(P^T) . vec(rho), and tr(rho) = vec(1) . vec(rho) in the last column
     cols = np.concatenate([obs.transpose(0, 2, 1).reshape(len(obs), d * d), np.eye(d).reshape(1, -1)]).T
@@ -259,22 +264,35 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
         flat = buf[1:1 + filled].reshape(-1, d * d)
         values = (flat @ cols).real[:n * members].reshape(n, members, -1).transpose(1, 0, 2)
         buf[0] = buf[filled]
-        mats = flat[:n * members].reshape(-1, d, d)
-        # a contiguous adjoint: the elementwise loops below run slower on a strided view
-        adj = np.conjugate(mats.transpose(0, 2, 1), order="C")
-        herm = np.abs(mats - adj).max(axis=(1, 2))
-        rho_h = (adj + mats) * 0.5
-        if record_min_eig or herm.max() > STATE_TOL or not _certified(rho_h + STATE_TOL * np.eye(d)):
-            eig = np.linalg.eigvalsh(rho_h).min(axis=1)
-            bad = np.flatnonzero((eig < -STATE_TOL) | (herm > STATE_TOL))
-            if bad.size:
-                k, m = divmod(int(bad[0]), members)
-                where = f"step {start + k}" if t.ndim == 2 else f"step {start + k} of member {m}"
-                raise StateInvalidError(
-                    f"state invalid at {where}: min eigenvalue {eig[bad[0]]:.3e}, "
-                    f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {STATE_TOL:.1e})"
-                )
-        yield start, values[..., :-1], values[..., -1], eig.reshape(n, members).T if record_min_eig else None
+        states = flat[:n * members].reshape(n, members, d, d)
+        if not certified:
+            eig = _check_states(states, range(start, start + n), t.ndim == 3, record_min_eig)
+        elif ends := sorted({start, start + n - 1} & {0, steps}):  # rho0 and the last state only
+            _check_states(states[np.subtract(ends, start)], ends, t.ndim == 3, False)
+        yield start, values[..., :-1], values[..., -1], eig.T if record_min_eig else None
+
+
+def _check_states(states: np.ndarray, at, named: bool, record: bool) -> np.ndarray | None:
+    """Check states[i, m], member m at step at[i], as chunks describes; their smallest
+    eigenvalues (len(at), B) when `record`, else None. `named` puts the member in the message."""
+    members, d = states.shape[1], states.shape[-1]
+    mats = states.reshape(-1, d, d)
+    # a contiguous adjoint: the elementwise loops below run slower on a strided view
+    adj = np.conjugate(mats.transpose(0, 2, 1), order="C")
+    herm = np.abs(mats - adj).max(axis=(1, 2))
+    rho_h = (adj + mats) * 0.5
+    if not record and herm.max() <= STATE_TOL and _certified(rho_h + STATE_TOL * np.eye(d)):
+        return None
+    eig = np.linalg.eigvalsh(rho_h).min(axis=1)
+    bad = np.flatnonzero((eig < -STATE_TOL) | (herm > STATE_TOL))
+    if bad.size:
+        k, m = divmod(int(bad[0]), members)
+        where = f"step {at[k]} of member {m}" if named else f"step {at[k]}"
+        raise StateInvalidError(
+            f"state invalid at {where}: min eigenvalue {eig[bad[0]]:.3e}, "
+            f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {STATE_TOL:.1e})"
+        )
+    return eig.reshape(len(at), members)
 
 
 def propagate(
@@ -311,10 +329,30 @@ def _warm_up(rows_t: np.ndarray, vec0: np.ndarray, first: np.ndarray) -> np.ndar
     return rows_t
 
 
+def _channel_certified(t: np.ndarray, steps: int) -> bool:
+    """Whether the step map of row-major T t provably keeps a run of `steps` states valid.
+
+    Its Choi matrix must be hermitian (T preserves hermiticity) and its partial trace
+    the identity (T preserves the trace), each to CHANNEL_TOL, and its hermitian part
+    plus CHANNEL_TOL 1 must pass one Cholesky (T is completely positive to CHANNEL_TOL).
+    Such a step lowers a state's smallest eigenvalue by at most CHANNEL_TOL, and its
+    rounding adds about d^2 eps, so the run must keep steps (CHANNEL_TOL + d^2 eps)
+    within STATE_TOL / 10.
+    """
+    d = math.isqrt(len(t))
+    if steps * (CHANNEL_TOL + d * d * np.finfo(float).eps) > STATE_TOL / 10:
+        return False
+    choi = choi_from_transfer(t)
+    return (herm_defect(choi) <= CHANNEL_TOL
+            and np.abs(t[::d + 1].sum(axis=0) - np.eye(d).ravel()).max() <= CHANNEL_TOL
+            and _certified((choi + choi.conj().T) * 0.5 + CHANNEL_TOL * np.eye(d * d)))
+
+
 def _certified(shifted: np.ndarray) -> bool:
     """Whether every matrix of a hermitian stack is positive definite, by one Cholesky.
 
-    Given rho_h + STATE_TOL 1, a state at min_eig(rho_h) = -STATE_TOL meets a zero pivot.
+    Given rho_h + STATE_TOL 1, a state at min_eig(rho_h) = -STATE_TOL meets a zero pivot;
+    likewise a Choi matrix shifted by CHANNEL_TOL.
     """
     try:
         np.linalg.cholesky(shifted)

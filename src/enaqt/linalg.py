@@ -9,6 +9,8 @@ c = 2.99792458e-5 cm/fs, i.e. an effective hbar of ~5308.84 cm^-1 fs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError
@@ -73,6 +75,15 @@ def superoperator(apply_stack, dim: int) -> np.ndarray:
     basis elements |a><b|, element a*dim + b: the transposed view of the stacked outputs."""
     basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
     return np.asarray(apply_stack(basis), dtype=complex).reshape(dim * dim, dim * dim).T
+
+
+def choi_from_transfer(t: np.ndarray) -> np.ndarray:
+    """Choi matrix of the channel with row-major transfer matrix t, a reshuffle of t.
+
+    choi[a*d + i, b*d + j] = E(|a><b|)[i, j] = t[i*d + j, a*d + b].
+    """
+    d = math.isqrt(t.shape[0])
+    return t.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def successive_ratios(rows) -> list:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -398,10 +399,13 @@ class TestStreamedMemory:
         assert long - short <= 100
 
     def test_sweep_keeps_only_the_last_rows(self, default_config):
-        argv = ["sweep-chi", "--config", default_config, "--chis", "0,0.06,0.125,0.25,0.4,0.5,0.75,1",
-                "--steps", "1000", "--out", os.devnull]
-        traced_peak_kb(argv)
-        assert traced_peak_kb(argv) < 1400
+        # one chi at a time: one T, one T^16 and one lane buffer whatever the number of chi
+        # values (measured: 263 KB at 8 chi, 271 KB at 64)
+        argv = ["sweep-chi", "--config", default_config, "--steps", "1000", "--out", os.devnull, "--chis"]
+        eight = argv + ["0,0.06,0.125,0.25,0.4,0.5,0.75,1"]
+        traced_peak_kb(eight)
+        few, many = traced_peak_kb(eight), traced_peak_kb(argv + [",".join(map(repr, np.linspace(0, 1, 64).tolist()))])
+        assert abs(many - few) <= 50 and max(few, many) < 400
 
 
 class TestSweepChi:
@@ -462,15 +466,62 @@ class TestSweepChi:
             assert np.array_equal(recorded.member(b).min_eig, single.min_eig)
 
     def test_oracle_backend_names_the_failing_member(self, default_config, tmp_path, capsys):
-        # RK4 with no dissipator loses positivity at step 1 at 10 fs (see TestSimulate)
+        # RK4 with no dissipator loses positivity at step 1 at 10 fs (see TestSimulate); the
+        # member is the position of its chi in --chis
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             code = run_cli(["sweep-chi", "--config", default_config, "--backend", "lindblad-oracle",
-                            "--chis", "0", "--out", str(tmp_path / "s.csv")])
+                            "--chis", "1,0", "--out", str(tmp_path / "s.csv")])
         err = capsys.readouterr().err.splitlines()
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith("numerical invariant violated: state invalid at "
-                                                   "step 1 of member 0: ")
+        assert code == 2 and not (tmp_path / "s.csv").exists()
+        assert len(err) == 1 and err[0].startswith("numerical invariant violated: member 1 (chi 0.0): "
+                                                   "state invalid at step 1: ")
+
+    def test_smuggled_non_cp_step_exits_2_naming_its_member(self, default_config, monkeypatch, capsys):
+        # a negative gamma set past JumpRateSpec's checks: not certified, so its states are
+        # checked one by one and the first bad one is named
+        build = cli._Runner.transfer_matrix
+
+        def smuggled(runner, chi):
+            if chi != 0.5:
+                return build(runner, chi)
+            rates = kernel.JumpRateSpec(runner.rates.gamma)
+            gamma = rates.gamma.copy()
+            gamma[0, 1] = -0.05
+            object.__setattr__(rates, "gamma", gamma)
+            return kernel.step_transfer_matrix(rates, runner.unitary, 1.0)
+
+        monkeypatch.setattr(cli._Runner, "transfer_matrix", smuggled)
+        assert run_cli(["sweep-chi", "--config", default_config, "--chis", "1,0.5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical invariant violated: member 1 (chi 0.5): state invalid at step 23: "
+                       "min eigenvalue -2.297e-03, hermiticity defect 1.052e-16 (tolerance 1.0e-06)"]
+
+    def test_certified_sweep_does_no_per_chunk_checks(self, default_config, monkeypatch):
+        # per chi: one Cholesky of its Choi matrix, and the state checks of rho0 and of the last
+        # state, one Cholesky each; no eigvalsh, and nothing that grows with --steps
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        check = kernel._check_states
+
+        def check_counted(states, *args):
+            counts["states"] += states.shape[0] * states.shape[1]
+            return check(states, *args)
+
+        monkeypatch.setattr(kernel, "_check_states", check_counted)
+        for steps in ("1000", "2000"):
+            counts.clear()
+            assert run_cli(["sweep-chi", "--config", default_config, "--chis", "0,0.06,0.125,0.25,0.4,0.5,0.75,1",
+                            "--steps", steps, "--out", os.devnull]) == 0
+            assert counts == {"cholesky": 24, "states": 16}
 
     def test_circuit_backend_builds_its_step_once(self, default_config, tmp_path, monkeypatch):
         calls, build = [], circuit.circuit_transfer_matrix

@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from enaqt.errors import (
     DimensionMismatchError,
     ProbabilityOutOfRangeError,
     StateInvalidError,
+    StepTooLargeWarning,
     SurvivalUnderflowError,
 )
 from enaqt.kernel import JumpRateSpec
@@ -646,6 +649,113 @@ class TestPropagate:
             kernel.propagate(t, np.eye(3) / 3, 1.0, 1, self._observers(2))
         with pytest.raises(DimensionMismatchError):
             kernel.propagate(t[:8], np.eye(3) / 3, 1.0, 1, self._observers(3))
+
+
+
+class TestChannelCertificate:
+    """chunks steps a certified map without per-state checks when it records no min_eig."""
+
+    @staticmethod
+    def _runner(backend="operator", dt=10.0):
+        return cli._Runner(cli.RunConfig(model=str(fmo.default_model_path()), dt_fs=dt, backend=backend))
+
+    @staticmethod
+    def _defects(t):
+        """(smallest Choi eigenvalue, TP defect, HP defect) of a row-major T."""
+        d, choi = 7, linalg.choi_from_transfer(t)
+        tp = np.abs(t[::d + 1].sum(axis=0) - np.eye(d).ravel()).max()
+        return np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min(), tp, linalg.herm_defect(choi)
+
+    @pytest.mark.parametrize("backend", ["operator", "circuit"])
+    @pytest.mark.parametrize("dt", [1.0, 10.0])
+    @pytest.mark.parametrize("chi", [0.0, 0.06, 1.0])
+    def test_accepts_the_operator_and_circuit_steps(self, backend, dt, chi):
+        # measured: smallest Choi eigenvalue -1.77e-15, TP defect 6.7e-16, HP defect 1.12e-16
+        t = self._runner(backend, dt).transfer_matrix(chi)
+        min_eig, tp, hp = self._defects(t)
+        assert min_eig >= -1.8e-15 and tp <= 6.7e-16 and hp <= 1.2e-16
+        assert kernel._channel_certified(t, 1000)
+
+    @pytest.mark.parametrize("dt, chi, below", [(1.0, 0.0, -4.8e-8), (1.0, 0.06, -4.5e-8), (10.0, 0.0, -3.9e-3),
+                                                (10.0, 0.06, -3.9e-3), (10.0, 1.0, -3.9e-3)])
+    def test_rejects_the_rk4_step_that_is_not_cp(self, dt, chi, below):
+        # measured: -4.87e-8 and -4.60e-8 at 1 fs; -3.97e-3, -3.99e-3 and -4.42e-3 at 10 fs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepTooLargeWarning)
+            t = self._runner("lindblad-oracle", dt).transfer_matrix(chi)
+        assert self._defects(t)[0] < below
+        assert not kernel._channel_certified(t, 1000)
+
+    def test_accepts_the_rk4_step_with_full_dissipation_at_1_fs(self):
+        # its smallest Choi eigenvalue is +1.98e-8: the sweep smoke run steps it certified
+        assert kernel._channel_certified(self._runner("lindblad-oracle", 1.0).transfer_matrix(1.0), 1000)
+
+    def test_rejects_a_map_that_is_not_trace_preserving(self, monkeypatch):
+        t = 0.9 * self._runner().transfer_matrix(1.0)
+        assert kernel._channel_certified(t / 0.9, 1000)
+        # still CP and HP: the TP check alone rejects it
+        monkeypatch.setattr(kernel, "_certified", lambda shifted: True)
+        assert not kernel._channel_certified(t, 1000)
+
+    def test_rejects_a_map_that_breaks_hermiticity_preservation(self, monkeypatch):
+        # T[(0,1),(0,2)] is the Choi entry [0, 15], whose mirror [15, 0] is T[(1,0),(2,0)]
+        t = self._runner().transfer_matrix(1.0)
+        t[1, 2] += 1e-9
+        assert linalg.herm_defect(linalg.choi_from_transfer(t)) == pytest.approx(1e-9)
+        assert self._defects(t)[1] <= 6.7e-16
+        monkeypatch.setattr(kernel, "_certified", lambda shifted: True)
+        assert not kernel._channel_certified(t, 1000)
+
+    def test_drift_guard_bounds_the_run_length(self):
+        # steps (CHANNEL_TOL + d^2 eps) may not pass STATE_TOL / 10: about 98,900 steps at d = 7
+        t = self._runner().transfer_matrix(1.0)
+        limit = int(kernel.STATE_TOL / 10 / (kernel.CHANNEL_TOL + 49 * np.finfo(float).eps))
+        assert kernel._channel_certified(t, limit) and not kernel._channel_certified(t, limit + 1)
+
+    def test_smuggled_negative_gamma_fails_at_its_first_bad_step(self):
+        # a negative gamma, set past JumpRateSpec's checks, gives a T that is neither CP nor TP;
+        # the run falls back to per-state checks and names the same step as a recorded run
+        runner = self._runner()
+        rates = kernel.JumpRateSpec(runner.rates.gamma)
+        gamma = rates.gamma.copy()
+        gamma[0, 1] = -0.05
+        object.__setattr__(rates, "gamma", gamma)
+        t = kernel.step_transfer_matrix(rates, runner.unitary, 1.0)
+        assert not kernel._channel_certified(t, 400)
+        for record in (True, False):
+            with pytest.raises(StateInvalidError, match=r"at step 23: min eigenvalue -2\.297e-03"):
+                kernel.propagate(t, runner.initial_state(), 10.0, 400, runner.observers, record_min_eig=record)
+
+    def test_certified_rows_equal_uncertified_rows(self, monkeypatch):
+        runner = self._runner()
+        stack = np.stack([runner.transfer_matrix(c) for c in (0.0, 0.06, 1.0)])
+        run = (stack, runner.initial_state(), 10.0, 300, runner.observers)
+        checked, check = [], kernel._check_states
+
+        def spy(states, at, *args):
+            checked.extend(at)
+            return check(states, at, *args)
+
+        monkeypatch.setattr(kernel, "_check_states", spy)
+        certified = kernel.propagate(*run, record_min_eig=False)
+        assert checked == [0, 300]  # rho0 and the last state, each in its own chunk
+        monkeypatch.setattr(kernel, "_channel_certified", lambda t, steps: False)
+        checked.clear()
+        forced_off = kernel.propagate(*run, record_min_eig=False)
+        assert checked == list(range(301))
+        assert np.array_equal(certified.populations, forced_off.populations)
+        assert np.array_equal(certified.trace, forced_off.trace)
+
+    @pytest.mark.parametrize("rho0, message", [
+        (np.diag([1.0 + 2e-6, -2e-6, 0, 0, 0, 0, 0]), r"at step 0: min eigenvalue -2\.000e-06, "),
+        (np.diag([0.5, 0.5, 0, 0, 0, 0, 0]) + 1e-5 * np.eye(7, k=1), r"at step 0: .* hermiticity defect 1\.000e-05"),
+    ], ids=["negative", "non-hermitian"])
+    def test_invalid_rho0_fails_at_step_0_with_a_certified_map(self, rho0, message):
+        runner = self._runner()
+        t = runner.transfer_matrix(0.06)
+        assert kernel._channel_certified(t, 300)
+        with pytest.raises(StateInvalidError, match=message):
+            next(kernel.chunks(t, rho0.astype(complex), 300, runner.observers, record_min_eig=False))
 
 
 def test_public_names():

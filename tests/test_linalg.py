@@ -124,3 +124,15 @@ class TestSuperoperator:
         kron = np.kron(a, b.T)
         error = np.abs(linalg.superoperator(lambda s: a @ s @ b, d) - kron)
         assert np.all(error <= 2.0 * np.finfo(float).eps * np.abs(kron))
+
+
+class TestChoiFromTransfer:
+    def test_entries_are_the_map_on_the_basis(self, rng):
+        # choi[a*d + i, b*d + j] = E(|a><b|)[i, j], for the map rho -> A rho B
+        d = 3
+        a, b = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        choi = linalg.choi_from_transfer(linalg.superoperator(lambda s: a @ s @ b, d))
+        for p, q in np.ndindex(d, d):
+            e = np.zeros((d, d))
+            e[p, q] = 1.0
+            np.testing.assert_allclose(choi[p * d:(p + 1) * d, q * d:(q + 1) * d], a @ e @ b, rtol=1e-14)
