@@ -36,13 +36,10 @@ def main():
     rho0 = basis.to_exciton(rho0_site)
     window = int(500.0 / DT_FS)
 
-    # every chi in one batch, one step matrix per member
-    stack = np.stack([kernel.step_transfer_matrix(rates, unitary, chi) for chi in chis])
-    batch = kernel.propagate(stack, rho0, DT_FS, STEPS, basis.site_projectors(), record_min_eig=False)
-
     print("chi    efficiency(4ps)   site-2 beat amplitude (first 500 fs)")
-    for b, chi in enumerate(chis):
-        traj = batch.member(b)
+    for chi in chis:  # one run per chi, as sweep-chi steps them
+        traj = kernel.propagate(kernel.step_transfer_matrix(rates, unitary, chi), rho0, DT_FS, STEPS,
+                                basis.site_projectors(), record_min_eig=False)
         eff = fmo.transfer_efficiency(traj.populations[-1], model.sink_sites)
         beat = traj.populations[: window + 1, 1]
         print(f"{chi:4.2f}   {eff:10.4f}        {beat.max() - beat.min():.3f}")

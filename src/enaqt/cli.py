@@ -196,13 +196,12 @@ class _Runner:
 
 
 def _trajectory_csv(run, model: fmo.FmoModel, chunks):
-    """The trajectory CSV of member 0 of `chunks`, each chunk formatted as it arrives."""
+    """The trajectory CSV of `chunks` (see kernel.chunks), each chunk formatted as it arrives."""
     lines = _config_lines(run, model, {"command": "simulate"})
     header = ["t_fs"] + [f"site{m}" for m in range(1, model.hamiltonian.n_sites + 1)] + ["trace", "min_eig"]
     lines.append(",".join(header))
     row = ",".join(["%.17g"] * len(header))  # the same bytes as _fmt per value
-    blocks = (np.column_stack([np.arange(start, start + trace.shape[1]) * run.dt_fs, pops[0], trace[0],
-                               min_eig[0]]).tolist()
+    blocks = (np.column_stack([np.arange(start, start + len(trace)) * run.dt_fs, pops, trace, min_eig]).tolist()
               for start, pops, trace, min_eig in chunks)
     return itertools.chain(lines, (row % tuple(r) for block in blocks for r in block))
 
@@ -263,7 +262,7 @@ def cmd_sweep_chi(args) -> int:
         try:
             for _, populations, _, _ in kernel.chunks(runner.transfer_matrix(c), rho0, cfg.steps,
                                                       runner.observers, record_min_eig=False):
-                final = populations[0, -1]
+                final = populations[-1]
         except StateInvalidError as exc:
             raise StateInvalidError(f"member {member} (chi {c!r}): {exc}") from exc
         lines.append(f"{_fmt(c)},{_fmt(fmo.transfer_efficiency(final, sinks))}")

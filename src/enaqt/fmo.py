@@ -106,14 +106,17 @@ def exciton_basis(h_site: np.ndarray) -> ExcitonBasis:
 
 
 def ohmic_spectral_density(omega_cm1, lambda_cm1: float, omega_c_cm1: float):
-    """J(omega) = (lambda/omega_c) * omega * exp(-omega/omega_c), omega > 0."""
+    """J(omega) = (lambda/omega_c) * omega * exp(-omega/omega_c) = lambda x exp(-x), x = omega/omega_c > 0."""
     omega_cm1 = np.asarray(omega_cm1, dtype=float)
-    return (lambda_cm1 / omega_c_cm1) * omega_cm1 * np.exp(-omega_cm1 / omega_c_cm1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor past the float range: J is lambda x exp(-x)
+        x = omega_cm1 / omega_c_cm1
+        j = (lambda_cm1 / omega_c_cm1) * omega_cm1 * np.exp(-x)
+        return np.where(np.isfinite(j), j, lambda_cm1 * np.nan_to_num(x * np.exp(-x)))  # at most lambda / e
 
 
 def bose_occupation(omega_cm1, temperature_k: float):
     """n(omega) = 1 / (exp(omega/kT) - 1) with omega in cm^-1."""
-    with np.errstate(over="ignore"):  # overflow of omega/kT or of exp means n -> 0 exactly
+    with np.errstate(over="ignore", divide="ignore"):  # omega/kT or exp past the float range: n -> 0 or inf
         return 1.0 / np.expm1(np.asarray(omega_cm1, dtype=float) / (KB_CM1_PER_K * temperature_k))
 
 
@@ -148,7 +151,11 @@ def thermal_rate_matrix(
     occ = bose_occupation(gap, temperature_k)
     pref = np.where(w[m] > w[n], 1.0 + occ, occ)
     rates = np.zeros((basis.dim, basis.dim))
-    rates[m, n] = 2.0 * np.pi * j * pref * overlap[m, n] ** overlap_exponent / HBAR_CM1_FS
+    with np.errstate(over="ignore", invalid="ignore"):  # a rate past the float range is the error below
+        rates[m, n] = 2.0 * np.pi * j * pref * overlap[m, n] ** overlap_exponent / HBAR_CM1_FS
+    if not np.all(np.isfinite(rates)):
+        raise SpecInvalidError(f"Ohmic rates overflow at lambda_cm1 {lambda_cm1!r}, omega_c_cm1 "
+                               f"{omega_c_cm1!r} and temperature_k {temperature_k!r}")
     return rates
 
 

@@ -155,21 +155,14 @@ def tunable_step(rho: np.ndarray, ops: EvolutionOperators, chi: float) -> np.nda
 class Trajectory:
     """Recorded evolution: times in fs, one population row per step.
 
-    populations[k, i] is the expectation of observer projector i at step k;
-    trace and min_eig track the state's numerical health. A batch of B
-    members carries a leading member axis on every field but times, and
-    min_eig is None when positivity was certified without recording it.
+    populations[k, i] is the expectation of observer projector i at step k; trace and min_eig
+    track the state's numerical health, and min_eig is None when positivity was certified.
     """
 
     times: np.ndarray
     populations: np.ndarray
     trace: np.ndarray
     min_eig: np.ndarray | None
-
-    def member(self, b: int) -> Trajectory:
-        """Member b of a batched trajectory."""
-        return Trajectory(self.times, self.populations[b], self.trace[b],
-                          None if self.min_eig is None else self.min_eig[b])
 
 
 def step_transfer_matrix(rates: JumpRateSpec, u: np.ndarray, chi: float,
@@ -196,8 +189,8 @@ def step_transfer_matrix(rates: JumpRateSpec, u: np.ndarray, chi: float,
     return (1.0 - chi) * coh + chi * full
 
 
-CHUNK = 128  # about this many states are stepped, checked and yielded per chunk by chunks, over all members
-LANES = 16  # consecutive states of one member that one product with T^LANES moves on; a power of two
+CHUNK = 128  # states stepped, checked and yielded per chunk by chunks; a whole number of lane blocks
+LANES = 16  # consecutive states that one product with T^LANES moves on; a power of two
 STATE_TOL = 1e-6  # largest negative eigenvalue and hermiticity defect a stepped state may show
 CHANNEL_TOL = 1e-12  # largest negative Choi eigenvalue, TP and HP defect of a certified step map
 
@@ -205,94 +198,79 @@ CHANNEL_TOL = 1e-12  # largest negative Choi eigenvalue, TP and HP defect of a c
 def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, record_min_eig: bool = True):
     """Iterate vec(rho) <- t @ vec(rho), yielding the recorded rows one checked chunk at a time.
 
-    t is a row-major d^2 x d^2 transfer matrix, or a (B, d^2, d^2) stack of them
-    stepped together from the one rho0 (a 2-D t is the case B = 1). observers is
-    an (n_obs, d, d) stack of hermitian projectors; populations are Re tr(P_i rho_k).
-    Each chunk is yielded as (start, populations (B, n, n_obs), trace (B, n),
-    min_eig (B, n) or None): the rows of steps start .. start + n - 1, in fresh
-    arrays, and only after every one of its states has passed the checks below.
-    The arguments are checked when the first chunk is asked for. Only one chunk's
-    lane buffer lives between yields, so memory does not grow with `steps`.
+    t is a row-major d^2 x d^2 transfer matrix and observers an (n_obs, d, d) stack of
+    hermitian projectors; populations are Re tr(P_i rho_k). Each chunk of CHUNK states (the
+    last may be shorter) is yielded as (start, populations (n, n_obs), trace (n,), min_eig
+    (n,) or None): the rows of steps start .. start + n - 1, in fresh arrays, once every one
+    of its states has passed the checks below. The arguments are checked when the first chunk
+    is asked for. Only one chunk's lane buffer lives between yields, so memory does not grow
+    with `steps`.
 
-    The states advance in lanes: a block holds LANES consecutive states of every
-    member, as rows. T^LANES is built once per call by repeated squaring, and a
-    warm-up fills the first block on the way: before T^w is squared, it carries
-    states 0 .. w-1 to states w .. 2w-1. After that, one batched product with
-    T^LANES moves a whole block LANES steps on, so step k is T^LANES applied
-    floor(k / LANES) times to warm-up state k mod LANES. A chunk of about CHUNK
-    states is a whole number of blocks (at least one). The population and trace
-    products always run over whole blocks, so a state's bits do not depend on
-    the length of the run; only the states up to `steps` are checked.
+    The states advance in lanes: a block holds LANES consecutive states, as rows. T^LANES is
+    built once per call by repeated squaring, and a warm-up fills the first block on the way:
+    before T^w is squared, it carries states 0 .. w-1 to states w .. 2w-1. After that, one
+    product with T^LANES moves a whole block LANES steps on, so step k is T^LANES applied
+    floor(k / LANES) times to warm-up state k mod LANES. The population and trace products
+    always run over whole blocks, so a state's bits do not depend on the length of the run;
+    only the states up to `steps` are checked.
 
-    Every state is checked for hermiticity and positivity to STATE_TOL. With
-    record_min_eig, eigvalsh records its smallest eigenvalue; without it,
-    min_eig is None and each chunk is certified by one batched Cholesky of
-    rho_h + STATE_TOL 1 (rho_h the hermitized state), which succeeds only if
-    every min_eig(rho_h) > -STATE_TOL, to rounding. A chunk the Cholesky rejects goes to
-    eigvalsh, whose criterion min_eig < -STATE_TOL decides, so a state at
-    exactly -STATE_TOL passes either way. Without record_min_eig, a run whose every
-    member's T passes _channel_certified maps states to states, so only rho0 and
-    the last state are checked. Raises StateInvalidError at the first step (and
-    member) whose state fails a check: a symptom of gamma/dt misconfiguration, or
-    of a step map that is not positive.
+    Every state is checked for hermiticity and positivity to STATE_TOL. With record_min_eig,
+    eigvalsh records its smallest eigenvalue; without it, min_eig is None and each chunk is
+    certified by one batched Cholesky of rho_h + STATE_TOL 1 (rho_h the hermitized state),
+    which succeeds only if every min_eig(rho_h) > -STATE_TOL, to rounding. A chunk the
+    Cholesky rejects goes to eigvalsh, whose criterion min_eig < -STATE_TOL decides, so a
+    state at exactly -STATE_TOL passes either way. Without record_min_eig, a run whose T
+    passes _channel_certified maps states to states, so only rho0 and the last state are
+    checked. Raises StateInvalidError at the first step whose state fails a check: a symptom
+    of gamma/dt misconfiguration, or of a step map that is not positive.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     t = np.asarray(t, dtype=complex)
-    stack = t if t.ndim == 3 else t[None]
     obs = np.asarray(observers, dtype=complex)
-    members, d = len(stack), math.isqrt(stack.shape[-1])
-    if (stack.ndim != 3 or not members or stack.shape[1:] != (d * d, d * d) or np.shape(rho0) != (d, d)
-            or obs.shape[1:] != (d, d)):
+    d = math.isqrt(t.shape[-1] if t.ndim else 0)
+    if t.shape != (d * d, d * d) or np.shape(rho0) != (d, d) or obs.shape[1:] != (d, d):
         raise DimensionMismatchError(f"state {np.shape(rho0)} and observers {obs.shape} "
                                      f"do not match the transfer matrix {t.shape}")
-    certified = not record_min_eig and all(_channel_certified(member, steps) for member in stack)
+    certified = not record_min_eig and _channel_certified(t, steps)
 
     # tr(P rho) = vec(P^T) . vec(rho), and tr(rho) = vec(1) . vec(rho) in the last column
     cols = np.concatenate([obs.transpose(0, 2, 1).reshape(len(obs), d * d), np.eye(d).reshape(1, -1)]).T
-    per_chunk = LANES * max(1, CHUNK // (LANES * members))  # steps per chunk
-    # buf[1 + j, l, m]: member m at step j * LANES + l of the chunk; buf[0] carries
-    # the previous chunk's last block
-    buf = np.empty((1 + per_chunk // LANES, LANES, members, d * d), dtype=complex)
-    blocks = list(buf.transpose(0, 2, 1, 3))  # (B, LANES, d^2) operands of the lane products
-    power = _warm_up(stack.transpose(0, 2, 1), np.asarray(rho0, dtype=complex).reshape(-1), blocks[1])
-    for start in range(0, steps + 1, per_chunk):
-        n = min(per_chunk, steps + 1 - start)
+    # buf[1 + j, l]: the state at step j * LANES + l of the chunk; buf[0] carries the
+    # previous chunk's last block
+    buf = np.empty((1 + CHUNK // LANES, LANES, d * d), dtype=complex)
+    power = _warm_up(t.T, np.asarray(rho0, dtype=complex).reshape(-1), buf[1])
+    for start in range(0, steps + 1, CHUNK):
+        n = min(CHUNK, steps + 1 - start)
         filled = -(-n // LANES)
         for j in range(1 if start == 0 else 0, filled):
-            np.matmul(blocks[j], power, blocks[j + 1])  # out=, passed positionally: cheaper per call
+            np.matmul(buf[j], power, buf[j + 1])  # out=, passed positionally: cheaper per call
         flat = buf[1:1 + filled].reshape(-1, d * d)
-        values = (flat @ cols).real[:n * members].reshape(n, members, -1).transpose(1, 0, 2)
+        values = (flat @ cols).real[:n]
         buf[0] = buf[filled]
-        states = flat[:n * members].reshape(n, members, d, d)
+        states = flat[:n].reshape(n, d, d)
         if not certified:
-            eig = _check_states(states, range(start, start + n), t.ndim == 3, record_min_eig)
+            eig = _check_states(states, range(start, start + n), record_min_eig)
         elif ends := sorted({start, start + n - 1} & {0, steps}):  # rho0 and the last state only
-            _check_states(states[np.subtract(ends, start)], ends, t.ndim == 3, False)
-        yield start, values[..., :-1], values[..., -1], eig.T if record_min_eig else None
+            _check_states(states[np.subtract(ends, start)], ends, False)
+        yield start, values[:, :-1], values[:, -1], eig if record_min_eig else None
 
 
-def _check_states(states: np.ndarray, at, named: bool, record: bool) -> np.ndarray | None:
-    """Check states[i, m], member m at step at[i], as chunks describes; their smallest
-    eigenvalues (len(at), B) when `record`, else None. `named` puts the member in the message."""
-    members, d = states.shape[1], states.shape[-1]
-    mats = states.reshape(-1, d, d)
+def _check_states(states: np.ndarray, at, record: bool) -> np.ndarray | None:
+    """Check states[i], the state at step at[i], as chunks describes; their smallest eigenvalues, or None."""
     # a contiguous adjoint: the elementwise loops below run slower on a strided view
-    adj = np.conjugate(mats.transpose(0, 2, 1), order="C")
-    herm = np.abs(mats - adj).max(axis=(1, 2))
-    rho_h = (adj + mats) * 0.5
-    if not record and herm.max() <= STATE_TOL and _certified(rho_h + STATE_TOL * np.eye(d)):
+    adj = np.conjugate(states.transpose(0, 2, 1), order="C")
+    herm = np.abs(states - adj).max(axis=(1, 2))
+    rho_h = (adj + states) * 0.5
+    if not record and herm.max() <= STATE_TOL and _certified(rho_h + STATE_TOL * np.eye(states.shape[-1])):
         return None
     eig = np.linalg.eigvalsh(rho_h).min(axis=1)
     bad = np.flatnonzero((eig < -STATE_TOL) | (herm > STATE_TOL))
     if bad.size:
-        k, m = divmod(int(bad[0]), members)
-        where = f"step {at[k]} of member {m}" if named else f"step {at[k]}"
-        raise StateInvalidError(
-            f"state invalid at {where}: min eigenvalue {eig[bad[0]]:.3e}, "
-            f"hermiticity defect {herm[bad[0]]:.3e} (tolerance {STATE_TOL:.1e})"
-        )
-    return eig.reshape(len(at), members)
+        k = int(bad[0])
+        raise StateInvalidError(f"state invalid at step {at[k]}: min eigenvalue {eig[k]:.3e}, "
+                                f"hermiticity defect {herm[k]:.3e} (tolerance {STATE_TOL:.1e})")
+    return eig
 
 
 def propagate(
@@ -300,31 +278,24 @@ def propagate(
     record_min_eig: bool = True,
 ) -> Trajectory:
     """The whole run of chunks(t, rho0, steps, observers, record_min_eig), collected, with times in
-    steps of dt > 0.
-
-    A (B, d^2, d^2) stack gives a trajectory with a leading member axis (see
-    Trajectory.member); a 2-D t gives the one trajectory. Holds every row until
-    it returns, so a long run is better read from chunks as it goes.
-    """
+    steps of dt > 0. It holds every row until it returns, so a long run is better read from chunks."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     _, populations, trace, min_eig = zip(*chunks(t, rho0, steps, observers, record_min_eig))
-    min_eig = np.concatenate(min_eig, axis=1) if record_min_eig else None
-    batch = Trajectory(np.arange(steps + 1) * dt, np.concatenate(populations, axis=1),
-                       np.concatenate(trace, axis=1), min_eig)
-    return batch if np.ndim(t) == 3 else batch.member(0)
+    return Trajectory(np.arange(steps + 1) * dt, np.concatenate(populations), np.concatenate(trace),
+                      np.concatenate(min_eig) if record_min_eig else None)
 
 
 def _warm_up(rows_t: np.ndarray, vec0: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Fill the first lane block from vec0 and return (T^T)^LANES, stepping as rows @ T^T.
 
-    Each squaring of the power ladder T, T^2, T^4, ..., one batched product over all
-    members, first carries the filled lanes forward: lanes [w, 2w) are lanes [0, w) times (T^T)^w.
+    Each squaring of the power ladder T, T^2, T^4, ... first carries the filled lanes
+    forward: lanes [w, 2w) are lanes [0, w) times (T^T)^w.
     """
-    first[:, 0] = vec0
+    first[0] = vec0
     for i in range(LANES.bit_length() - 1):
         width = 1 << i
-        np.matmul(first[:, :width], rows_t, first[:, width:2 * width])
+        np.matmul(first[:width], rows_t, first[width:2 * width])
         rows_t = rows_t @ rows_t
     return rows_t
 

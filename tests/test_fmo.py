@@ -146,6 +146,20 @@ class TestRates:
             warnings.simplefilter("error")
             assert np.array_equal(fmo.bose_occupation([10.0, 500.0], 1e-320), [0.0, 0.0])
 
+    def test_spectral_density_past_the_float_range(self):
+        # (lambda/omega_c) omega overflows: J is lambda x exp(-x), 0 where omega/omega_c overflows too
+        assert np.array_equal(fmo.ohmic_spectral_density([10.0, 500.0], 1.0, 1e-308), [0.0, 0.0])
+        assert fmo.ohmic_spectral_density(100.0, 1e308, 1.0) == pytest.approx(1e308 * (100.0 * np.exp(-100.0)), rel=1e-14)
+
+    def test_rates_past_the_float_range(self, shipped):
+        _, _, basis = shipped
+        assert np.array_equal(fmo.thermal_rate_matrix(basis, 1.0, 1e-308, 300.0), np.zeros((7, 7)))
+        # (lambda/omega_c) omega overflows, J does not, and the rates are finite
+        rates = fmo.thermal_rate_matrix(basis, 1e308, 1.0, 300.0)
+        assert np.all(np.isfinite(rates)) and rates.max() > 1e290
+        with pytest.raises(SpecInvalidError, match=r"lambda_cm1 1e\+308, omega_c_cm1 1\.0 and temperature_k 1e\+308"):
+            fmo.thermal_rate_matrix(basis, 1e308, 1.0, 1e308)
+
     def test_detailed_balance_identity(self, shipped):
         _, _, basis = shipped
         rates = fmo.thermal_rate_matrix(basis, 25.0, 150.0, 300.0)

@@ -440,7 +440,7 @@ class TestPropagate:
         t, rho = self._leaking(1.0 / 300.0), np.diag([0.5, 0.5]).astype(complex)
         run = kernel.chunks(t, rho, 3 * kernel.CHUNK, self._observers(2))
         start, pops, trace, min_eig = next(run)
-        assert start == 0 and pops.shape == (1, kernel.CHUNK, 2) and min_eig.min() >= 0.0
+        assert start == 0 and pops.shape == (kernel.CHUNK, 2) and min_eig.min() >= 0.0
         with pytest.raises(StateInvalidError, match="at step 151: "):
             next(run)
 
@@ -463,22 +463,6 @@ class TestPropagate:
         rows = [line for line in printed.out.splitlines() if not line.startswith("#")][1:]
         assert len(rows) == kernel.CHUNK and rows[-1].startswith(f"{10.0 * (kernel.CHUNK - 1):.17g},")
         assert len(printed.err.splitlines()) == 1
-
-    @pytest.mark.parametrize("record", [True, False])
-    def test_names_first_invalid_step_and_member_in_second_chunk(self, record):
-        # from diag(0.5, 0.5) the leaking member's |1> population reaches 0 at
-        # step 50 and is negative from step 51; three members step a whole number
-        # of lane blocks, about CHUNK // 3 steps, per chunk, so that is inside the second chunk
-        per_chunk, first_bad = self._per_chunk(3), 51
-        assert per_chunk <= first_bad < 2 * per_chunk
-        stack = np.stack([np.eye(4), self._leaking(0.01), np.eye(4)]).astype(complex)
-        rho = np.diag([0.5, 0.5]).astype(complex)
-        message = rf"at step {first_bad} of member 1: min eigenvalue -1\.0"
-        with pytest.raises(StateInvalidError, match=message):
-            kernel.propagate(stack, rho, 1.0, 3 * per_chunk, self._observers(2), record_min_eig=record)
-        batch = kernel.propagate(stack, rho, 1.0, first_bad - 1, self._observers(2), record_min_eig=record)
-        assert batch.populations.shape == (3, first_bad, 2)
-        assert (batch.min_eig is None) != record
 
     @pytest.mark.parametrize("record", [True, False])
     def test_positivity_boundary_is_eigvalsh_criterion(self, record, monkeypatch):
@@ -512,18 +496,6 @@ class TestPropagate:
             kernel.propagate(np.eye(4, dtype=complex), rho, 1.0, 2, self._observers(2),
                              record_min_eig=record)
 
-    def test_member_of_one_is_the_single_run(self, rng):
-        ops = self._shipped_like(rng)
-        t, rho, obs = kernel.step_transfer_matrix(ops.rates, ops.unitary, 0.5), random_density(4, rng), self._observers(4)
-        single = kernel.propagate(t, rho, 10.0, 300, obs)
-        member = kernel.propagate(t[None], rho, 10.0, 300, obs).member(0)
-        for field in ("times", "populations", "trace", "min_eig"):
-            assert np.array_equal(getattr(member, field), getattr(single, field))
-
-    @staticmethod
-    def _per_chunk(members):
-        return kernel.LANES * max(1, kernel.CHUNK // (kernel.LANES * members))
-
     @staticmethod
     def _stepped(t, rho, steps, obs):
         """Plain reference: one T @ v per step; populations, trace and min_eig of every state."""
@@ -543,18 +515,16 @@ class TestPropagate:
         assert np.max(np.abs(traj.trace - trace)) <= 1e-12
         assert np.max(np.abs(traj.min_eig - min_eig)) <= 1e-12
 
-    @pytest.mark.parametrize("members", [1, 3, 9])
-    def test_lanes_match_per_step_reference(self, rng, members):
-        # over three chunks and a partial fourth; nine members leave one lane block per chunk
+    def test_lanes_match_per_step_reference(self, rng):
+        # over three chunks and a partial fourth
         ops, d = self._shipped_like(rng), 4
-        chis = np.linspace(0.0, 1.0, members)
-        stack = np.stack([kernel.step_transfer_matrix(ops.rates, ops.unitary, c) for c in chis])
         rho, obs = random_density(d, rng), self._observers(d)
-        steps = 3 * self._per_chunk(members) + 5
-        batch = kernel.propagate(stack, rho, 10.0, steps, obs)
-        assert batch.populations.shape == (members, steps + 1, d)
-        for b in range(members):
-            self._assert_matches_stepped(batch.member(b), stack[b], rho, obs)
+        steps = 3 * kernel.CHUNK + 5
+        for chi in (0.0, 0.5, 1.0):
+            t = kernel.step_transfer_matrix(ops.rates, ops.unitary, chi)
+            traj = kernel.propagate(t, rho, 10.0, steps, obs)
+            assert traj.populations.shape == (steps + 1, d)
+            self._assert_matches_stepped(traj, t, rho, obs)
 
     @pytest.mark.parametrize("steps", [0, 1, kernel.LANES - 1, kernel.LANES, kernel.LANES + 1,
                                        kernel.CHUNK - 1, kernel.CHUNK, kernel.CHUNK + 1])
@@ -567,42 +537,35 @@ class TestPropagate:
         self._assert_matches_stepped(traj, t, rho, obs)
 
     @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("first_bad", [3 * kernel.LANES - 1, 3 * kernel.LANES])
-    def test_names_first_invalid_step_at_lane_boundary(self, members, first_bad, record):
-        # from diag(0.5, 0.5) the leaking member's |1> population is 0.5 - k a at
-        # step k, negative from first_bad: the last lane of a block, or the first
-        # lane of the next, which for three members opens the second chunk
-        a = 0.5 / (first_bad - 0.5)
-        stack = np.stack([self._leaking(a if b == members // 2 else 0.0) for b in range(members)])
-        t, rho, obs = (stack if members > 1 else stack[0]), np.diag([0.5, 0.5]).astype(complex), self._observers(2)
-        where = f"step {first_bad} of member {members // 2}" if members > 1 else f"step {first_bad}:"
-        with pytest.raises(StateInvalidError, match=where):
-            kernel.propagate(t, rho, 1.0, 3 * self._per_chunk(members), obs, record_min_eig=record)
+    def test_names_first_invalid_step_at_lane_boundary(self, first_bad, record):
+        # from diag(0.5, 0.5) the |1> population is 0.5 - k a at step k, negative
+        # from first_bad: the last lane of a block, or the first lane of the next
+        t, rho, obs = self._leaking(0.5 / (first_bad - 0.5)), np.diag([0.5, 0.5]).astype(complex), self._observers(2)
+        with pytest.raises(StateInvalidError, match=f"step {first_bad}:"):
+            kernel.propagate(t, rho, 1.0, 3 * kernel.CHUNK, obs, record_min_eig=record)
         # the bad state shares its lane block with the last checked one, and is not checked
         traj = kernel.propagate(t, rho, 1.0, first_bad - 1, obs, record_min_eig=record)
-        assert traj.populations.shape[-2] == first_bad
+        assert traj.populations.shape[0] == first_bad
 
     @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 127, 128, 129, 255, 256])
-    def test_concatenated_chunks_are_propagate(self, rng, members, steps, record):
+    def test_concatenated_chunks_are_propagate(self, rng, steps, record):
         ops, d = self._shipped_like(rng), 4
-        stack = np.stack([kernel.step_transfer_matrix(ops.rates, ops.unitary, c) for c in np.linspace(0.06, 1.0, members)])
+        t = kernel.step_transfer_matrix(ops.rates, ops.unitary, 0.06)
         rho, obs = random_density(d, rng), self._observers(d)
-        # one member is chunked from its 2-D T and is member 0 of the stack of one
-        starts, pops, trace, min_eig = zip(*kernel.chunks(stack if members > 1 else stack[0], rho, steps, obs,
-                                                          record))
-        sizes = [p.shape[1] for p in pops]
+        starts, pops, trace, min_eig = zip(*kernel.chunks(t, rho, steps, obs, record))
+        sizes = [len(tr) for tr in trace]
+        assert all(p.shape == (size, d) and tr.shape == (size,) for p, tr, size in zip(pops, trace, sizes))
         assert list(starts) == list(np.cumsum([0, *sizes[:-1]])) and sum(sizes) == steps + 1
-        assert all(size == self._per_chunk(members) for size in sizes[:-1])
-        batch = kernel.propagate(stack, rho, 10.0, steps, obs, record)
-        assert np.array_equal(np.concatenate(pops, axis=1), batch.populations)
-        assert np.array_equal(np.concatenate(trace, axis=1), batch.trace)
+        assert all(size == kernel.CHUNK for size in sizes[:-1])
+        traj = kernel.propagate(t, rho, 10.0, steps, obs, record)
+        assert np.array_equal(np.concatenate(pops), traj.populations)
+        assert np.array_equal(np.concatenate(trace), traj.trace)
         if record:
-            assert np.array_equal(np.concatenate(min_eig, axis=1), batch.min_eig)
+            assert np.array_equal(np.concatenate(min_eig), traj.min_eig)
         else:
-            assert set(min_eig) == {None} and batch.min_eig is None
+            assert set(min_eig) == {None} and traj.min_eig is None
 
     @staticmethod
     def _shipped_runner():
@@ -612,12 +575,11 @@ class TestPropagate:
         # the population and trace products run over whole lane blocks, so no row
         # is computed alone (numpy takes another BLAS route for a one-row product)
         runner = self._shipped_runner()
-        stack = np.stack([runner.transfer_matrix(c) for c in (0.0, 0.06, 0.5, 1.0)])
         run = (runner.initial_state(), 10.0)
-        for t, pick in ((stack[1], lambda traj: traj), (stack, lambda traj: traj.member(1))):
-            full = pick(kernel.propagate(t, *run, 300, runner.observers))
+        for t in (runner.transfer_matrix(c) for c in (0.0, 0.06, 0.5, 1.0)):
+            full = kernel.propagate(t, *run, 300, runner.observers)
             for k in (0, 1, 15, 16, 17, 127, 128, 129, 256):
-                short = pick(kernel.propagate(t, *run, k, runner.observers))
+                short = kernel.propagate(t, *run, k, runner.observers)
                 assert np.array_equal(short.populations[k], full.populations[k])
                 assert short.trace[k] == full.trace[k]
                 assert short.min_eig[k] == full.min_eig[k]
@@ -641,6 +603,8 @@ class TestPropagate:
         t = kernel.step_transfer_matrix(ops.rates, ops.unitary, 1.0)
         with pytest.raises(DimensionMismatchError):
             kernel.propagate(np.empty((0, 9, 9)), np.eye(3) / 3, 1.0, 1, self._observers(3))
+        with pytest.raises(DimensionMismatchError):  # a stack of T
+            kernel.propagate(t[None], np.eye(3) / 3, 1.0, 1, self._observers(3))
         with pytest.raises(DimensionMismatchError):
             kernel.propagate(t[None, None], np.eye(3) / 3, 1.0, 1, self._observers(3))
         with pytest.raises(DimensionMismatchError):
@@ -728,23 +692,25 @@ class TestChannelCertificate:
 
     def test_certified_rows_equal_uncertified_rows(self, monkeypatch):
         runner = self._runner()
-        stack = np.stack([runner.transfer_matrix(c) for c in (0.0, 0.06, 1.0)])
-        run = (stack, runner.initial_state(), 10.0, 300, runner.observers)
-        checked, check = [], kernel._check_states
+        checked, check, certify = [], kernel._check_states, kernel._channel_certified
 
         def spy(states, at, *args):
             checked.extend(at)
             return check(states, at, *args)
 
         monkeypatch.setattr(kernel, "_check_states", spy)
-        certified = kernel.propagate(*run, record_min_eig=False)
-        assert checked == [0, 300]  # rho0 and the last state, each in its own chunk
-        monkeypatch.setattr(kernel, "_channel_certified", lambda t, steps: False)
-        checked.clear()
-        forced_off = kernel.propagate(*run, record_min_eig=False)
-        assert checked == list(range(301))
-        assert np.array_equal(certified.populations, forced_off.populations)
-        assert np.array_equal(certified.trace, forced_off.trace)
+        for chi in (0.0, 0.06, 1.0):
+            run = (runner.transfer_matrix(chi), runner.initial_state(), 10.0, 300, runner.observers)
+            monkeypatch.setattr(kernel, "_channel_certified", certify)
+            checked.clear()
+            certified = kernel.propagate(*run, record_min_eig=False)
+            assert checked == [0, 300]  # rho0 and the last state, each in its own chunk
+            monkeypatch.setattr(kernel, "_channel_certified", lambda t, steps: False)
+            checked.clear()
+            forced_off = kernel.propagate(*run, record_min_eig=False)
+            assert checked == list(range(301))
+            assert np.array_equal(certified.populations, forced_off.populations)
+            assert np.array_equal(certified.trace, forced_off.trace)
 
     @pytest.mark.parametrize("rho0, message", [
         (np.diag([1.0 + 2e-6, -2e-6, 0, 0, 0, 0, 0]), r"at step 0: min eigenvalue -2\.000e-06, "),
