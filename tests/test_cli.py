@@ -449,8 +449,15 @@ class TestSweepChi:
         assert eff[1.0] > eff[0.06]
         assert eff[0.0] < 0.1
 
-    @pytest.mark.parametrize("backend", cli.BACKENDS)
-    def test_oracle_backend_sweeps_chi(self, default_config, tmp_path, backend):
+    def test_oracle_backend_sweeps_chi(self, default_config, tmp_path):
+        self._assert_swept_chi_is_simulate(default_config, tmp_path, "lindblad-oracle")
+
+    @pytest.mark.parametrize("backend", ["operator", "circuit"])
+    def test_transfer_backends_sweep_chi(self, default_config, tmp_path, backend):
+        self._assert_swept_chi_is_simulate(default_config, tmp_path, backend)
+
+    @staticmethod
+    def _assert_swept_chi_is_simulate(default_config, tmp_path, backend):
         # each swept value is the final sink population of the same run at that chi, bit for
         # bit, certified or not (1 fs keeps the RK4 step below its accuracy warning)
         run = ["--config", default_config, "--backend", backend, "--dt-fs", "1", "--steps", "400"]

@@ -515,12 +515,13 @@ class TestPropagate:
         assert np.max(np.abs(traj.trace - trace)) <= 1e-12
         assert np.max(np.abs(traj.min_eig - min_eig)) <= 1e-12
 
-    def test_lanes_match_per_step_reference(self, rng):
-        # over three chunks and a partial fourth
+    @pytest.mark.parametrize("members", [1, 3, 9])
+    def test_lanes_match_per_step_reference(self, rng, members):
+        # over three chunks and a partial fourth, one run per chi of the members
         ops, d = self._shipped_like(rng), 4
         rho, obs = random_density(d, rng), self._observers(d)
         steps = 3 * kernel.CHUNK + 5
-        for chi in (0.0, 0.5, 1.0):
+        for chi in np.linspace(0.0, 1.0, members):
             t = kernel.step_transfer_matrix(ops.rates, ops.unitary, chi)
             traj = kernel.propagate(t, rho, 10.0, steps, obs)
             assert traj.populations.shape == (steps + 1, d)
@@ -537,35 +538,46 @@ class TestPropagate:
         self._assert_matches_stepped(traj, t, rho, obs)
 
     @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("first_bad", [3 * kernel.LANES - 1, 3 * kernel.LANES])
-    def test_names_first_invalid_step_at_lane_boundary(self, first_bad, record):
-        # from diag(0.5, 0.5) the |1> population is 0.5 - k a at step k, negative
-        # from first_bad: the last lane of a block, or the first lane of the next
-        t, rho, obs = self._leaking(0.5 / (first_bad - 0.5)), np.diag([0.5, 0.5]).astype(complex), self._observers(2)
-        with pytest.raises(StateInvalidError, match=f"step {first_bad}:"):
-            kernel.propagate(t, rho, 1.0, 3 * kernel.CHUNK, obs, record_min_eig=record)
-        # the bad state shares its lane block with the last checked one, and is not checked
-        traj = kernel.propagate(t, rho, 1.0, first_bad - 1, obs, record_min_eig=record)
-        assert traj.populations.shape[0] == first_bad
+    def test_names_first_invalid_step_at_lane_boundary(self, members, first_bad, record):
+        # one run per member, of which the middle one leaks: from diag(0.5, 0.5)
+        # its |1> population is 0.5 - k a at step k, negative from first_bad: the
+        # last lane of a block, or the first lane of the next
+        a = 0.5 / (first_bad - 0.5)
+        rho, obs = np.diag([0.5, 0.5]).astype(complex), self._observers(2)
+        for b in range(members):
+            t = self._leaking(a if b == members // 2 else 0.0)
+            if b != members // 2:
+                kernel.propagate(t, rho, 1.0, 3 * kernel.CHUNK, obs, record_min_eig=record)
+                continue
+            with pytest.raises(StateInvalidError, match=f"step {first_bad}:"):
+                kernel.propagate(t, rho, 1.0, 3 * kernel.CHUNK, obs, record_min_eig=record)
+            # the bad state shares its lane block with the last checked one, and is not checked
+            traj = kernel.propagate(t, rho, 1.0, first_bad - 1, obs, record_min_eig=record)
+            assert traj.populations.shape[0] == first_bad
 
     @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 127, 128, 129, 255, 256])
-    def test_concatenated_chunks_are_propagate(self, rng, steps, record):
+    def test_concatenated_chunks_are_propagate(self, rng, members, steps, record):
+        # one run per chi of the members
         ops, d = self._shipped_like(rng), 4
-        t = kernel.step_transfer_matrix(ops.rates, ops.unitary, 0.06)
         rho, obs = random_density(d, rng), self._observers(d)
-        starts, pops, trace, min_eig = zip(*kernel.chunks(t, rho, steps, obs, record))
-        sizes = [len(tr) for tr in trace]
-        assert all(p.shape == (size, d) and tr.shape == (size,) for p, tr, size in zip(pops, trace, sizes))
-        assert list(starts) == list(np.cumsum([0, *sizes[:-1]])) and sum(sizes) == steps + 1
-        assert all(size == kernel.CHUNK for size in sizes[:-1])
-        traj = kernel.propagate(t, rho, 10.0, steps, obs, record)
-        assert np.array_equal(np.concatenate(pops), traj.populations)
-        assert np.array_equal(np.concatenate(trace), traj.trace)
-        if record:
-            assert np.array_equal(np.concatenate(min_eig), traj.min_eig)
-        else:
-            assert set(min_eig) == {None} and traj.min_eig is None
+        for chi in np.linspace(0.06, 1.0, members):
+            t = kernel.step_transfer_matrix(ops.rates, ops.unitary, chi)
+            starts, pops, trace, min_eig = zip(*kernel.chunks(t, rho, steps, obs, record))
+            sizes = [len(tr) for tr in trace]
+            assert all(p.shape == (size, d) and tr.shape == (size,) for p, tr, size in zip(pops, trace, sizes))
+            assert list(starts) == list(np.cumsum([0, *sizes[:-1]])) and sum(sizes) == steps + 1
+            assert all(size == kernel.CHUNK for size in sizes[:-1])
+            traj = kernel.propagate(t, rho, 10.0, steps, obs, record)
+            assert np.array_equal(np.concatenate(pops), traj.populations)
+            assert np.array_equal(np.concatenate(trace), traj.trace)
+            if record:
+                assert np.array_equal(np.concatenate(min_eig), traj.min_eig)
+            else:
+                assert set(min_eig) == {None} and traj.min_eig is None
 
     @staticmethod
     def _shipped_runner():
