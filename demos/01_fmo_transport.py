@@ -12,23 +12,17 @@ import argparse
 
 import numpy as np
 
-from enaqt import fmo, kernel, linalg
+from enaqt import fmo, kernel
 
 DT_FS = 10.0
 STEPS = 400
 
 
 def run(initial_site):
-    model = fmo.load_model(fmo.default_model_path())
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model) * DT_FS)
-    unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
-    step = kernel.step_transfer_matrix(rates, unitary, 1.0)
-
-    rho_site = np.zeros((7, 7), dtype=complex)
-    rho_site[initial_site - 1, initial_site - 1] = 1.0
-    traj = kernel.propagate(step, basis.to_exciton(rho_site), DT_FS, STEPS, basis.site_projectors())
-    return model, traj
+    step_model = fmo.StepModel(fmo.load_model(fmo.default_model_path()), DT_FS)
+    traj = kernel.propagate(step_model.transfer_matrix(1.0), step_model.initial_state(initial_site), DT_FS, STEPS,
+                            step_model.observers)
+    return step_model.model, traj
 
 
 def main():

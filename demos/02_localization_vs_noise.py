@@ -1,7 +1,7 @@
 """Why the environment helps: coherent-only transport stays localized.
 
-Runs the same 4 ps evolution twice from site 1: once with all jump rates
-zeroed (pure Hamiltonian dynamics) and once with the shipped rates, and
+Runs the same 4 ps evolution twice from site 1: once without jumps
+(chi = 0, pure Hamiltonian dynamics) and once with the shipped rates, and
 compares how much population reaches the sink. Energy mismatch between the
 strongly coupled site pairs traps the coherent walk near its starting
 sites; the jumps release it. Also shows the directionality of the walk:
@@ -12,18 +12,15 @@ Run:  python demos/02_localization_vs_noise.py
 
 import numpy as np
 
-from enaqt import fmo, kernel, linalg
+from enaqt import fmo, kernel
 
 DT_FS = 10.0
 STEPS = 400
 
 
-def trajectory(model, basis, rates, initial_site):
-    unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
-    step = kernel.step_transfer_matrix(rates, unitary, 1.0)
-    rho = np.zeros((7, 7), dtype=complex)
-    rho[initial_site - 1, initial_site - 1] = 1.0
-    return kernel.propagate(step, basis.to_exciton(rho), DT_FS, STEPS, basis.site_projectors())
+def trajectory(step_model, chi, initial_site):
+    return kernel.propagate(step_model.transfer_matrix(chi), step_model.initial_state(initial_site), DT_FS, STEPS,
+                            step_model.observers)
 
 
 def sink_series(model, traj):
@@ -37,13 +34,11 @@ def first_passage(traj, series, level):
 
 
 def main():
-    model = fmo.load_model(fmo.default_model_path())
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model) * DT_FS)
-    no_rates = kernel.JumpRateSpec(np.zeros_like(rates.gamma))
+    step_model = fmo.StepModel(fmo.load_model(fmo.default_model_path()), DT_FS)
+    model = step_model.model
 
-    coherent = trajectory(model, basis, no_rates, 1)
-    assisted = trajectory(model, basis, rates, 1)
+    coherent = trajectory(step_model, 0.0, 1)  # chi = 0: U rho U^dag alone, no jumps
+    assisted = trajectory(step_model, 1.0, 1)
     sink_coh = sink_series(model, coherent)
     sink_env = sink_series(model, assisted)
 
@@ -56,7 +51,7 @@ def main():
           f"({sink_env[-1] / sink_coh[-1]:.0f}x the coherent value)")
 
     t1 = first_passage(assisted, sink_env, 0.5)
-    from_6 = trajectory(model, basis, rates, 6)
+    from_6 = trajectory(step_model, 1.0, 6)
     t6 = first_passage(from_6, sink_series(model, from_6), 0.5)
     print("\ndirectionality (time for the sink to reach one half):")
     print(f"  start at site 1: {t1:.0f} fs")

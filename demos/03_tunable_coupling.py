@@ -12,9 +12,7 @@ Run:  python demos/03_tunable_coupling.py [--chis 0,0.06,0.25,0.5,1]
 
 import argparse
 
-import numpy as np
-
-from enaqt import fmo, kernel, linalg
+from enaqt import fmo, kernel
 
 DT_FS = 10.0
 STEPS = 400
@@ -26,21 +24,15 @@ def main():
     args = parser.parse_args()
     chis = [float(c) for c in args.chis.split(",")]
 
-    model = fmo.load_model(fmo.default_model_path())
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model) * DT_FS)
-    unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
-
-    rho0_site = np.zeros((7, 7), dtype=complex)
-    rho0_site[0, 0] = 1.0
-    rho0 = basis.to_exciton(rho0_site)
+    step_model = fmo.StepModel(fmo.load_model(fmo.default_model_path()), DT_FS)
+    rho0 = step_model.initial_state(1)
     window = int(500.0 / DT_FS)
 
     print("chi    efficiency(4ps)   site-2 beat amplitude (first 500 fs)")
     for chi in chis:  # one run per chi, as sweep-chi steps them
-        traj = kernel.propagate(kernel.step_transfer_matrix(rates, unitary, chi), rho0, DT_FS, STEPS,
-                                basis.site_projectors(), record_min_eig=False)
-        eff = fmo.transfer_efficiency(traj.populations[-1], model.sink_sites)
+        traj = kernel.propagate(step_model.transfer_matrix(chi), rho0, DT_FS, STEPS, step_model.observers,
+                                record_min_eig=False)
+        eff = fmo.transfer_efficiency(traj.populations[-1], step_model.model.sink_sites)
         beat = traj.populations[: window + 1, 1]
         print(f"{chi:4.2f}   {eff:10.4f}        {beat.max() - beat.min():.3f}")
 

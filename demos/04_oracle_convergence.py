@@ -39,19 +39,14 @@ def main():
         [4.0, 2.0, 1.0],
     )
 
-    model = fmo.load_model(fmo.default_model_path())
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rho_site = np.zeros((7, 7), dtype=complex)
-    rho_site[0, 0] = 1.0
-    lmodel = lindblad.LindbladModel(
-        np.diag(basis.energies_cm1).astype(complex), model.rates_per_fs
-    )
+    dt_list = [20.0, 10.0, 5.0]
+    step_model = fmo.StepModel(fmo.load_model(fmo.default_model_path()), max(dt_list))
     report(
         "7-site shipped model",
-        lmodel,
-        basis.to_exciton(rho_site),
+        lindblad.LindbladModel(step_model.h_exciton, step_model.rates_per_fs),
+        step_model.initial_state(1),
         2000.0,
-        [20.0, 10.0, 5.0],
+        dt_list,
     )
 
 

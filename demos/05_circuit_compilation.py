@@ -19,12 +19,9 @@ DT_FS = 10.0
 
 
 def main():
-    model = fmo.load_model(fmo.default_model_path())
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model) * DT_FS)
-    unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
+    step_model = fmo.StepModel(fmo.load_model(fmo.default_model_path()), DT_FS)
 
-    gates = circuit.build_step_circuit(rates, unitary)
+    gates = circuit.build_step_circuit(step_model.rates, step_model.unitary)
     layout = gates.layout
     print(f"wires: B1={layout.b1_wire}, system={layout.system_wires}, "
           f"B2={layout.b2_wire}, ancillas={layout.ancilla_wires}")
@@ -33,7 +30,7 @@ def main():
 
     choi_circ = linalg.choi_from_transfer(circuit.circuit_transfer_matrix(gates))
     choi_seq = circuit.channel_choi(
-        lambda r: circuit.sequential_kraus_step(r, rates, unitary), 7
+        lambda r: circuit.sequential_kraus_step(r, step_model.rates, step_model.unitary), 7
     )
     print(f"Choi distance circuit vs operator model: "
           f"{np.linalg.norm(choi_circ - choi_seq):.2e}")
@@ -41,7 +38,7 @@ def main():
     print(f"Choi minimum eigenvalue (complete positivity): {eigs.min():.2e}")
 
     rows = circuit.compare_step_channels(
-        rates, np.diag(basis.energies_cm1).astype(complex), DT_FS,
+        step_model.rates, step_model.h_exciton, DT_FS,
         scalings=(1.0, 0.5, 0.25),
     )
     print("\ndistance to the one-shot step map under step scaling:")

@@ -13,7 +13,8 @@ Library layout (each name is imported from its module, e.g.
   its closed-form right-hand side, and the fixed-step RK4 integrator used as
   the correctness oracle, plus (dt, distance) convergence rows.
 - fmo: 7-site light-harvesting model: site Hamiltonian, exciton basis,
-  thermal jump rates from an Ohmic bath, transfer efficiency.
+  thermal jump rates from an Ohmic bath, transfer efficiency, and StepModel,
+  the one pipeline from a model at a time step to the step each backend runs.
 - circuit: compiles one step into a 2-bath-qubit gate circuit, simulates
   it with mid-circuit resets, and certifies channel equivalence via Choi
   matrices.

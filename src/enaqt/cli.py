@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__, circuit, fmo, kernel, lindblad
 from .errors import ConfigError, EnaqtError, NumericalError, StateInvalidError
-from .linalg import HBAR_CM1_FS, frob_dist, successive_ratios, superoperator
+from .linalg import frob_dist, successive_ratios, superoperator
 
 BACKENDS = ("operator", "circuit", "lindblad-oracle")
 MAX_GATECOUNT_DIM = 64  # building a step circuit costs ~d^2 gates: 64 runs in a fraction of a second
@@ -154,45 +154,17 @@ def _emit(*outputs):
         raise ConfigError(f"cannot write {current or 'stdout'}: {exc.strerror or exc}") from exc
 
 
-class _Runner:
-    """Shared setup for commands that evolve the shipped model."""
+def _step_model(cfg: RunConfig) -> fmo.StepModel:
+    """The run's step model, built once its model file is read and `cfg` checked against it."""
+    model = fmo.load_model(cfg.model)
+    cfg.validate(model.hamiltonian.n_sites)
+    return fmo.StepModel(model, cfg.dt_fs, cfg.temperature_k)
 
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.model = fmo.load_model(cfg.model)
-        cfg.validate(self.model.hamiltonian.n_sites)
-        self.h_site = fmo.site_hamiltonian(self.model.hamiltonian)
-        self.basis = fmo.exciton_basis(self.h_site)
-        self.rates_per_fs = fmo.jump_rates(self.basis, self.model, cfg.temperature_k)
-        self.rates = kernel.JumpRateSpec(self.rates_per_fs * cfg.dt_fs)
-        self.h_exciton = np.diag(self.basis.energies_cm1).astype(complex)
-        self.unitary = np.diag(
-            np.exp(-1j * self.basis.energies_cm1 * cfg.dt_fs / HBAR_CM1_FS)
-        )
-        self.observers = self.basis.site_projectors()
-        self.circuit_t = None  # the circuit backend's full step, built once per run
-        if cfg.backend == "circuit":
-            self.circuit_t = circuit.circuit_transfer_matrix(circuit.build_step_circuit(self.rates, self.unitary))
 
-    def initial_state(self) -> np.ndarray:
-        site = self.cfg.initial_site
-        rho = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
-        rho[site - 1, site - 1] = 1.0
-        return self.basis.to_exciton(rho)
-
-    def transfer_matrix(self, chi: float) -> np.ndarray:
-        """The row-major step T of this run's backend at chi."""
-        if self.cfg.backend == "lindblad-oracle":
-            # chi scales the dissipator linearly, so the continuum counterpart of
-            # the blended step is the master equation with rates chi * Gamma
-            model = lindblad.LindbladModel(self.h_exciton, chi * self.rates_per_fs)
-            return lindblad.rk4_transfer_matrix(model, self.cfg.dt_fs)
-        return kernel.step_transfer_matrix(self.rates, self.unitary, chi, self.circuit_t)
-
-    def trajectory(self):
-        """The run's checked chunks (see kernel.chunks), stepped as they are read; T is built at the first."""
-        cfg = self.cfg
-        yield from kernel.chunks(self.transfer_matrix(cfg.chi), self.initial_state(), cfg.steps, self.observers)
+def _trajectory(cfg: RunConfig, step_model: fmo.StepModel):
+    """The run's checked chunks (see kernel.chunks), stepped as they are read; T is built at the first."""
+    yield from kernel.chunks(step_model.transfer_matrix(cfg.chi, cfg.backend),
+                             step_model.initial_state(cfg.initial_site), cfg.steps, step_model.observers)
 
 
 def _trajectory_csv(run, model: fmo.FmoModel, chunks):
@@ -207,8 +179,9 @@ def _trajectory_csv(run, model: fmo.FmoModel, chunks):
 
 
 def cmd_simulate(args) -> int:
-    runner = _Runner(_run_config(args))
-    _emit((_trajectory_csv(args, runner.model, runner.trajectory()), args.out))
+    cfg = _run_config(args)
+    step_model = _step_model(cfg)
+    _emit((_trajectory_csv(args, step_model.model, _trajectory(cfg, step_model)), args.out))
     return 0
 
 
@@ -227,17 +200,17 @@ def cmd_oracle(args) -> int:
     if out and conv and (os.path.samefile(out, conv) if os.path.isfile(out) and os.path.exists(conv) else
                          not os.path.exists(out) and os.path.realpath(out) == os.path.realpath(conv)):
         raise ConfigError(f"--out and --convergence-out are the same file {out}")
-    runner = _Runner(cfg)
-    _emit((_trajectory_csv(args, runner.model, runner.trajectory()), args.out),
-          (_convergence_csv(args, runner, t_final, dt_list), args.convergence_out))
+    step_model = _step_model(cfg)
+    _emit((_trajectory_csv(args, step_model.model, _trajectory(cfg, step_model)), args.out),
+          (_convergence_csv(args, step_model, t_final, dt_list), args.convergence_out))
     return 0
 
 
-def _convergence_csv(args, runner: _Runner, t_final: float, dt_list: list):
+def _convergence_csv(args, step_model: fmo.StepModel, t_final: float, dt_list: list):
     """The oracle's convergence table; its RK4 runs start when its first line is asked for."""
-    rows = lindblad.convergence_report(lindblad.LindbladModel(runner.h_exciton, runner.rates_per_fs),
-                                       runner.initial_state(), t_final, dt_list)
-    yield from _config_lines(args, runner.model, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
+    rows = lindblad.convergence_report(lindblad.LindbladModel(step_model.h_exciton, step_model.rates_per_fs),
+                                       step_model.initial_state(args.initial_site), t_final, dt_list)
+    yield from _config_lines(args, step_model.model, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
     yield from _distance_table("dt_fs,frobenius_distance", rows)
 
 
@@ -252,16 +225,16 @@ def cmd_sweep_chi(args) -> int:
     if len(chis) * cfg.steps > MAX_STEPS:
         raise ConfigError(f"a sweep steps {len(chis)} chi values x {cfg.steps} steps, "
                           f"more than the {MAX_STEPS} states one command may step")
-    runner = _Runner(cfg)
-    rho0, sinks = runner.initial_state(), runner.model.sink_sites
-    lines = _config_lines(args, runner.model, {"command": "sweep-chi", "chis": chis})
+    step_model = _step_model(cfg)
+    rho0, sinks = step_model.initial_state(cfg.initial_site), step_model.model.sink_sites
+    lines = _config_lines(args, step_model.model, {"command": "sweep-chi", "chis": chis})
     lines.append("chi,efficiency")
     # one chi at a time, so memory does not grow with len(chis); efficiencies print no
     # min_eig, so a certified step map runs unchecked, and only the last row is kept
     for member, c in enumerate(chis):
         try:
-            for _, populations, _, _ in kernel.chunks(runner.transfer_matrix(c), rho0, cfg.steps,
-                                                      runner.observers, record_min_eig=False):
+            for _, populations, _, _ in kernel.chunks(step_model.transfer_matrix(c, cfg.backend), rho0, cfg.steps,
+                                                      step_model.observers, record_min_eig=False):
                 final = populations[-1]
         except StateInvalidError as exc:
             raise StateInvalidError(f"member {member} (chi {c!r}): {exc}") from exc
@@ -292,16 +265,16 @@ def cmd_gatecount(args) -> int:
 def cmd_circuit_verify(args) -> int:
     cfg = _run_config(args)
     scalings = _positive_floats(args.scalings, "--scalings")
-    runner = _Runner(cfg)
-    t_circuit = circuit.circuit_transfer_matrix(circuit.build_step_circuit(runner.rates, runner.unitary))
+    step_model = _step_model(cfg)
     t_seq = superoperator(  # the Kraus reference
-        lambda basis: circuit.sequential_kraus_step(basis, runner.rates, runner.unitary), runner.basis.dim)
-    equiv = frob_dist(circuit.choi_from_transfer(t_circuit), circuit.choi_from_transfer(t_seq))
+        lambda basis: circuit.sequential_kraus_step(basis, step_model.rates, step_model.unitary), step_model.basis.dim)
+    equiv = frob_dist(circuit.choi_from_transfer(step_model.circuit_t), circuit.choi_from_transfer(t_seq))
     if equiv > 1e-10:
         raise NumericalError(f"circuit/operator-model Choi distance {equiv:.3e} exceeds 1e-10")
 
-    rows = circuit.compare_step_channels(runner.rates, runner.h_exciton, cfg.dt_fs, scalings, t_circuit)
-    lines = _config_lines(args, runner.model, {"command": "circuit-verify", "scalings": scalings})
+    rows = circuit.compare_step_channels(step_model.rates, step_model.h_exciton, cfg.dt_fs, scalings,
+                                         step_model.circuit_t)
+    lines = _config_lines(args, step_model.model, {"command": "circuit-verify", "scalings": scalings})
     lines.append(f"# choi_distance_circuit_vs_operator_model: {_fmt(equiv)}")
     lines.extend(_distance_table("scale,choi_distance_vs_step_map", rows))
     _emit((lines, args.out))

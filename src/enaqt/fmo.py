@@ -17,12 +17,13 @@ A model file's bath carries the Ohmic parameters (lambda, omega_c), an
 explicit exciton-to-exciton rate table (fs^-1), or both; `load_model`
 validates every field it carries. `jump_rates` is the one place that picks
 the source: a temperature selects the Ohmic rates, otherwise the table is used
-verbatim when present, else the Ohmic rates at 300 K. Rates stay in fs^-1 here;
-the per-step probabilities Gamma * dt are formed where a step is built.
+verbatim when present, else the Ohmic rates at 300 K. Rates stay in fs^-1;
+`StepModel` forms the per-step probabilities Gamma * dt and the step of a run.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -32,8 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import circuit, kernel, lindblad
 from .errors import IndexOutOfRangeError, ModelFileError, SpecInvalidError
 from .linalg import HBAR_CM1_FS, KB_CM1_PER_K, eigh
+
+MAX_SITES = 32  # a step map T holds d^4 complex entries: 17 MB at 32 sites, 268 MB at 64
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,11 @@ def thermal_rate_matrix(
     rates = np.zeros((basis.dim, basis.dim))
     with np.errstate(over="ignore", invalid="ignore"):  # a rate past the float range is the error below
         rates[m, n] = 2.0 * np.pi * j * pref * overlap[m, n] ** overlap_exponent / HBAR_CM1_FS
+        # where n(w) overflows, at y = w/kT below about 6e-309, w n(w) = kT y / expm1(y) is kT to the
+        # last bit: J n = (lambda/omega_c) exp(-x) kT, and the J that J (1 + n) adds is below an ulp of it
+        if (lost := ~np.isfinite(occ)).any():
+            jn = lambda_cm1 * np.exp(-gap[lost] / omega_c_cm1) / omega_c_cm1 * (KB_CM1_PER_K * temperature_k)
+            rates[m[lost], n[lost]] = 2.0 * np.pi * jn * overlap[m, n][lost] ** overlap_exponent / HBAR_CM1_FS
     if not np.all(np.isfinite(rates)):
         raise SpecInvalidError(f"Ohmic rates overflow at lambda_cm1 {lambda_cm1!r}, omega_c_cm1 "
                                f"{omega_c_cm1!r} and temperature_k {temperature_k!r}")
@@ -235,10 +244,10 @@ def default_model_path() -> Path:
 def load_model(path) -> FmoModel:
     """Read and validate a model JSON file, every field it carries.
 
-    Required fields: site_energies_cm1, couplings_cm1, sink_sites, and a
-    bath object carrying {lambda_cm1, omega_c_cm1} and/or rates_per_fs; any
-    other field (such as a provenance block) is free-form and ignored. The
-    file is read once: the model's sha256 is the digest of the bytes parsed.
+    Required fields of the top-level object: site_energies_cm1 (2 to MAX_SITES
+    sites), couplings_cm1, sink_sites, and a bath object carrying {lambda_cm1,
+    omega_c_cm1} and/or rates_per_fs; any other field is free-form and ignored.
+    The file is read once: the model's sha256 is the digest of the bytes parsed.
     """
     path = Path(path)
     try:
@@ -252,6 +261,8 @@ def load_model(path) -> FmoModel:
         raise ModelFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ModelFileError(f"{path}: the top level must be a JSON object")
 
     def require(field):
         if field not in raw:
@@ -271,6 +282,8 @@ def load_model(path) -> FmoModel:
         )
     except SpecInvalidError as exc:
         raise ModelFileError(f"{path}: bad Hamiltonian data: {exc}") from exc
+    if spec.n_sites > MAX_SITES:
+        raise ModelFileError(f"{path}: {spec.n_sites} sites, more than the {MAX_SITES} a model may have")
 
     bath = require("bath")
     if not isinstance(bath, dict):
@@ -295,3 +308,41 @@ def load_model(path) -> FmoModel:
                         sha256=hashlib.sha256(data).hexdigest())
     except SpecInvalidError as exc:
         raise ModelFileError(f"{path}: bad bath: {exc}") from exc
+
+
+class StepModel:
+    """A model's step at dt_fs: exciton basis, rates (fs^-1, `jump_rates` at temperature_k) and
+    their per-step probabilities Gamma * dt, exciton-basis Hamiltonian, U = diag(exp(-i E dt /
+    hbar)) and the site projectors that read populations. All of it is built here, so a bad rate
+    or time step raises on construction; the compiled circuit's T is built once, when first read.
+    """
+
+    def __init__(self, model: FmoModel, dt_fs: float, temperature_k: float | None = None):
+        self.model, self.dt_fs = model, dt_fs
+        self.basis = exciton_basis(site_hamiltonian(model.hamiltonian))
+        self.rates_per_fs = jump_rates(self.basis, model, temperature_k)
+        self.rates = kernel.JumpRateSpec(self.rates_per_fs * dt_fs)
+        self.h_exciton = np.diag(self.basis.energies_cm1).astype(complex)
+        self.unitary = np.diag(np.exp(-1j * self.basis.energies_cm1 * dt_fs / HBAR_CM1_FS))
+        self.observers = self.basis.site_projectors()
+
+    @functools.cached_property
+    def circuit_t(self) -> np.ndarray:
+        """Row-major T of the compiled step circuit (see circuit.build_step_circuit)."""
+        return circuit.circuit_transfer_matrix(circuit.build_step_circuit(self.rates, self.unitary))
+
+    def initial_state(self, site: int) -> np.ndarray:
+        """The excitation on one site, |site><site| for a site label in 1..dim, in the exciton basis."""
+        rho = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
+        rho[site - 1, site - 1] = 1.0
+        return self.basis.to_exciton(rho)
+
+    def transfer_matrix(self, chi: float, backend: str = "operator") -> np.ndarray:
+        """Row-major step T at chi of one backend: "operator", "circuit" or "lindblad-oracle"."""
+        if backend == "lindblad-oracle":
+            # chi scales the dissipator linearly, so the continuum counterpart of
+            # the blended step is the master equation with rates chi * Gamma
+            return lindblad.rk4_transfer_matrix(lindblad.LindbladModel(self.h_exciton, chi * self.rates_per_fs),
+                                                self.dt_fs)
+        full = self.circuit_t if backend == "circuit" else None
+        return kernel.step_transfer_matrix(self.rates, self.unitary, chi, full)

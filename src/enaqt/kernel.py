@@ -13,8 +13,8 @@ transfer. The map is linear, hermiticity-preserving, and built from a Kraus
 family satisfying sum M^dag M = 1 exactly; its trace drift per step is
 second order in dt because U does not commute with the projectors.
 
-Jump probabilities are per-step values gamma = Gamma * dt, formed by the caller from
-rates in fs^-1 (fmo.jump_rates): the kernel never sees rates and time steps separately.
+Jump probabilities are per-step values gamma = Gamma * dt, formed by the caller (fmo.StepModel)
+from rates in fs^-1: the kernel never sees rates and time steps separately.
 
 Trajectories are stepped by the transfer matrix T of the step map,
 vec(rho') = T vec(rho), in the row-major convention vec(rho)[a*d + b] = rho[a, b]:

@@ -25,29 +25,13 @@ TOY3_RATES = np.array(
 
 @pytest.fixture(scope="module")
 def shipped():
-    model = fmo.load_model(fmo.default_model_path())
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = JumpRateSpec(fmo.jump_rates(basis, model) * DT_FS)
-    unitary = np.diag(np.exp(-1j * basis.energies_cm1 * DT_FS / linalg.HBAR_CM1_FS))
-    ops = kernel.build_evolution_operators(rates, unitary)
-    return model, basis, rates, unitary, ops
-
-
-def site_start(basis, site):
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    rho[site - 1, site - 1] = 1.0
-    return basis.to_exciton(rho)
+    return fmo.StepModel(fmo.load_model(fmo.default_model_path()), DT_FS)
 
 
 def run_shipped(shipped, site, chi=1.0, steps=STEPS, zero_rates=False):
-    model, basis, rates, unitary, ops = shipped
-    if zero_rates:
-        ops = kernel.build_evolution_operators(
-            JumpRateSpec(np.zeros_like(rates.gamma)), unitary
-        )
-    return kernel.evolve_trajectory(
-        site_start(basis, site), ops, DT_FS, steps, basis.site_projectors(), chi=chi
-    )
+    rates = JumpRateSpec(np.zeros_like(shipped.rates.gamma)) if zero_rates else shipped.rates
+    ops = kernel.build_evolution_operators(rates, shipped.unitary)
+    return kernel.evolve_trajectory(shipped.initial_state(site), ops, DT_FS, steps, shipped.observers, chi=chi)
 
 
 def sink_series(model, traj):
@@ -78,7 +62,7 @@ def test_criterion_1_lindblad_equivalence():
 
 
 def test_criterion_2_fmo_efficiency(shipped):
-    model = shipped[0]
+    model = shipped.model
     effs = {}
     for site in (1, 6):
         start = time.perf_counter()
@@ -95,7 +79,7 @@ def test_criterion_2_fmo_efficiency(shipped):
 
 
 def test_criterion_3_localization(shipped):
-    model = shipped[0]
+    model = shipped.model
     coherent = run_shipped(shipped, 1, zero_rates=True)
     coherent_sink = sink_series(model, coherent)
     assert coherent_sink.max() <= 0.4
@@ -110,7 +94,7 @@ def test_criterion_3_localization(shipped):
 
 
 def test_criterion_4_directionality(shipped):
-    model = shipped[0]
+    model = shipped.model
     t1 = run_shipped(shipped, 1)
     t6 = run_shipped(shipped, 6)
     fp1 = first_passage(t1.times, sink_series(model, t1), 0.5)
@@ -121,7 +105,7 @@ def test_criterion_4_directionality(shipped):
 
 
 def test_criterion_5_tunable_coupling(shipped):
-    model, basis, rates, unitary, ops = shipped
+    ops = kernel.build_evolution_operators(shipped.rates, shipped.unitary)
     window = int(500.0 / DT_FS)
 
     t_low = run_shipped(shipped, 1, chi=0.06, steps=window)
@@ -132,14 +116,14 @@ def test_criterion_5_tunable_coupling(shipped):
     amp_full = site2_full.max() - site2_full.min()
     assert amp_low > amp_full
 
-    rho = site_start(basis, 1)
+    rho = shipped.initial_state(1)
     assert np.array_equal(
         kernel.tunable_step(rho, ops, 1.0),
         kernel.enaqt_step(rho, ops),
     )
     assert np.array_equal(
         kernel.tunable_step(rho, ops, 0.0),
-        unitary @ rho @ unitary.conj().T,
+        shipped.unitary @ rho @ shipped.unitary.conj().T,
     )
     print(
         f"\nACCEPTANCE 5 tunable coupling: PASS "
@@ -167,10 +151,7 @@ def test_criterion_6_circuit_equivalence(shipped):
         assert dists[d] <= 1e-10
 
     # circuit vs one-shot step map: distance drops ~4x when the step halves
-    model, basis, rates, unitary, ops = shipped
-    rows = circuit.compare_step_channels(
-        rates, np.diag(basis.energies_cm1).astype(complex), DT_FS, scalings=(1.0, 0.5)
-    )
+    rows = circuit.compare_step_channels(shipped.rates, shipped.h_exciton, DT_FS, scalings=(1.0, 0.5))
     ratio = linalg.successive_ratios(rows)[0]
     assert 2.8 <= ratio <= 5.2
     elapsed = time.perf_counter() - start
@@ -200,7 +181,8 @@ def test_criterion_7_complexity_accounting():
 
 def test_criterion_8_invariant_suite(shipped):
     start = time.perf_counter()
-    model, basis, rates, unitary, ops = shipped
+    basis, rates, unitary = shipped.basis, shipped.rates, shipped.unitary
+    ops = kernel.build_evolution_operators(rates, unitary)
 
     # Kraus completeness of the underlying (U = 1) operator family is trace
     # preservation of its channel: sum_n T[n(d+1), :] = vec(1)
@@ -212,7 +194,7 @@ def test_criterion_8_invariant_suite(shipped):
     # hermiticity defect per step and positivity along the shipped run
     rng = np.random.default_rng(11)
     herm_defects = []
-    rho = site_start(basis, 1)
+    rho = shipped.initial_state(1)
     min_eigs = []
     for _ in range(STEPS):
         rho = kernel.enaqt_step(rho, ops)
@@ -235,7 +217,7 @@ def test_criterion_8_invariant_suite(shipped):
 
     # circuit channel preserves trace exactly
     gates = circuit.build_step_circuit(rates, unitary)
-    rho7 = site_start(basis, 6)
+    rho7 = shipped.initial_state(6)
     worst = 0.0
     for _ in range(5):
         rho7 = circuit.apply_circuit(rho7, gates)

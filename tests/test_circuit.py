@@ -471,10 +471,8 @@ class TestHermitianBuild:
 
 
 def shipped_step():
-    model = fmo.load_model(fmo.default_model_path())
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    rates = JumpRateSpec(fmo.jump_rates(basis, model) * 10.0)
-    return rates, np.diag(np.exp(-1j * basis.energies_cm1 * 10.0 / linalg.HBAR_CM1_FS))
+    step_model = fmo.StepModel(fmo.load_model(fmo.default_model_path()), 10.0)
+    return step_model.rates, step_model.unitary
 
 
 class TestKrausRoute:
@@ -627,10 +625,6 @@ class TestExportGates:
         assert "matrix=" in lines[-2]
 
     def test_fmo_export_covers_all_jumps(self):
-        model = fmo.load_model(fmo.default_model_path())
-        basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-        rates = JumpRateSpec(fmo.jump_rates(basis, model) * 10.0)
-        u = np.diag(np.exp(-1j * basis.energies_cm1 * 10.0 / linalg.HBAR_CM1_FS))
-        text = circuit.export_gates(circuit.build_step_circuit(rates, u))
+        text = circuit.export_gates(circuit.build_step_circuit(*shipped_step()))
         assert text.count("CONTROLLED-RY") == 42
         assert text.count("RESET-B2") == 42

@@ -135,22 +135,22 @@ class TestSimulate:
         assert run_cli(args + ["--out", str(out)]) == 0
         _, _, rows = read_rows(out)
 
-        runner = cli._Runner(cli.RunConfig(model=default_config))
-        d = runner.basis.dim
-        gates = circuit.build_step_circuit(runner.rates, runner.unitary)
+        step_model = fmo.StepModel(fmo.load_model(default_config), dt)
+        d = step_model.basis.dim
+        gates = circuit.build_step_circuit(step_model.rates, step_model.unitary)
         step_t = circuit.channel_transfer_matrix(lambda r: circuit.apply_circuit(r, gates), d)
         if chi != 1.0:
             coh_t = circuit.channel_transfer_matrix(
-                lambda r: runner.unitary @ r @ runner.unitary.conj().T, d
+                lambda r: step_model.unitary @ r @ step_model.unitary.conj().T, d
             )
             step_t = (1.0 - chi) * coh_t + chi * step_t
-        rho = runner.initial_state().reshape(-1)
+        rho = step_model.initial_state(1).reshape(-1)
         expected = []
         for k in range(steps + 1):
             if k:
                 rho = step_t @ rho
             mat = rho.reshape(d, d)
-            pops = np.einsum("oij,ji->o", runner.observers, mat).real
+            pops = np.einsum("oij,ji->o", step_model.observers, mat).real
             min_eig = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
             expected.append([k * dt, *pops, np.trace(mat).real, min_eig])
         assert rows.shape == (steps + 1, d + 3)
@@ -295,6 +295,15 @@ class TestSimulate:
                                        "--steps", "2", "--out", str(tmp_path / "t.csv")], tmp_path)
         assert status == code and len(err) == (message is not None)
         assert message is None or err[0].startswith(message)
+
+    def test_tiny_exciton_gap_runs(self, tmp_path):
+        # n(omega) overflows below a gap of about 1e-306 cm^-1 at 300 K, but J n stays finite
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"site_energies_cm1": [0.0, 1e-320], "couplings_cm1": [[0, 0], [0, 0]],
+                                     "sink_sites": [2], "bath": {"lambda_cm1": 35.0, "omega_c_cm1": 150.0}}))
+        status, err = run_cli_process(["simulate", "--config", str(model), "--temperature", "300",
+                                       "--steps", "2", "--out", str(tmp_path / "t.csv")], tmp_path)
+        assert status == 0 and err == []
 
 
 class TestCsvBytes:
@@ -487,18 +496,18 @@ class TestSweepChi:
     def test_smuggled_non_cp_step_exits_2_naming_its_member(self, default_config, monkeypatch, capsys):
         # a negative gamma set past JumpRateSpec's checks: not certified, so its states are
         # checked one by one and the first bad one is named
-        build = cli._Runner.transfer_matrix
+        build = fmo.StepModel.transfer_matrix
 
-        def smuggled(runner, chi):
+        def smuggled(step_model, chi, backend):
             if chi != 0.5:
-                return build(runner, chi)
-            rates = kernel.JumpRateSpec(runner.rates.gamma)
+                return build(step_model, chi, backend)
+            rates = kernel.JumpRateSpec(step_model.rates.gamma)
             gamma = rates.gamma.copy()
             gamma[0, 1] = -0.05
             object.__setattr__(rates, "gamma", gamma)
-            return kernel.step_transfer_matrix(rates, runner.unitary, 1.0)
+            return kernel.step_transfer_matrix(rates, step_model.unitary, 1.0)
 
-        monkeypatch.setattr(cli._Runner, "transfer_matrix", smuggled)
+        monkeypatch.setattr(fmo.StepModel, "transfer_matrix", smuggled)
         assert run_cli(["sweep-chi", "--config", default_config, "--chis", "1,0.5"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["numerical invariant violated: member 1 (chi 0.5): state invalid at step 23: "
@@ -834,6 +843,37 @@ class TestBadInputCorpus:
         err = assert_one_line_config_error(["simulate", "--config", str(path), "--steps", "2",
                                             "--out", str(tmp_path / "t.csv")], capsys)
         assert str(path) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("text", ["3", "null", '"site_energies_cm1"', '["site_energies_cm1"]', "[1, 2]"],
+                             ids=["number", "null", "string", "array-of-a-field-name", "array"])
+    def test_top_level_not_an_object(self, text, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        err = assert_one_line_config_error(["simulate", "--config", str(path)], capsys)
+        assert err == f"error: {path}: the top level must be a JSON object\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep-chi", "oracle", "circuit-verify"])
+    def test_too_many_sites_fail_before_any_step_map(self, command, tmp_path, capsys):
+        # a step map holds d^4 complex entries: 19 MB at d = MAX_SITES + 1, rejected on load
+        d = fmo.MAX_SITES + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"site_energies_cm1": [0.0] * d, "couplings_cm1": np.zeros((d, d)).tolist(),
+                                    "sink_sites": [1], "bath": {"lambda_cm1": 35.0, "omega_c_cm1": 150.0}}))
+        tracemalloc.start()
+        try:
+            err = assert_one_line_config_error([command, "--config", str(path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err == f"error: {path}: {d} sites, more than the {fmo.MAX_SITES} a model may have\n"
+        assert peak < d ** 4 * 16 / 10
+
+    def test_max_sites_loads(self, tmp_path):
+        d = fmo.MAX_SITES
+        path = tmp_path / "largest.json"
+        path.write_text(json.dumps({"site_energies_cm1": [0.0] * d, "couplings_cm1": np.zeros((d, d)).tolist(),
+                                    "sink_sites": [1], "bath": {"lambda_cm1": 35.0, "omega_c_cm1": 150.0}}))
+        assert fmo.load_model(path).hamiltonian.n_sites == d
 
     @pytest.mark.parametrize("args", ARG_CASES.values(), ids=ARG_CASES.keys())
     def test_run_arguments(self, args, default_config, tmp_path, capsys):

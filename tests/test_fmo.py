@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from enaqt import fmo, kernel, linalg
+from enaqt import circuit, fmo, kernel, linalg, lindblad
 from enaqt.errors import (
     IndexOutOfRangeError,
     ModelFileError,
     SpecInvalidError,
+    StepTooLargeWarning,
     SurvivalUnderflowError,
 )
 
@@ -160,6 +161,18 @@ class TestRates:
         with pytest.raises(SpecInvalidError, match=r"lambda_cm1 1e\+308, omega_c_cm1 1\.0 and temperature_k 1e\+308"):
             fmo.thermal_rate_matrix(basis, 1e308, 1.0, 1e308)
 
+    # 1e-300 takes the closed form, the others the limit of J n, where n(omega) overflows
+    @pytest.mark.parametrize("gap", [1e-300, 1e-320, 5e-324])
+    def test_tiny_gap_rate_is_its_limit(self, gap):
+        # as omega -> 0, J(omega) n(omega) -> (lambda/omega_c) kT, uphill and downhill alike
+        c, s = np.cos(0.3), np.sin(0.3)
+        basis = fmo.ExcitonBasis(energies_cm1=np.array([0.0, gap]), transform=np.array([[c, -s], [s, c]]))
+        overlap = 2.0 * c**2 * s**2
+        expected = 2.0 * np.pi * (35.0 / 150.0) * linalg.KB_CM1_PER_K * 300.0 * overlap / linalg.HBAR_CM1_FS
+        rates = fmo.thermal_rate_matrix(basis, 35.0, 150.0, 300.0)
+        assert rates[0, 1] == pytest.approx(expected, rel=1e-15)
+        assert rates[1, 0] == pytest.approx(expected, rel=1e-15)
+
     def test_detailed_balance_identity(self, shipped):
         _, _, basis = shipped
         rates = fmo.thermal_rate_matrix(basis, 25.0, 150.0, 300.0)
@@ -253,15 +266,9 @@ class TestSitePopulations:
         assert np.array_equal(basis.site_projectors(), expected)
 
     def test_conserved_along_trajectory(self, shipped):
-        model, _, basis = shipped
-        rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model) * 10.0)
-        u = np.diag(np.exp(-1j * basis.energies_cm1 * 10.0 / linalg.HBAR_CM1_FS))
-        ops = kernel.build_evolution_operators(rates, u)
-        rho0 = np.zeros((7, 7), dtype=complex)
-        rho0[0, 0] = 1.0
-        traj = kernel.evolve_trajectory(
-            basis.to_exciton(rho0), ops, 10.0, 100, basis.site_projectors(),
-        )
+        step_model = fmo.StepModel(shipped[0], 10.0)
+        ops = kernel.build_evolution_operators(step_model.rates, step_model.unitary)
+        traj = kernel.evolve_trajectory(step_model.initial_state(1), ops, 10.0, 100, step_model.observers)
         assert np.max(np.abs(traj.populations.sum(axis=1) - traj.trace)) <= 1e-10
 
 
@@ -365,3 +372,67 @@ class TestLoadModel:
     def test_every_bath_field_checked_at_load(self, tmp_path, bath, field):
         with pytest.raises(ModelFileError, match=field):
             fmo.load_model(write_two_site_model(tmp_path, bath))
+
+
+def hand_built(model, dt, temperature_k):
+    """A run's set-up built step by step, as each caller once built it: the reference for StepModel."""
+    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
+    rates_per_fs = fmo.jump_rates(basis, model, temperature_k)
+    rates = kernel.JumpRateSpec(rates_per_fs * dt)
+    h_exciton = np.diag(basis.energies_cm1).astype(complex)
+    unitary = np.diag(np.exp(-1j * basis.energies_cm1 * dt / linalg.HBAR_CM1_FS))
+    return basis, rates_per_fs, rates, h_exciton, unitary
+
+
+class TestStepModel:
+    @pytest.mark.parametrize("dt, temperature_k", [(10.0, None), (20.0, None), (10.0, 77.0)])
+    def test_equals_the_hand_built_set_up(self, shipped, dt, temperature_k):
+        model = shipped[0]
+        step_model = fmo.StepModel(model, dt, temperature_k)
+        basis, rates_per_fs, rates, h_exciton, unitary = hand_built(model, dt, temperature_k)
+        assert np.array_equal(step_model.unitary, unitary)
+        assert np.array_equal(step_model.rates.gamma, rates.gamma)
+        assert np.array_equal(step_model.rates_per_fs, rates_per_fs)
+        assert np.array_equal(step_model.h_exciton, h_exciton)
+        assert np.array_equal(step_model.observers, basis.site_projectors())
+        for site in range(1, basis.dim + 1):
+            rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+            rho[site - 1, site - 1] = 1.0
+            assert np.array_equal(step_model.initial_state(site), basis.to_exciton(rho))
+        circuit_t = circuit.circuit_transfer_matrix(circuit.build_step_circuit(rates, unitary))
+        for chi in (0.0, 0.06, 1.0):
+            with warnings.catch_warnings():  # RK4 at 10 fs and more is coarse
+                warnings.simplefilter("ignore", StepTooLargeWarning)
+                expected = {
+                    "operator": kernel.step_transfer_matrix(rates, unitary, chi),
+                    "circuit": kernel.step_transfer_matrix(rates, unitary, chi, circuit_t),
+                    "lindblad-oracle": lindblad.rk4_transfer_matrix(
+                        lindblad.LindbladModel(h_exciton, chi * rates_per_fs), dt),
+                }
+                for backend, t in expected.items():
+                    assert np.array_equal(step_model.transfer_matrix(chi, backend), t), (backend, chi)
+
+    def test_one_eigh_and_one_circuit_built_for_its_backend_only(self, shipped, monkeypatch):
+        calls = {"eigh": 0, "build_step_circuit": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, call)
+
+        counted(fmo, "eigh")
+        counted(circuit, "build_step_circuit")
+        step_model = fmo.StepModel(shipped[0], 10.0)
+        for chi in (0.0, 0.5, 1.0):
+            step_model.transfer_matrix(chi)
+        assert calls == {"eigh": 1, "build_step_circuit": 0}
+        for chi in (0.0, 0.5, 1.0):
+            step_model.transfer_matrix(chi, "circuit")
+        assert calls == {"eigh": 1, "build_step_circuit": 1}
+
+    def test_too_large_a_step_raises_on_construction(self, shipped):
+        with pytest.raises(SurvivalUnderflowError, match="smaller time step"):
+            fmo.StepModel(shipped[0], 100.0)

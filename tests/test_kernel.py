@@ -349,6 +349,10 @@ class TestEvolveTrajectory:
         assert traj.times == pytest.approx([0.0, 2.5, 5.0, 7.5, 10.0])
 
 
+def shipped_step_model(dt=10.0):
+    return fmo.StepModel(fmo.load_model(fmo.default_model_path()), dt)
+
+
 class TestPropagate:
     def _shipped_like(self, rng, d=4):
         h = rng.normal(size=(d, d))
@@ -450,7 +454,7 @@ class TestPropagate:
         model = tmp_path / "toy.json"
         model.write_text('{"site_energies_cm1": [0, 0], "couplings_cm1": [[0, 0], [0, 0]], '
                          '"sink_sites": [2], "bath": {"rates_per_fs": [[0, 0], [0, 0]]}}')
-        monkeypatch.setattr(cli._Runner, "transfer_matrix", lambda runner, chi: self._leaking(1.0 / 150.0))
+        monkeypatch.setattr(fmo.StepModel, "transfer_matrix", lambda *_: self._leaking(1.0 / 150.0))
         argv = ["simulate", "--config", str(model), "--initial-site", "2", "--steps", "300"]
         out = tmp_path / "t.csv"
         assert cli.main([*argv, "--out", str(out)]) == 2
@@ -579,27 +583,23 @@ class TestPropagate:
             else:
                 assert set(min_eig) == {None} and traj.min_eig is None
 
-    @staticmethod
-    def _shipped_runner():
-        return cli._Runner(cli.RunConfig(model=str(fmo.default_model_path())))
-
     def test_row_bits_do_not_depend_on_run_length(self):
         # the population and trace products run over whole lane blocks, so no row
         # is computed alone (numpy takes another BLAS route for a one-row product)
-        runner = self._shipped_runner()
-        run = (runner.initial_state(), 10.0)
-        for t in (runner.transfer_matrix(c) for c in (0.0, 0.06, 0.5, 1.0)):
-            full = kernel.propagate(t, *run, 300, runner.observers)
+        step_model = shipped_step_model()
+        run = (step_model.initial_state(1), 10.0)
+        for t in (step_model.transfer_matrix(c) for c in (0.0, 0.06, 0.5, 1.0)):
+            full = kernel.propagate(t, *run, 300, step_model.observers)
             for k in (0, 1, 15, 16, 17, 127, 128, 129, 256):
-                short = kernel.propagate(t, *run, k, runner.observers)
+                short = kernel.propagate(t, *run, k, step_model.observers)
                 assert np.array_equal(short.populations[k], full.populations[k])
                 assert short.trace[k] == full.trace[k]
                 assert short.min_eig[k] == full.min_eig[k]
 
     def test_long_run_keeps_trace_and_reference(self):
         # 4e4 shipped steps at chi = 0.06: lanes stay within 1e-10 of one T @ v per step
-        runner, steps = self._shipped_runner(), 40_000
-        t, rho, obs = runner.transfer_matrix(0.06), runner.initial_state(), runner.observers
+        step_model, steps = shipped_step_model(), 40_000
+        t, rho, obs = step_model.transfer_matrix(0.06), step_model.initial_state(1), step_model.observers
         traj = kernel.propagate(t, rho, 10.0, steps, obs, record_min_eig=False)
         assert np.max(np.abs(traj.trace - 1.0)) <= 1e-10
         cols = obs.transpose(0, 2, 1).reshape(len(obs), -1).T
@@ -632,10 +632,6 @@ class TestChannelCertificate:
     """chunks steps a certified map without per-state checks when it records no min_eig."""
 
     @staticmethod
-    def _runner(backend="operator", dt=10.0):
-        return cli._Runner(cli.RunConfig(model=str(fmo.default_model_path()), dt_fs=dt, backend=backend))
-
-    @staticmethod
     def _defects(t):
         """(smallest Choi eigenvalue, TP defect, HP defect) of a row-major T."""
         d, choi = 7, linalg.choi_from_transfer(t)
@@ -647,7 +643,7 @@ class TestChannelCertificate:
     @pytest.mark.parametrize("chi", [0.0, 0.06, 1.0])
     def test_accepts_the_operator_and_circuit_steps(self, backend, dt, chi):
         # measured: smallest Choi eigenvalue -1.77e-15, TP defect 6.7e-16, HP defect 1.12e-16
-        t = self._runner(backend, dt).transfer_matrix(chi)
+        t = shipped_step_model(dt).transfer_matrix(chi, backend)
         min_eig, tp, hp = self._defects(t)
         assert min_eig >= -1.8e-15 and tp <= 6.7e-16 and hp <= 1.2e-16
         assert kernel._channel_certified(t, 1000)
@@ -658,16 +654,16 @@ class TestChannelCertificate:
         # measured: -4.87e-8 and -4.60e-8 at 1 fs; -3.97e-3, -3.99e-3 and -4.42e-3 at 10 fs
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepTooLargeWarning)
-            t = self._runner("lindblad-oracle", dt).transfer_matrix(chi)
+            t = shipped_step_model(dt).transfer_matrix(chi, "lindblad-oracle")
         assert self._defects(t)[0] < below
         assert not kernel._channel_certified(t, 1000)
 
     def test_accepts_the_rk4_step_with_full_dissipation_at_1_fs(self):
         # its smallest Choi eigenvalue is +1.98e-8: the sweep smoke run steps it certified
-        assert kernel._channel_certified(self._runner("lindblad-oracle", 1.0).transfer_matrix(1.0), 1000)
+        assert kernel._channel_certified(shipped_step_model(1.0).transfer_matrix(1.0, "lindblad-oracle"), 1000)
 
     def test_rejects_a_map_that_is_not_trace_preserving(self, monkeypatch):
-        t = 0.9 * self._runner().transfer_matrix(1.0)
+        t = 0.9 * shipped_step_model().transfer_matrix(1.0)
         assert kernel._channel_certified(t / 0.9, 1000)
         # still CP and HP: the TP check alone rejects it
         monkeypatch.setattr(kernel, "_certified", lambda shifted: True)
@@ -675,7 +671,7 @@ class TestChannelCertificate:
 
     def test_rejects_a_map_that_breaks_hermiticity_preservation(self, monkeypatch):
         # T[(0,1),(0,2)] is the Choi entry [0, 15], whose mirror [15, 0] is T[(1,0),(2,0)]
-        t = self._runner().transfer_matrix(1.0)
+        t = shipped_step_model().transfer_matrix(1.0)
         t[1, 2] += 1e-9
         assert linalg.herm_defect(linalg.choi_from_transfer(t)) == pytest.approx(1e-9)
         assert self._defects(t)[1] <= 6.7e-16
@@ -684,26 +680,26 @@ class TestChannelCertificate:
 
     def test_drift_guard_bounds_the_run_length(self):
         # steps (CHANNEL_TOL + d^2 eps) may not pass STATE_TOL / 10: about 98,900 steps at d = 7
-        t = self._runner().transfer_matrix(1.0)
+        t = shipped_step_model().transfer_matrix(1.0)
         limit = int(kernel.STATE_TOL / 10 / (kernel.CHANNEL_TOL + 49 * np.finfo(float).eps))
         assert kernel._channel_certified(t, limit) and not kernel._channel_certified(t, limit + 1)
 
     def test_smuggled_negative_gamma_fails_at_its_first_bad_step(self):
         # a negative gamma, set past JumpRateSpec's checks, gives a T that is neither CP nor TP;
         # the run falls back to per-state checks and names the same step as a recorded run
-        runner = self._runner()
-        rates = kernel.JumpRateSpec(runner.rates.gamma)
+        step_model = shipped_step_model()
+        rates = kernel.JumpRateSpec(step_model.rates.gamma)
         gamma = rates.gamma.copy()
         gamma[0, 1] = -0.05
         object.__setattr__(rates, "gamma", gamma)
-        t = kernel.step_transfer_matrix(rates, runner.unitary, 1.0)
+        t = kernel.step_transfer_matrix(rates, step_model.unitary, 1.0)
         assert not kernel._channel_certified(t, 400)
         for record in (True, False):
             with pytest.raises(StateInvalidError, match=r"at step 23: min eigenvalue -2\.297e-03"):
-                kernel.propagate(t, runner.initial_state(), 10.0, 400, runner.observers, record_min_eig=record)
+                kernel.propagate(t, step_model.initial_state(1), 10.0, 400, step_model.observers, record_min_eig=record)
 
     def test_certified_rows_equal_uncertified_rows(self, monkeypatch):
-        runner = self._runner()
+        step_model = shipped_step_model()
         checked, check, certify = [], kernel._check_states, kernel._channel_certified
 
         def spy(states, at, *args):
@@ -712,7 +708,7 @@ class TestChannelCertificate:
 
         monkeypatch.setattr(kernel, "_check_states", spy)
         for chi in (0.0, 0.06, 1.0):
-            run = (runner.transfer_matrix(chi), runner.initial_state(), 10.0, 300, runner.observers)
+            run = (step_model.transfer_matrix(chi), step_model.initial_state(1), 10.0, 300, step_model.observers)
             monkeypatch.setattr(kernel, "_channel_certified", certify)
             checked.clear()
             certified = kernel.propagate(*run, record_min_eig=False)
@@ -729,11 +725,11 @@ class TestChannelCertificate:
         (np.diag([0.5, 0.5, 0, 0, 0, 0, 0]) + 1e-5 * np.eye(7, k=1), r"at step 0: .* hermiticity defect 1\.000e-05"),
     ], ids=["negative", "non-hermitian"])
     def test_invalid_rho0_fails_at_step_0_with_a_certified_map(self, rho0, message):
-        runner = self._runner()
-        t = runner.transfer_matrix(0.06)
+        step_model = shipped_step_model()
+        t = step_model.transfer_matrix(0.06)
         assert kernel._channel_certified(t, 300)
         with pytest.raises(StateInvalidError, match=message):
-            next(kernel.chunks(t, rho0.astype(complex), 300, runner.observers, record_min_eig=False))
+            next(kernel.chunks(t, rho0.astype(complex), 300, step_model.observers, record_min_eig=False))
 
 
 def test_public_names():

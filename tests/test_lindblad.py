@@ -139,9 +139,8 @@ def rk4_final_state(rho, model, dt, steps):
 
 def shipped_exciton_model():
     """The shipped FMO model in its exciton basis, with its rate table (fs^-1)."""
-    model = fmo.load_model(fmo.default_model_path())
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
-    return LindbladModel(np.diag(basis.energies_cm1).astype(complex), fmo.jump_rates(basis, model))
+    step_model = fmo.StepModel(fmo.load_model(fmo.default_model_path()), 10.0)
+    return LindbladModel(step_model.h_exciton, step_model.rates_per_fs)
 
 
 class TestRk4Integrate:

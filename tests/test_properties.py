@@ -126,11 +126,10 @@ def test_bath_fields_load_or_fail_cleanly(model_dir, kinds):
         assert not accepted
         return
     assert accepted
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
     for temperature_k in (None, 300.0):
         try:
-            rates = kernel.JumpRateSpec(fmo.jump_rates(basis, model, temperature_k) * 10.0)
+            step_model = fmo.StepModel(model, 10.0, temperature_k)
         except ModelFileError:
             assert not has["lambda_cm1"]
             continue
-        assert isinstance(rates, kernel.JumpRateSpec)
+        assert isinstance(step_model.rates, kernel.JumpRateSpec)
