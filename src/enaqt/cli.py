@@ -16,8 +16,9 @@ Subcommands:
 All outputs are deterministic for identical inputs: every run echoes its
 resolved configuration (and hashes) into `#`-prefixed header lines, floats
 are printed with repr-exact precision, and nothing in the pipeline draws
-random numbers. Exit codes: 0 ok, 1 configuration error, 2 numerical
-invariant violation.
+random numbers. Each option's own rule is its argparse type, so a bad value
+fails as it is parsed, before any file is read. Exit codes: 0 ok,
+1 configuration error, 2 numerical invariant violation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import os
 import stat
 import sys
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,48 +47,19 @@ MAX_STEPS = 10_000_000  # states one command may step: memory stays flat, so thi
 # (a sweep steps one trajectory per chi, so it counts len(chis) x steps)
 
 
-@dataclass
-class RunConfig:
-    """Resolved run parameters (model path plus CLI overrides)."""
-
-    model: str
-    initial_site: int = 1
-    dt_fs: float = 10.0
-    steps: int = 400
-    chi: float = 1.0
-    temperature_k: float | None = None
-    backend: str = "operator"
-
-    def validate(self, n_sites: int):
-        if not 1 <= self.initial_site <= n_sites:
-            raise ConfigError(f"initial site must be in 1..{n_sites}, got {self.initial_site}")
-        if not 0.0 <= self.chi <= 1.0:
-            raise ConfigError(f"chi must lie in [0, 1], got {self.chi}")
-        if not 1 <= self.steps <= MAX_STEPS:
-            raise ConfigError(f"steps must be in 1..{MAX_STEPS}, got {self.steps}")
-        if not 0 < self.dt_fs < math.inf:
-            raise ConfigError(f"dt must be finite and positive, got {self.dt_fs}")
-        if self.temperature_k is not None and not 0 < self.temperature_k < math.inf:
-            raise ConfigError(f"temperature must be finite and positive, got {self.temperature_k}")
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+RUN_FIELDS = ("model", "initial_site", "dt_fs", "steps", "chi", "temperature_k", "backend")  # echoed by `# config:`
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _run_fields(run) -> dict:
-    """The RunConfig fields `run` carries; parsed arguments carry those their subcommand registers."""
-    return {f.name: getattr(run, f.name) for f in fields(RunConfig) if hasattr(run, f.name)}
-
-
-def _config_lines(run, model: fmo.FmoModel, extra: dict) -> list:
-    """Header lines echoing the run fields of `run` (parsed arguments or a RunConfig) plus `extra`.
+def _config_lines(args, model: fmo.FmoModel, extra: dict) -> list:
+    """Header lines echoing the RUN_FIELDS that `args` carry (those its subcommand registers) plus `extra`.
 
     The model hash is that of the file bytes `model` was parsed from, read once by load_model.
     """
-    payload = _run_fields(run)
+    payload = {name: getattr(args, name) for name in RUN_FIELDS if name in args}
     payload.update(extra)
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode()).hexdigest()
@@ -154,86 +125,79 @@ def _emit(*outputs):
         raise ConfigError(f"cannot write {current or 'stdout'}: {exc.strerror or exc}") from exc
 
 
-def _step_model(cfg: RunConfig) -> fmo.StepModel:
-    """The run's step model, built once its model file is read and `cfg` checked against it."""
-    model = fmo.load_model(cfg.model)
-    cfg.validate(model.hamiltonian.n_sites)
-    return fmo.StepModel(model, cfg.dt_fs, cfg.temperature_k)
+def _step_model(args) -> fmo.StepModel:
+    """The run's step model, built once its model file is read and any --initial-site checked against it."""
+    model = fmo.load_model(args.model)
+    n = model.hamiltonian.n_sites
+    if "initial_site" in args and not 1 <= args.initial_site <= n:
+        raise ConfigError(f"initial site must be in 1..{n}, got {args.initial_site}")
+    return fmo.StepModel(model, args.dt_fs, args.temperature_k)
 
 
-def _trajectory(cfg: RunConfig, step_model: fmo.StepModel):
+def _trajectory(args, step_model: fmo.StepModel, chi: float):
     """The run's checked chunks (see kernel.chunks), stepped as they are read; T is built at the first."""
-    yield from kernel.chunks(step_model.transfer_matrix(cfg.chi, cfg.backend),
-                             step_model.initial_state(cfg.initial_site), cfg.steps, step_model.observers)
+    yield from kernel.chunks(step_model.transfer_matrix(chi, args.backend),
+                             step_model.initial_state(args.initial_site), args.steps, step_model.observers)
 
 
-def _trajectory_csv(run, model: fmo.FmoModel, chunks):
+def _trajectory_csv(args, model: fmo.FmoModel, chunks):
     """The trajectory CSV of `chunks` (see kernel.chunks), each chunk formatted as it arrives."""
-    lines = _config_lines(run, model, {"command": "simulate"})
+    lines = _config_lines(args, model, {"command": "simulate"})
     header = ["t_fs"] + [f"site{m}" for m in range(1, model.hamiltonian.n_sites + 1)] + ["trace", "min_eig"]
     lines.append(",".join(header))
     row = ",".join(["%.17g"] * len(header))  # the same bytes as _fmt per value
-    blocks = (np.column_stack([np.arange(start, start + len(trace)) * run.dt_fs, pops, trace, min_eig]).tolist()
+    blocks = (np.column_stack([np.arange(start, start + len(trace)) * args.dt_fs, pops, trace, min_eig]).tolist()
               for start, pops, trace, min_eig in chunks)
     return itertools.chain(lines, (row % tuple(r) for block in blocks for r in block))
 
 
 def cmd_simulate(args) -> int:
-    cfg = _run_config(args)
-    step_model = _step_model(cfg)
-    _emit((_trajectory_csv(args, step_model.model, _trajectory(cfg, step_model)), args.out))
+    step_model = _step_model(args)
+    _emit((_trajectory_csv(args, step_model.model, _trajectory(args, step_model, args.chi)), args.out))
     return 0
 
 
 def cmd_oracle(args) -> int:
-    cfg = _run_config(args)
-    dt_list = _positive_floats(args.dt_list, "--dt-list")
-    t_final = args.t_final
-    if not 0 < t_final < math.inf:
-        raise ConfigError(f"--t-final must be finite and positive, got {t_final}")
-    for dt in dt_list:
-        n = t_final / dt
-        if not (n < math.inf and abs(n - round(n)) <= 1e-9):
-            raise ConfigError(f"--dt-list value {dt} fs does not divide --t-final {t_final} fs")
+    for dt in args.dt_list:
+        n = args.t_final / dt  # the RK4 reference takes 10 n steps at the smallest dt
+        if not 10 * n < math.inf:
+            raise ConfigError(f"--t-final {args.t_final} fs in RK4 steps of {dt} fs / 10 is past the float range")
+        if not (round(n) >= 1 and abs(n - round(n)) <= 1e-9):
+            raise ConfigError(f"--dt-list value {dt} fs does not divide --t-final {args.t_final} fs")
     # both files are open at once, so one regular file for both (a hard link too) would interleave them
     out, conv = args.out, args.convergence_out
     if out and conv and (os.path.samefile(out, conv) if os.path.isfile(out) and os.path.exists(conv) else
                          not os.path.exists(out) and os.path.realpath(out) == os.path.realpath(conv)):
         raise ConfigError(f"--out and --convergence-out are the same file {out}")
-    step_model = _step_model(cfg)
-    _emit((_trajectory_csv(args, step_model.model, _trajectory(cfg, step_model)), args.out),
-          (_convergence_csv(args, step_model, t_final, dt_list), args.convergence_out))
+    step_model = _step_model(args)
+    # oracle takes no --chi: its trajectory runs at chi 1
+    _emit((_trajectory_csv(args, step_model.model, _trajectory(args, step_model, 1.0)), args.out),
+          (_convergence_csv(args, step_model), args.convergence_out))
     return 0
 
 
-def _convergence_csv(args, step_model: fmo.StepModel, t_final: float, dt_list: list):
+def _convergence_csv(args, step_model: fmo.StepModel):
     """The oracle's convergence table; its RK4 runs start when its first line is asked for."""
     rows = lindblad.convergence_report(lindblad.LindbladModel(step_model.h_exciton, step_model.rates_per_fs),
-                                       step_model.initial_state(args.initial_site), t_final, dt_list)
-    yield from _config_lines(args, step_model.model, {"command": "oracle", "t_final_fs": t_final, "dt_list": dt_list})
+                                       step_model.initial_state(args.initial_site), args.t_final, args.dt_list)
+    yield from _config_lines(args, step_model.model,
+                             {"command": "oracle", "t_final_fs": args.t_final, "dt_list": args.dt_list})
     yield from _distance_table("dt_fs,frobenius_distance", rows)
 
 
 def cmd_sweep_chi(args) -> int:
-    cfg = _run_config(args)
-    chis = _parse_floats(args.chis)
-    if not chis:
-        raise ConfigError("--chis needs at least one value")
-    for c in chis:
-        if not 0.0 <= c <= 1.0:
-            raise ConfigError(f"chi values must lie in [0, 1], got {c}")
-    if len(chis) * cfg.steps > MAX_STEPS:
-        raise ConfigError(f"a sweep steps {len(chis)} chi values x {cfg.steps} steps, "
+    if len(args.chis) * args.steps > MAX_STEPS:
+        raise ConfigError(f"a sweep steps {len(args.chis)} chi values x {args.steps} steps, "
                           f"more than the {MAX_STEPS} states one command may step")
-    step_model = _step_model(cfg)
-    rho0, sinks = step_model.initial_state(cfg.initial_site), step_model.model.sink_sites
-    lines = _config_lines(args, step_model.model, {"command": "sweep-chi", "chis": chis})
+    step_model = _step_model(args)
+    rho0, sinks = step_model.initial_state(args.initial_site), step_model.model.sink_sites
+    lines = _config_lines(args, step_model.model, {"command": "sweep-chi", "chis": args.chis})
     lines.append("chi,efficiency")
     # one chi at a time, so memory does not grow with len(chis); efficiencies print no
     # min_eig, so a certified step map runs unchecked, and only the last row is kept
-    for member, c in enumerate(chis):
+    for member, c in enumerate(args.chis):
         try:
-            for _, populations, _, _ in kernel.chunks(step_model.transfer_matrix(c, cfg.backend), rho0, cfg.steps,
+            for _, populations, _, _ in kernel.chunks(step_model.transfer_matrix(c, args.backend), rho0, args.steps,
                                                       step_model.observers, record_min_eig=False):
                 final = populations[-1]
         except StateInvalidError as exc:
@@ -244,13 +208,9 @@ def cmd_sweep_chi(args) -> int:
 
 
 def cmd_gatecount(args) -> int:
-    dims = _parse_floats(args.dims)
-    for d in dims:
-        if not (2 <= d <= MAX_GATECOUNT_DIM and float(d).is_integer()):
-            raise ConfigError(f"gate counting needs integer dims in 2..{MAX_GATECOUNT_DIM}, got {d}")
     lines = [f"# enaqt {__version__}"]
     lines.append("dim,jumps,per_jump_gates,jump_gates_total,coherent_gates,qubits")
-    for d in map(int, dims):
+    for d in map(int, args.dims):
         rates = kernel.JumpRateSpec(np.zeros((d, d)))
         gates = circuit.build_step_circuit(rates, np.eye(d, dtype=complex))
         rep = circuit.gate_count(gates)
@@ -263,41 +223,48 @@ def cmd_gatecount(args) -> int:
 
 
 def cmd_circuit_verify(args) -> int:
-    cfg = _run_config(args)
-    scalings = _positive_floats(args.scalings, "--scalings")
-    step_model = _step_model(cfg)
+    step_model = _step_model(args)
     t_seq = superoperator(  # the Kraus reference
         lambda basis: circuit.sequential_kraus_step(basis, step_model.rates, step_model.unitary), step_model.basis.dim)
     equiv = frob_dist(circuit.choi_from_transfer(step_model.circuit_t), circuit.choi_from_transfer(t_seq))
     if equiv > 1e-10:
         raise NumericalError(f"circuit/operator-model Choi distance {equiv:.3e} exceeds 1e-10")
 
-    rows = circuit.compare_step_channels(step_model.rates, step_model.h_exciton, cfg.dt_fs, scalings,
+    rows = circuit.compare_step_channels(step_model.rates, step_model.h_exciton, args.dt_fs, args.scalings,
                                          step_model.circuit_t)
-    lines = _config_lines(args, step_model.model, {"command": "circuit-verify", "scalings": scalings})
+    lines = _config_lines(args, step_model.model, {"command": "circuit-verify", "scalings": args.scalings})
     lines.append(f"# choi_distance_circuit_vs_operator_model: {_fmt(equiv)}")
     lines.extend(_distance_table("scale,choi_distance_vs_step_map", rows))
     _emit((lines, args.out))
     return 0
 
 
-def _parse_floats(text: str) -> list:
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse list {text!r}: {exc}") from exc
+def _checked(convert, ok, rule: str):
+    """An argparse type: `convert` the text, and take the value only if `ok` holds for it, else fail with `rule`."""
+    def parse(text):
+        with contextlib.suppress(ValueError):
+            value = convert(text)
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+    return parse
 
 
-def _positive_floats(text: str, flag: str) -> list:
-    values = _parse_floats(text)
-    if not values or not all(0 < v < math.inf for v in values):
-        raise ConfigError(f"{flag} needs finite positive values, got {text!r}")
-    return values
+def _checked_list(item):
+    """An argparse type: a comma list of one or more values, each parsed by the type `item`; empty ones skip."""
+    def parse(text):
+        values = [item(tok) for tok in map(str.strip, text.split(",")) if tok]
+        if not values:
+            raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+        return values
+    return parse
 
 
-def _run_config(args) -> RunConfig:
-    """The run's RunConfig; a field whose option the subcommand does not take keeps its default."""
-    return RunConfig(**_run_fields(args))
+_positive = _checked(float, lambda x: 0 < x < math.inf, "must be finite and positive")
+_unit = _checked(float, lambda x: 0 <= x <= 1, "must lie in [0, 1]")
+_steps = _checked(int, lambda n: 1 <= n <= MAX_STEPS, f"must be an integer in 1..{MAX_STEPS}")
+_dim = _checked(float, lambda d: 2 <= d <= MAX_GATECOUNT_DIM and d.is_integer(),
+                f"must be an integer in 2..{MAX_GATECOUNT_DIM}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,22 +278,22 @@ class _Parser(argparse.ArgumentParser):
 
 RUN_OPTIONS = {
     "--config": dict(required=True, dest="model", help="model JSON file"),
-    "--initial-site": dict(type=int, dest="initial_site"),
-    "--dt-fs": dict(type=float, dest="dt_fs"),
-    "--steps": dict(type=int, dest="steps"),
-    "--chi": dict(type=float, dest="chi"),
-    "--temperature": dict(type=float, dest="temperature_k",
+    "--initial-site": dict(type=int, default=1),
+    "--dt-fs": dict(type=_positive, default=10.0),
+    "--steps": dict(type=_steps, default=400),
+    "--chi": dict(type=_unit, default=1.0),
+    "--temperature": dict(type=_positive, dest="temperature_k",
                           help="generate rates from the Ohmic bath at this temperature (K)"),
-    "--out": dict(dest="out", help="output path (default: stdout)"),
-    "--backend": dict(choices=BACKENDS, dest="backend"),
+    "--out": dict(help="output path (default: stdout)"),
+    "--backend": dict(choices=BACKENDS, default="operator"),
 }
 
 
 def _add_run_options(p, omit=()):
-    """Register the run options the subcommand reads (all but `omit`), at their RunConfig defaults."""
+    """Register the run options the subcommand reads: all but `omit`."""
     for flag, kwargs in RUN_OPTIONS.items():
         if flag not in omit:
-            p.add_argument(flag, default=getattr(RunConfig, kwargs["dest"], None), **kwargs)
+            p.add_argument(flag, **kwargs)
 
 
 @functools.cache  # one parser per process: it holds no state between parses
@@ -340,23 +307,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="RK4 reference run plus convergence table")
     _add_run_options(p, omit=("--chi", "--backend"))
-    p.add_argument("--dt-list", default="20,10,5", dest="dt_list")
-    p.add_argument("--t-final", type=float, default=2000.0, dest="t_final")
-    p.add_argument("--convergence-out", default=None, dest="convergence_out")
+    p.add_argument("--dt-list", type=_checked_list(_positive), default="20,10,5")
+    p.add_argument("--t-final", type=_positive, default=2000.0)
+    p.add_argument("--convergence-out")
     # its trajectory file is the simulate run of this backend
     p.set_defaults(backend="lindblad-oracle")
 
     p = sub.add_parser("sweep-chi", help="efficiency vs chi")
     _add_run_options(p, omit=("--chi",))
-    p.add_argument("--chis", default="0.0,0.06,0.5,1.0")
+    p.add_argument("--chis", type=_checked_list(_unit), default="0.0,0.06,0.5,1.0")
 
     p = sub.add_parser("gatecount", help="circuit complexity per step")
-    p.add_argument("--dims", default="2,3,4,5,6,7,8")
-    p.add_argument("--out", default=None)
+    p.add_argument("--dims", type=_checked_list(_dim), default="2,3,4,5,6,7,8")
+    p.add_argument("--out")
 
     p = sub.add_parser("circuit-verify", help="channel equivalence certificates")
     _add_run_options(p, omit=("--initial-site", "--steps", "--chi", "--backend"))
-    p.add_argument("--scalings", default="1.0,0.5,0.25")
+    p.add_argument("--scalings", type=_checked_list(_positive), default="1.0,0.5,0.25")
     return parser
 
 

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Every numerical precondition failure raises one of these instead of a bare
-ValueError so that callers can tell a bad configuration apart from a genuine
-numerical-invariant violation: the CLI exits 2 on a NumericalError and 1 on
-any other EnaqtError.
+Model, state and run checks raise one of these, so that callers can tell a bad
+configuration apart from a genuine numerical-invariant violation: the CLI exits
+2 on a NumericalError and 1 on any other EnaqtError. The library's own argument
+checks in `kernel` and `lindblad` raise a bare ValueError; the CLI checks its
+options before it calls them.
 """
 
 

@@ -321,7 +321,8 @@ class StepModel:
         self.model, self.dt_fs = model, dt_fs
         self.basis = exciton_basis(site_hamiltonian(model.hamiltonian))
         self.rates_per_fs = jump_rates(self.basis, model, temperature_k)
-        self.rates = kernel.JumpRateSpec(self.rates_per_fs * dt_fs)
+        with np.errstate(over="ignore"):  # a probability past the float range is inf, which JumpRateSpec rejects
+            self.rates = kernel.JumpRateSpec(self.rates_per_fs * dt_fs)
         self.h_exciton = np.diag(self.basis.energies_cm1).astype(complex)
         self.unitary = np.diag(np.exp(-1j * self.basis.energies_cm1 * dt_fs / HBAR_CM1_FS))
         self.observers = self.basis.site_projectors()
@@ -333,6 +334,8 @@ class StepModel:
 
     def initial_state(self, site: int) -> np.ndarray:
         """The excitation on one site, |site><site| for a site label in 1..dim, in the exciton basis."""
+        if not 1 <= site <= self.basis.dim:
+            raise IndexOutOfRangeError(f"site {site} outside 1..{self.basis.dim}")
         rho = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
         rho[site - 1, site - 1] = 1.0
         return self.basis.to_exciton(rho)

@@ -132,14 +132,17 @@ def convergence_report(model: LindbladModel, rho0: np.ndarray, t_final: float, d
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != model.hamiltonian.shape:
         raise DimensionMismatchError(f"state shape {rho0.shape} does not match dim {model.dim}")
-    oracle_steps = int(round(t_final / (min(dt_list) / 10.0)))
+    # each dt's jump probabilities first, so that a dt past one jump per step fails before the RK4 run
+    with np.errstate(over="ignore"):  # a probability past the float range is inf, which JumpRateSpec rejects
+        specs = [(dt, JumpRateSpec(model.rates_per_fs * dt)) for dt in sorted(dt_list, reverse=True)]
+    oracle_steps = int(round(10.0 * t_final / min(dt_list)))  # min(dt_list) / 10 may underflow to 0
     ref = _final_state(rk4_transfer_matrix(model, t_final / oracle_steps), rho0, oracle_steps)
     ref = 0.5 * (ref + ref.conj().T)
 
     rows = []
-    for dt in sorted(dt_list, reverse=True):
+    for dt, rates in specs:
         u = evolution_unitary(model.hamiltonian, dt)
-        t = kernel.step_transfer_matrix(JumpRateSpec(model.rates_per_fs * dt), u, 1.0)
+        t = kernel.step_transfer_matrix(rates, u, 1.0)
         final = _final_state(t, rho0, int(round(t_final / dt)))
         rows.append((dt, frob_dist(final, ref)))
     return rows

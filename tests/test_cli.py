@@ -254,12 +254,24 @@ class TestSimulate:
     def test_missing_model_is_config_error(self):
         assert run_cli(["simulate", "--config", "/does/not/exist.json"]) == 1
 
-    def test_max_steps_is_accepted(self, default_config):
-        # validation alone: no trajectory is allocated
-        cli.RunConfig(model=default_config, steps=cli.MAX_STEPS).validate(7)
+    def test_max_steps_is_accepted(self, default_config, capsys):
+        # parsing alone: no trajectory is allocated
+        argv = ["simulate", "--config", default_config, "--steps"]
+        assert cli.build_parser().parse_args(argv + [str(cli.MAX_STEPS)]).steps == cli.MAX_STEPS
+        assert run_cli(argv + [str(cli.MAX_STEPS + 1)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument --steps: ")
 
-    def test_bad_initial_site(self, default_config):
-        assert run_cli(["simulate", "--config", default_config, "--initial-site", "9"]) == 1
+    def test_bad_initial_site(self, default_config, tmp_path, capsys):
+        # checked before any output is opened, in every subcommand that takes a site: an older --out stays
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"older\n")
+        for site in ("9", "8", "0", "-1"):
+            for command in ("simulate", "oracle", "sweep-chi"):
+                err = assert_one_line_config_error([command, "--config", default_config, "--initial-site", site,
+                                                    "--out", str(out)], capsys)
+                assert err == f"error: initial site must be in 1..7, got {site}\n"
+                assert out.read_bytes() == b"older\n"
 
     def test_oversized_dt_is_numerical_error(self, default_config):
         assert run_cli(["simulate", "--config", default_config, "--dt-fs", "200"]) == 2
@@ -319,8 +331,8 @@ class TestCsvBytes:
         # in the chunks of kernel.chunks: (start, populations, trace, min_eig)
         chunks = ((k, traj.populations[k:k + kernel.CHUNK], traj.trace[k:k + kernel.CHUNK],
                    traj.min_eig[k:k + kernel.CHUNK]) for k in range(0, n, kernel.CHUNK))
-        run = cli.RunConfig(model=default_config, dt_fs=2.5)
-        lines = list(cli._trajectory_csv(run, fmo.load_model(default_config), chunks))
+        args = cli.build_parser().parse_args(["simulate", "--config", default_config, "--dt-fs", "2.5"])
+        lines = list(cli._trajectory_csv(args, fmo.load_model(default_config), chunks))
         data = [line for line in lines if not line.startswith("#")][1:]
         expected = [
             ",".join(format(float(x), ".17g") for x in (t, *pops, tr, me))
@@ -799,7 +811,20 @@ ARG_CASES = {
 }
 TAKES_STEPS = ("simulate", "oracle", "sweep-chi")
 
-DIMS_CASES = ["2.5", "nan", "inf", "3,-2", "2,65"]
+# one bad value per option that has a rule of its own
+BAD_OPTIONS = {
+    "dt-fs": ["simulate", "--dt-fs", "nan"],
+    "steps": ["simulate", "--steps", "0"],
+    "chi": ["simulate", "--chi", "1.5"],
+    "temperature": ["simulate", "--temperature", "-1"],
+    "chis": ["sweep-chi", "--chis", ""],
+    "t-final": ["oracle", "--t-final", "inf"],
+    "dt-list": ["oracle", "--dt-list", "0"],
+    "scalings": ["circuit-verify", "--scalings", "nan"],
+    "dims": ["gatecount", "--dims", "65"],
+}
+
+DIMS_CASES = ["2.5", "nan", "inf", "3,-2", "2,65", ","]
 
 # paths a run cannot read or write: (option, what the path is)
 PATH_CASES = {
@@ -881,6 +906,13 @@ class TestBadInputCorpus:
         argv = [args[0], "--config", default_config, *args[1:], *steps, "--out", str(tmp_path / "t.csv")]
         assert_one_line_config_error(argv, capsys)
 
+    @pytest.mark.parametrize("args", BAD_OPTIONS.values(), ids=BAD_OPTIONS.keys())
+    def test_bad_option_fails_before_the_model_is_read(self, args, capsys):
+        # the option's own error, not the missing model file's (gatecount reads no model)
+        err = assert_one_line_config_error(args + ([] if args[0] == "gatecount" else ["--config", "/missing.json"]),
+                                           capsys)
+        assert err.startswith(f"error: argument {args[1]}: ")
+
     @pytest.mark.parametrize("dims", DIMS_CASES)
     def test_gatecount_dims(self, dims, capsys):
         assert_one_line_config_error(["gatecount", "--dims", dims], capsys)
@@ -958,7 +990,7 @@ def test_parser_is_shared_across_calls(default_config, tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert run_cli(["simulate", "--config", default_config, "--out", str(out)]) == 0
     meta, _, rows = read_rows(out)
-    assert len(rows) == cli.RunConfig.steps + 1
+    assert len(rows) == cli.build_parser().parse_args(["simulate", "--config", default_config]).steps + 1
     assert '"steps":400' in meta[1]
 
 

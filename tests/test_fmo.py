@@ -436,3 +436,9 @@ class TestStepModel:
     def test_too_large_a_step_raises_on_construction(self, shipped):
         with pytest.raises(SurvivalUnderflowError, match="smaller time step"):
             fmo.StepModel(shipped[0], 100.0)
+
+    @pytest.mark.parametrize("site", [0, -1, 8])
+    def test_initial_state_rejects_a_site_outside_the_model(self, shipped, site):
+        # a label that numpy indexing would wrap (0 is site 7, -1 site 6) or overrun
+        with pytest.raises(IndexOutOfRangeError, match=f"site {site} outside 1..7"):
+            fmo.StepModel(shipped[0], 10.0).initial_state(site)

@@ -1,8 +1,11 @@
 """Properties of every built channel over random valid models: jump probabilities with
-row sums <= 1 and a hermitian Hamiltonian, at d = 2..4; and of model-file loading over
-every mix of valid and invalid bath fields."""
+row sums <= 1 and a hermitian Hamiltonian, at d = 2..4; of model-file loading over
+every mix of valid and invalid bath fields; and of the CLI over generated argv."""
 
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from enaqt import circuit, fmo, kernel, linalg  # noqa: E402
+from enaqt import circuit, cli, fmo, kernel, linalg  # noqa: E402
 from enaqt.errors import ModelFileError  # noqa: E402
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -133,3 +136,68 @@ def test_bath_fields_load_or_fail_cleanly(model_dir, kinds):
             assert not has["lambda_cm1"]
             continue
         assert isinstance(step_model.rates, kernel.JumpRateSpec)
+
+
+# option values: +-0, subnormals, +-1e308, nan, inf, empty and non-numeric text, and a few ordinary
+# values so that some runs go through. For run time only, every --steps and --dims is drawn from this
+# pool, so an accepted one is at most 7: within the 50 steps and 8 dims that keep Tier-1 fast
+POOL = ("0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "1e-310", "1e308", "-1e308", "nan", "inf", "-inf",
+        "", ",", "x", "-1", "0.5", "1", "2", "7")
+SCALAR = st.sampled_from(POOL)
+LIST = st.lists(SCALAR, min_size=1, max_size=3).map(",".join)
+BACKEND = st.sampled_from(cli.BACKENDS + ("x",))
+# each subcommand's options besides --config and the output paths: (flag, values, always given)
+ARGV_OPTIONS = {
+    "simulate": [("--initial-site", SCALAR, False), ("--dt-fs", SCALAR, False), ("--steps", SCALAR, True),
+                 ("--chi", SCALAR, False), ("--temperature", SCALAR, False),
+                 ("--backend", BACKEND, False)],
+    "oracle": [("--initial-site", SCALAR, False), ("--dt-fs", SCALAR, False), ("--steps", SCALAR, True),
+               ("--temperature", SCALAR, False), ("--dt-list", LIST, False), ("--t-final", SCALAR, False)],
+    "sweep-chi": [("--initial-site", SCALAR, False), ("--dt-fs", SCALAR, False), ("--steps", SCALAR, True),
+                  ("--temperature", SCALAR, False), ("--backend", BACKEND, False),
+                  ("--chis", LIST, False)],
+    "circuit-verify": [("--dt-fs", SCALAR, False), ("--temperature", SCALAR, False), ("--scalings", LIST, False)],
+    "gatecount": [("--dims", LIST, True)],
+}
+
+
+@st.composite
+def argvs(draw):
+    """One subcommand's argv: the shipped model, outputs to the null device, each option drawn or left out."""
+    command = draw(st.sampled_from(sorted(ARGV_OPTIONS)))
+    argv = [command, "--out", os.devnull]
+    if command != "gatecount":
+        argv += ["--config", str(fmo.default_model_path())]
+    if command == "oracle":
+        argv += ["--convergence-out", os.devnull]
+    for flag, values, always in ARGV_OPTIONS[command]:
+        if always or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+def oracle_argv(*options):
+    return ["oracle", "--out", os.devnull, "--config", str(fmo.default_model_path()), "--convergence-out", os.devnull,
+            "--steps", "1", *options]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(argvs())
+# rates times dt past the float range
+@example(["circuit-verify", "--out", os.devnull, "--config", str(fmo.default_model_path()), "--dt-fs", "1e308",
+          "--temperature", "1e308"])
+@example(oracle_argv("--temperature", "1e308", "--dt-fs", "5e-324", "--t-final", "1e308", "--dt-list", "1e308"))
+# the convergence table: a dt of 0 steps, a step count past the float range, an RK4 step of 0 fs, RK4 at 1e307 fs
+@example(oracle_argv("--t-final", "1e-310"))
+@example(oracle_argv("--t-final", "1e308"))
+@example(oracle_argv("--t-final", "5e-324", "--dt-list", "5e-324"))
+@example(oracle_argv("--t-final", "1e308", "--dt-list", "1e308"))
+def test_every_argv_ends_in_an_exit_code_and_at_most_one_line(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    err = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    failures = [line for line in err if not line.startswith("warning: ")]
+    assert len(failures) == (code != 0), err
+    assert all(line.startswith("error: " if code == 1 else "numerical invariant violated: ") for line in failures)
