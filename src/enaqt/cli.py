@@ -142,6 +142,8 @@ def _trajectory(args, step_model: fmo.StepModel, chi: float):
 
 def _trajectory_csv(args, model: fmo.FmoModel, chunks):
     """The trajectory CSV of `chunks` (see kernel.chunks), each chunk formatted as it arrives."""
+    if not args.steps * args.dt_fs < math.inf:  # the last row's time, checked before any output is opened
+        raise ConfigError(f"--steps {args.steps} x --dt-fs {args.dt_fs} fs is past the float range")
     lines = _config_lines(args, model, {"command": "simulate"})
     header = ["t_fs"] + [f"site{m}" for m in range(1, model.hamiltonian.n_sites + 1)] + ["trace", "min_eig"]
     lines.append(",".join(header))
@@ -159,11 +161,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     for dt in args.dt_list:
-        n = args.t_final / dt  # the RK4 reference takes 10 n steps at the smallest dt
-        if not 10 * n < math.inf:
-            raise ConfigError(f"--t-final {args.t_final} fs in RK4 steps of {dt} fs / 10 is past the float range")
-        if not (round(n) >= 1 and abs(n - round(n)) <= 1e-9):
-            raise ConfigError(f"--dt-list value {dt} fs does not divide --t-final {args.t_final} fs")
+        try:
+            lindblad._step_count(args.t_final, dt)  # the convergence table's rule, checked before any output
+        except ValueError as exc:
+            raise ConfigError(f"--dt-list and --t-final: {exc}") from exc
     # both files are open at once, so one regular file for both (a hard link too) would interleave them
     out, conv = args.out, args.convergence_out
     if out and conv and (os.path.samefile(out, conv) if os.path.isfile(out) and os.path.exists(conv) else

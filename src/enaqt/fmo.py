@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit, kernel, lindblad
-from .errors import IndexOutOfRangeError, ModelFileError, SpecInvalidError
+from .errors import IndexOutOfRangeError, ModelFileError, NumericalError, SpecInvalidError
 from .linalg import HBAR_CM1_FS, KB_CM1_PER_K, eigh
 
 MAX_SITES = 32  # a step map T holds d^4 complex entries: 17 MB at 32 sites, 268 MB at 64
@@ -150,12 +150,12 @@ def thermal_rate_matrix(
     weights = basis.site_weights()
     overlap = weights.T @ weights  # overlap[M, N] = sum_m |c_m(M)|^2 |c_m(N)|^2
     m, n = np.nonzero(w[:, None] != w[None, :])  # off-diagonal pairs with a nonzero gap
-    gap = np.abs(w[m] - w[n])
-    j = ohmic_spectral_density(gap, lambda_cm1, omega_c_cm1)
-    occ = bose_occupation(gap, temperature_k)
-    pref = np.where(w[m] > w[n], 1.0 + occ, occ)
     rates = np.zeros((basis.dim, basis.dim))
-    with np.errstate(over="ignore", invalid="ignore"):  # a rate past the float range is the error below
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf gap has rate 0; an inf rate is the error below
+        gap = np.abs(w[m] - w[n])
+        j = ohmic_spectral_density(gap, lambda_cm1, omega_c_cm1)
+        occ = bose_occupation(gap, temperature_k)
+        pref = np.where(w[m] > w[n], 1.0 + occ, occ)
         rates[m, n] = 2.0 * np.pi * j * pref * overlap[m, n] ** overlap_exponent / HBAR_CM1_FS
         # where n(w) overflows, at y = w/kT below about 6e-309, w n(w) = kT y / expm1(y) is kT to the
         # last bit: J n = (lambda/omega_c) exp(-x) kT, and the J that J (1 + n) adds is below an ulp of it
@@ -321,10 +321,13 @@ class StepModel:
         self.model, self.dt_fs = model, dt_fs
         self.basis = exciton_basis(site_hamiltonian(model.hamiltonian))
         self.rates_per_fs = jump_rates(self.basis, model, temperature_k)
-        with np.errstate(over="ignore"):  # a probability past the float range is inf, which JumpRateSpec rejects
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: rejected by JumpRateSpec or below
             self.rates = kernel.JumpRateSpec(self.rates_per_fs * dt_fs)
+            phases = -1j * self.basis.energies_cm1 * dt_fs / HBAR_CM1_FS
         self.h_exciton = np.diag(self.basis.energies_cm1).astype(complex)
-        self.unitary = np.diag(np.exp(-1j * self.basis.energies_cm1 * dt_fs / HBAR_CM1_FS))
+        if not np.isfinite(phases).all():
+            raise NumericalError(f"the step unitary at dt {dt_fs!r} fs is not finite: E dt / hbar overflows")
+        self.unitary = np.diag(np.exp(phases))
         self.observers = self.basis.site_projectors()
 
     @functools.cached_property

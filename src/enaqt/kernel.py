@@ -156,7 +156,7 @@ class Trajectory:
     """Recorded evolution: times in fs, one population row per step.
 
     populations[k, i] is the expectation of observer projector i at step k; trace and min_eig
-    track the state's numerical health, and min_eig is None when positivity was certified.
+    track the state's numerical health, and min_eig is None when it was not recorded.
     """
 
     times: np.ndarray
@@ -214,15 +214,12 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
     always run over whole blocks, so a state's bits do not depend on the length of the run;
     only the states up to `steps` are checked.
 
-    Every state is checked for hermiticity and positivity to STATE_TOL. With record_min_eig,
-    eigvalsh records its smallest eigenvalue; without it, min_eig is None and each chunk is
-    certified by one batched Cholesky of rho_h + STATE_TOL 1 (rho_h the hermitized state),
-    which succeeds only if every min_eig(rho_h) > -STATE_TOL, to rounding. A chunk the
-    Cholesky rejects goes to eigvalsh, whose criterion min_eig < -STATE_TOL decides, so a
-    state at exactly -STATE_TOL passes either way. Without record_min_eig, a run whose T
-    passes _channel_certified maps states to states, so only rho0 and the last state are
-    checked. Raises StateInvalidError at the first step whose state fails a check: a symptom
-    of gamma/dt misconfiguration, or of a step map that is not positive.
+    A checked state passes if its hermiticity defect is at most STATE_TOL and the smallest
+    eigenvalue of its hermitian part (eigvalsh) is at least -STATE_TOL; an inf or nan entry
+    fails it. Without record_min_eig, min_eig is None and a T that passes _channel_certified
+    maps states to states, so only rho0 and the last state are checked; every other run checks
+    every state. Raises StateInvalidError at the first step whose state fails a check: a
+    symptom of gamma/dt misconfiguration, or of a step map that is not positive.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -232,40 +229,47 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
     if t.shape != (d * d, d * d) or np.shape(rho0) != (d, d) or obs.shape[1:] != (d, d):
         raise DimensionMismatchError(f"state {np.shape(rho0)} and observers {obs.shape} "
                                      f"do not match the transfer matrix {t.shape}")
-    certified = not record_min_eig and _channel_certified(t, steps)
 
     # tr(P rho) = vec(P^T) . vec(rho), and tr(rho) = vec(1) . vec(rho) in the last column
     cols = np.concatenate([obs.transpose(0, 2, 1).reshape(len(obs), d * d), np.eye(d).reshape(1, -1)]).T
     # buf[1 + j, l]: the state at step j * LANES + l of the chunk; buf[0] carries the
     # previous chunk's last block
     buf = np.empty((1 + CHUNK // LANES, LANES, d * d), dtype=complex)
-    power = _warm_up(t.T, np.asarray(rho0, dtype=complex).reshape(-1), buf[1])
     for start in range(0, steps + 1, CHUNK):
         n = min(CHUNK, steps + 1 - start)
         filled = -(-n // LANES)
-        for j in range(1 if start == 0 else 0, filled):
-            np.matmul(buf[j], power, buf[j + 1])  # out=, passed positionally: cheaper per call
-        flat = buf[1:1 + filled].reshape(-1, d * d)
-        values = (flat @ cols).real[:n]
-        buf[0] = buf[filled]
-        states = flat[:n].reshape(n, d, d)
-        if not certified:
-            eig = _check_states(states, range(start, start + n), record_min_eig)
-        elif ends := sorted({start, start + n - 1} & {0, steps}):  # rho0 and the last state only
-            _check_states(states[np.subtract(ends, start)], ends, False)
+        with np.errstate(over="ignore", invalid="ignore"):  # a state past the float range fails its check
+            if start == 0:
+                certified = not record_min_eig and _channel_certified(t, steps)
+                power = t.T  # the warm-up fills the first block while squaring T^T up to (T^T)^LANES
+                buf[1, 0] = np.asarray(rho0, dtype=complex).reshape(-1)
+                for i in range(LANES.bit_length() - 1):
+                    width = 1 << i
+                    np.matmul(buf[1, :width], power, buf[1, width:2 * width])
+                    power = power @ power
+            for j in range(1 if start == 0 else 0, filled):
+                np.matmul(buf[j], power, buf[j + 1])  # out=, passed positionally: cheaper per call
+            flat = buf[1:1 + filled].reshape(-1, d * d)
+            values = (flat @ cols).real[:n]
+            buf[0] = buf[filled]
+            states = flat[:n].reshape(n, d, d)
+            if not certified:
+                eig = _check_states(states, range(start, start + n))
+            elif ends := sorted({start, start + n - 1} & {0, steps}):  # rho0 and the last state only
+                _check_states(states[np.subtract(ends, start)], ends)
         yield start, values[:, :-1], values[:, -1], eig if record_min_eig else None
 
 
-def _check_states(states: np.ndarray, at, record: bool) -> np.ndarray | None:
-    """Check states[i], the state at step at[i], as chunks describes; their smallest eigenvalues, or None."""
+def _check_states(states: np.ndarray, at) -> np.ndarray:
+    """Check states[i], the state at step at[i], as chunks describes; their smallest eigenvalues."""
     # a contiguous adjoint: the elementwise loops below run slower on a strided view
     adj = np.conjugate(states.transpose(0, 2, 1), order="C")
     herm = np.abs(states - adj).max(axis=(1, 2))
     rho_h = (adj + states) * 0.5
-    if not record and herm.max() <= STATE_TOL and _certified(rho_h + STATE_TOL * np.eye(states.shape[-1])):
-        return None
-    eig = np.linalg.eigvalsh(rho_h).min(axis=1)
-    bad = np.flatnonzero((eig < -STATE_TOL) | (herm > STATE_TOL))
+    finite = np.isfinite(herm)  # false for a state with an inf or nan entry, which fails on herm
+    rho_h[~finite] = 0.0  # eigvalsh need not converge on such an entry
+    eig = np.where(finite, np.linalg.eigvalsh(rho_h).min(axis=1), np.nan)
+    bad = np.flatnonzero(~(eig >= -STATE_TOL) | ~(herm <= STATE_TOL))
     if bad.size:
         k = int(bad[0])
         raise StateInvalidError(f"state invalid at step {at[k]}: min eigenvalue {eig[k]:.3e}, "
@@ -286,50 +290,25 @@ def propagate(
                       np.concatenate(min_eig) if record_min_eig else None)
 
 
-def _warm_up(rows_t: np.ndarray, vec0: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Fill the first lane block from vec0 and return (T^T)^LANES, stepping as rows @ T^T.
-
-    Each squaring of the power ladder T, T^2, T^4, ... first carries the filled lanes
-    forward: lanes [w, 2w) are lanes [0, w) times (T^T)^w.
-    """
-    first[0] = vec0
-    for i in range(LANES.bit_length() - 1):
-        width = 1 << i
-        np.matmul(first[:width], rows_t, first[width:2 * width])
-        rows_t = rows_t @ rows_t
-    return rows_t
-
-
 def _channel_certified(t: np.ndarray, steps: int) -> bool:
     """Whether the step map of row-major T t provably keeps a run of `steps` states valid.
 
-    Its Choi matrix must be hermitian (T preserves hermiticity) and its partial trace
-    the identity (T preserves the trace), each to CHANNEL_TOL, and its hermitian part
-    plus CHANNEL_TOL 1 must pass one Cholesky (T is completely positive to CHANNEL_TOL).
-    Such a step lowers a state's smallest eigenvalue by at most CHANNEL_TOL, and its
-    rounding adds about d^2 eps, so the run must keep steps (CHANNEL_TOL + d^2 eps)
-    within STATE_TOL / 10.
+    Its hermitian Choi part plus CHANNEL_TOL 1 must pass one Cholesky, and its Choi matrix
+    must be hermitian and its partial trace the identity, each to CHANNEL_TOL: T is completely
+    positive and preserves hermiticity and the trace. Such a step lowers a state's smallest
+    eigenvalue by at most CHANNEL_TOL, and its rounding adds about d^2 eps, so the run must
+    keep steps (CHANNEL_TOL + d^2 eps) within STATE_TOL / 10.
     """
     d = math.isqrt(len(t))
     if steps * (CHANNEL_TOL + d * d * np.finfo(float).eps) > STATE_TOL / 10:
         return False
     choi = choi_from_transfer(t)
-    return (herm_defect(choi) <= CHANNEL_TOL
-            and np.abs(t[::d + 1].sum(axis=0) - np.eye(d).ravel()).max() <= CHANNEL_TOL
-            and _certified((choi + choi.conj().T) * 0.5 + CHANNEL_TOL * np.eye(d * d)))
-
-
-def _certified(shifted: np.ndarray) -> bool:
-    """Whether every matrix of a hermitian stack is positive definite, by one Cholesky.
-
-    Given rho_h + STATE_TOL 1, a state at min_eig(rho_h) = -STATE_TOL meets a zero pivot;
-    likewise a Choi matrix shifted by CHANNEL_TOL.
-    """
-    try:
-        np.linalg.cholesky(shifted)
+    try:  # a zero pivot: a Choi eigenvalue at or below -CHANNEL_TOL
+        np.linalg.cholesky((choi + choi.conj().T) * 0.5 + CHANNEL_TOL * np.eye(d * d))
     except np.linalg.LinAlgError:
         return False
-    return True
+    return (herm_defect(choi) <= CHANNEL_TOL
+            and np.abs(t[::d + 1].sum(axis=0) - np.eye(d).ravel()).max() <= CHANNEL_TOL)
 
 
 def evolve_trajectory(

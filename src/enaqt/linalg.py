@@ -1,6 +1,6 @@
 """Dense complex linear-algebra primitives shared by all other modules. A linear map E is held
-as its row-major matrix M, vec(E(rho)) = M @ vec(rho) with vec(rho) the rows of rho end to end,
-which superoperator alone builds.
+as its row-major matrix M, vec(E(rho)) = M @ vec(rho) with vec(rho) the rows of rho end to end.
+superoperator builds it from any map; kernel and circuit build their step's M in closed form.
 
 Units convention: energies in cm^-1, times in fs. The phase accumulated by a
 level of energy E over time t is 2*pi*c * E[cm^-1] * t[fs] with
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import DimensionMismatchError, NotHermitianError, NumericalError
 
 SPEED_OF_LIGHT_CM_FS = 2.99792458e-5
 """Speed of light in cm/fs."""
@@ -57,8 +57,11 @@ def evolution_unitary(h: np.ndarray, dt: float) -> np.ndarray:
     unitary up to eigensolver error, which the step maps rely on.
     """
     w, v = eigh(h)
-    phases = np.exp(-1j * w * (dt / HBAR_CM1_FS))
-    return (v * phases) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # a phase past the float range is rejected below
+        phases = -1j * w * (dt / HBAR_CM1_FS)
+    if not np.isfinite(phases).all():
+        raise NumericalError(f"exp(-i H dt / hbar) at dt {dt!r} fs is not finite: E dt / hbar overflows")
+    return (v * np.exp(phases)) @ v.conj().T
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:

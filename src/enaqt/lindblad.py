@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatchError, NotHermitianError, StepTooLargeWarning
+from .errors import DimensionMismatchError, NotHermitianError, NumericalError, StepTooLargeWarning
 from .kernel import JumpRateSpec, Trajectory
 from .linalg import HBAR_CM1_FS, evolution_unitary, frob_dist, herm_defect, superoperator
 
@@ -99,16 +99,19 @@ def rk4_integrate(
 def rk4_transfer_matrix(model: LindbladModel, dt: float) -> np.ndarray:
     """The RK4 polynomial T of the module docstring.
 
-    Warns if dt is coarse (see rk4_integrate), at the line that called its caller.
+    Warns if dt is coarse (see rk4_integrate), at the line that called its caller; a non-finite T raises.
     """
-    d = model.dim
-    hl = dt * superoperator(lambda basis: lindblad_rhs(basis, model), d)
-    bound = np.sqrt(np.linalg.norm(hl, 1) * np.linalg.norm(hl, np.inf))  # >= ||dt L||_2
+    one = np.eye(model.dim ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a T past the float range is rejected below
+        hl = dt * superoperator(lambda basis: lindblad_rhs(basis, model), model.dim)
+        bound = np.sqrt(np.linalg.norm(hl, 1) * np.linalg.norm(hl, np.inf))  # >= ||dt L||_2
+        t = one + hl @ (one + hl / 2.0 @ (one + hl / 3.0 @ (one + hl / 4.0)))
+    if not np.isfinite(t).all():
+        raise NumericalError(f"the RK4 step at dt {dt!r} fs is not finite: its dt L powers overflow")
     if bound >= 0.1:
         warnings.warn(f"RK4 step {dt} fs is coarse: ||dt L||_2 bound {bound:.3f} >= 0.1",
                       StepTooLargeWarning, stacklevel=3)
-    one = np.eye(d * d)
-    return one + hl @ (one + hl / 2.0 @ (one + hl / 3.0 @ (one + hl / 4.0)))
+    return t
 
 
 def _final_state(t: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
@@ -116,33 +119,43 @@ def _final_state(t: np.ndarray, rho0: np.ndarray, steps: int) -> np.ndarray:
     return (np.linalg.matrix_power(t, steps) @ rho0.reshape(-1)).reshape(rho0.shape)
 
 
+def _step_count(t_final: float, dt: float) -> int:
+    """t_final / dt, which must lie within 1e-9 of a whole number in 1..2^23. Its ulp there is at most
+    2^-30, so a whole number that the division rounded passes; above 2^53 every float is whole."""
+    n = t_final / dt
+    if not (0.5 < n <= 2 ** 23 and abs(n - round(n)) <= 1e-9):
+        raise ValueError(f"dt {dt} fs does not divide t_final {t_final} fs into 1..{2 ** 23} whole steps")
+    return round(n)
+
+
 def convergence_report(model: LindbladModel, rho0: np.ndarray, t_final: float, dt_list) -> list:
     """(dt, Frobenius distance) rows at t_final between the discrete kernel and RK4, largest dt first.
 
-    Every dt in dt_list must divide t_final. The oracle runs once at
+    Every dt in dt_list must divide t_final (see _step_count). The oracle runs once at
     min(dt_list)/10, and its final state is hermitized. Distances shrink roughly
     linearly in dt: the discrete step solves the master equation to first order.
     """
     dt_list = [float(dt) for dt in dt_list]
     if not dt_list:
         raise ValueError("dt_list must be non-empty")
-    for dt in dt_list:
-        if abs(t_final / dt - round(t_final / dt)) > 1e-9:
-            raise ValueError(f"dt = {dt} fs does not divide t_final = {t_final} fs")
+    counts = {dt: _step_count(t_final, dt) for dt in dt_list}
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != model.hamiltonian.shape:
         raise DimensionMismatchError(f"state shape {rho0.shape} does not match dim {model.dim}")
     # each dt's jump probabilities first, so that a dt past one jump per step fails before the RK4 run
     with np.errstate(over="ignore"):  # a probability past the float range is inf, which JumpRateSpec rejects
         specs = [(dt, JumpRateSpec(model.rates_per_fs * dt)) for dt in sorted(dt_list, reverse=True)]
-    oracle_steps = int(round(10.0 * t_final / min(dt_list)))  # min(dt_list) / 10 may underflow to 0
-    ref = _final_state(rk4_transfer_matrix(model, t_final / oracle_steps), rho0, oracle_steps)
+    oracle_steps = 10 * counts[min(dt_list)]  # min(dt_list) / 10 may underflow to 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a coarse RK4 step's powers may overflow: rejected below
+        ref = _final_state(rk4_transfer_matrix(model, t_final / oracle_steps), rho0, oracle_steps)
+    if not np.isfinite(ref).all():
+        raise NumericalError(f"the RK4 reference at {t_final!r} fs is not finite: its step's powers overflow")
     ref = 0.5 * (ref + ref.conj().T)
 
     rows = []
     for dt, rates in specs:
         u = evolution_unitary(model.hamiltonian, dt)
         t = kernel.step_transfer_matrix(rates, u, 1.0)
-        final = _final_state(t, rho0, int(round(t_final / dt)))
+        final = _final_state(t, rho0, counts[dt])
         rows.append((dt, frob_dist(final, ref)))
     return rows

@@ -527,7 +527,7 @@ class TestSweepChi:
 
     def test_certified_sweep_does_no_per_chunk_checks(self, default_config, monkeypatch):
         # per chi: one Cholesky of its Choi matrix, and the state checks of rho0 and of the last
-        # state, one Cholesky each; no eigvalsh, and nothing that grows with --steps
+        # state, one eigvalsh each (they fall in different chunks); nothing that grows with --steps
         counts = collections.Counter()
 
         def counted(name, fn):
@@ -549,7 +549,7 @@ class TestSweepChi:
             counts.clear()
             assert run_cli(["sweep-chi", "--config", default_config, "--chis", "0,0.06,0.125,0.25,0.4,0.5,0.75,1",
                             "--steps", steps, "--out", os.devnull]) == 0
-            assert counts == {"cholesky": 24, "states": 16}
+            assert counts == {"cholesky": 8, "eigvalsh": 16, "states": 16}
 
     def test_circuit_backend_builds_its_step_once(self, default_config, tmp_path, monkeypatch):
         calls, build = [], circuit.circuit_transfer_matrix
@@ -568,6 +568,17 @@ class TestSweepChi:
 
 
 class TestOracle:
+    def test_dt_list_must_divide_t_final_into_at_most_2_to_the_23_steps(self, default_config, tmp_path, capsys):
+        # above 2^53 every float is a whole number, so without the bound any dt would divide 1e20 fs
+        out, conv = tmp_path / "t.csv", tmp_path / "c.csv"
+        for t_final, dt_list in (("1e20", "3,7"), (str(2 ** 23 + 1), "1")):
+            assert run_cli(["oracle", "--config", default_config, "--t-final", t_final, "--dt-list", dt_list,
+                            "--out", str(out), "--convergence-out", str(conv)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: --dt-list and --t-final: dt ")
+            assert err[0].endswith(f"does not divide t_final {float(t_final)} fs into 1..8388608 whole steps")
+            assert not out.exists() and not conv.exists()  # rejected before any output is opened
+
     def test_zero_rate_model_matches_unitary(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(
@@ -665,6 +676,62 @@ class TestOracle:
                                 "--out", str(tmp_path / "traj.csv"), "--convergence-out", str(conv_out)]) == 0
             tables.append([line for line in conv_out.read_text().splitlines() if not line.startswith("# config")])
         assert tables[0] == tables[1]
+
+
+# no coupling and no jumps, so no jump probability bounds dt; the RK4 step of the oracle's trajectory
+# at 10 fs is fine enough not to warn (its ||dt L|| bound is 0.019)
+STILL_MODEL = {"site_energies_cm1": [0.0, 10.0], "couplings_cm1": [[0.0, 0.0], [0.0, 0.0]], "sink_sites": [2],
+               "bath": {"rates_per_fs": [[0.0, 0.0], [0.0, 0.0]]}}
+
+
+class TestNonFiniteSteps:
+    """A U or T past the float range is rejected where it is built: one line, exit 2, no numpy warning
+    (a warning is an error here), and no nan row."""
+
+    @pytest.mark.parametrize("argv, built", [
+        (["simulate", "--dt-fs", "1e308", "--steps", "2"], "the step unitary at dt 1e+308 fs"),
+        (["simulate", "--dt-fs", "1e308", "--steps", "2", "--backend", "circuit"], "the step unitary at dt 1e+308"),
+        (["oracle", "--steps", "1", "--t-final", "1e300", "--dt-list", "1e300"], "the RK4 step at dt 1e+299 fs"),
+        # 1e300 fs times a scaling of 1e10 is inf
+        (["circuit-verify", "--dt-fs", "1e300", "--scalings", "1,1e10"], "exp(-i H dt / hbar) at dt inf fs"),
+        # a finite RK4 step of 1e4 fs whose 100th power overflows; the step's coarseness warns first
+        (["oracle", "--steps", "1", "--t-final", "1e6", "--dt-list", "1e5"], "the RK4 reference at 1000000.0 fs"),
+    ], ids=["simulate", "simulate-circuit", "oracle", "circuit-verify", "oracle-reference"])
+    def test_is_one_line_exit_2(self, argv, built, tmp_path, capsys):
+        model = tmp_path / "still.json"
+        model.write_text(json.dumps(STILL_MODEL))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli([argv[0], "--config", str(model), *argv[1:]]) == 2
+        assert all(w.category is StepTooLargeWarning for w in caught)  # no numpy warning
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and err.startswith(f"numerical invariant violated: {built}")
+        assert "is not finite" in err and "nan" not in out
+
+    def test_state_past_the_float_range_fails_its_check(self, tmp_path, capsys):
+        # the RK4 step at 1e30 fs is finite, but T^4 overflows in the warm-up: states 4..7 are nan
+        model = tmp_path / "still.json"
+        model.write_text(json.dumps(STILL_MODEL))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["simulate", "--config", str(model), "--backend", "lindblad-oracle", "--dt-fs", "1e30",
+                            "--steps", "40"]) == 2
+        assert [w.category for w in caught] == [StepTooLargeWarning]  # no numpy warning
+        out, err = capsys.readouterr()
+        assert err == ("numerical invariant violated: state invalid at step 4: min eigenvalue nan, "
+                       "hermiticity defect nan (tolerance 1.0e-06)\n")
+        assert "nan" not in out
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    def test_time_column_past_the_float_range_is_a_config_error(self, command, tmp_path, capsys):
+        # a site energy of 5e-324 cm^-1 keeps U finite at 1e308 fs, but step 2 would print t = inf
+        model = tmp_path / "still.json"
+        model.write_text(json.dumps({**STILL_MODEL, "site_energies_cm1": [0.0, 5e-324]}))
+        out = tmp_path / "t.csv"
+        assert run_cli([command, "--config", str(model), "--dt-fs", "1e308", "--steps", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --steps 2 x --dt-fs 1e+308 fs is past the float range\n"
+        assert not out.exists()
+        assert run_cli([command, "--config", str(model), "--dt-fs", "1e308", "--steps", "1", "--out", str(out)]) == 0
 
 
 class TestGatecount:

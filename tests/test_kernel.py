@@ -469,32 +469,52 @@ class TestPropagate:
         assert len(printed.err.splitlines()) == 1
 
     @pytest.mark.parametrize("record", [True, False])
-    def test_positivity_boundary_is_eigvalsh_criterion(self, record, monkeypatch):
-        # min_eig exactly -STATE_TOL passes and -2 STATE_TOL fails, with or without
-        # recording; the Cholesky of rho_h + STATE_TOL 1 meets a zero pivot at the
-        # boundary, and only then does eigvalsh run on the chunk
-        calls, eigvalsh = [], np.linalg.eigvalsh
+    def test_positivity_boundary_is_eigvalsh_criterion(self, record):
+        # min_eig exactly -STATE_TOL passes and -2 STATE_TOL fails, with or without recording,
+        # on a certified T (the identity: without recording, only rho0 and the last state are
+        # checked) and on an uncertified one (a coherence leak that breaks hermiticity
+        # preservation and leaves these diagonal states as they are: every state is checked)
+        tol, obs, leaky = kernel.STATE_TOL, self._observers(2), np.eye(4, dtype=complex)
+        leaky[1, 2] = 1e-3
+        assert kernel._channel_certified(np.eye(4), 5) and not kernel._channel_certified(leaky, 5)
+        for t in (np.eye(4, dtype=complex), leaky):
+            for depth in (0.0, tol):
+                rho = np.diag([1.0 + depth, -depth]).astype(complex)
+                traj = kernel.propagate(t, rho, 1.0, 5, obs, record_min_eig=record)
+                assert np.array_equal(traj.populations, np.tile([1.0 + depth, -depth], (6, 1)))
+                if record:
+                    assert traj.min_eig.min() == -depth
+            with pytest.raises(StateInvalidError, match=r"at step 0: min eigenvalue -2\.000e-06"):
+                kernel.propagate(t, np.diag([1.0 + 2 * tol, -2 * tol]).astype(complex), 1.0, 5, obs,
+                                 record_min_eig=record)
 
-        def counted(a):
-            calls.append(len(a))
-            return eigvalsh(a)
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf], ids=["nan", "nan-imaginary", "inf"])
+    def test_non_finite_rho0_fails_at_step_0(self, bad, record):
+        # eig >= -STATE_TOL and herm <= STATE_TOL are both false for nan, so a state with an inf or
+        # nan entry fails, here under a certified T (with no record, the end-state path), with no
+        # numpy warning (a warning is an error here); eigvalsh need not converge on such an entry
+        for entry in ((1, 1), (0, 1)):
+            rho = np.diag([0.5, 0.5]).astype(complex)
+            rho[entry] = bad
+            with pytest.raises(StateInvalidError, match=r"^state invalid at step 0: min eigenvalue nan, "
+                                                        r"hermiticity defect (nan|inf) "):
+                kernel.propagate(np.eye(4, dtype=complex), rho, 1.0, 300, self._observers(2), record_min_eig=record)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        tol, t, obs = kernel.STATE_TOL, np.eye(4, dtype=complex), self._observers(2)
-        for depth, eigvalsh_runs in ((0.0, 0), (tol, 1)):
-            calls.clear()
-            rho = np.diag([1.0 + depth, -depth]).astype(complex)
-            traj = kernel.propagate(t, rho, 1.0, 5, obs, record_min_eig=record)
-            assert len(calls) == (1 if record else eigvalsh_runs)
-            if record:
-                assert traj.min_eig.min() == -depth
-        with pytest.raises(StateInvalidError, match=r"at step 0: min eigenvalue -2\.000e-06"):
-            kernel.propagate(t, np.diag([1.0 + 2 * tol, -2 * tol]).astype(complex), 1.0, 5, obs,
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_state_of_an_uncertified_map_fails_at_its_step(self, bad, record):
+        t = np.eye(4, dtype=complex)
+        t[3, 3] = bad  # rho_11 <- bad rho_11: every state after rho0 has an inf or nan entry
+        with np.errstate(invalid="ignore"):  # chunks asks for the certificate under its own error state
+            assert not kernel._channel_certified(t, 300)
+        with pytest.raises(StateInvalidError, match=r"^state invalid at step 1: min eigenvalue nan, "):
+            kernel.propagate(t, np.diag([0.5, 0.5]).astype(complex), 1.0, 300, self._observers(2),
                              record_min_eig=record)
 
     @pytest.mark.parametrize("record", [True, False])
     def test_certified_run_checks_hermiticity(self, record):
-        # a state that fails only the hermiticity check is caught without a failing Cholesky
+        # a state that fails only the hermiticity check is caught, whether T is certified or not
         rho = np.array([[0.5, 1e-5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(StateInvalidError, match=r"at step 0: .* hermiticity defect 1\.000e-05"):
             kernel.propagate(np.eye(4, dtype=complex), rho, 1.0, 2, self._observers(2),
@@ -662,20 +682,23 @@ class TestChannelCertificate:
         # its smallest Choi eigenvalue is +1.98e-8: the sweep smoke run steps it certified
         assert kernel._channel_certified(shipped_step_model(1.0).transfer_matrix(1.0, "lindblad-oracle"), 1000)
 
-    def test_rejects_a_map_that_is_not_trace_preserving(self, monkeypatch):
+    def test_rejects_a_map_that_is_not_trace_preserving(self):
         t = 0.9 * shipped_step_model().transfer_matrix(1.0)
         assert kernel._channel_certified(t / 0.9, 1000)
-        # still CP and HP: the TP check alone rejects it
-        monkeypatch.setattr(kernel, "_certified", lambda shifted: True)
+        # still CP and HP, each well inside CHANNEL_TOL: the TP check alone rejects it
+        min_eig, tp, hp = self._defects(t)
+        assert min_eig >= -1.8e-15 and hp <= 1.2e-16 and tp == pytest.approx(0.1)
         assert not kernel._channel_certified(t, 1000)
 
-    def test_rejects_a_map_that_breaks_hermiticity_preservation(self, monkeypatch):
-        # T[(0,1),(0,2)] is the Choi entry [0, 15], whose mirror [15, 0] is T[(1,0),(2,0)]
+    def test_rejects_a_map_that_breaks_hermiticity_preservation(self):
+        # T[(0,1),(0,2)] is the Choi entry [0, 15], whose mirror [15, 0] is T[(1,0),(2,0)]: moved
+        # by +1e-9 and -1e-9, they leave the Choi matrix's hermitian part and the TP rows alone
         t = shipped_step_model().transfer_matrix(1.0)
         t[1, 2] += 1e-9
-        assert linalg.herm_defect(linalg.choi_from_transfer(t)) == pytest.approx(1e-9)
-        assert self._defects(t)[1] <= 6.7e-16
-        monkeypatch.setattr(kernel, "_certified", lambda shifted: True)
+        t[7, 14] -= 1e-9
+        assert linalg.herm_defect(linalg.choi_from_transfer(t)) == pytest.approx(2e-9)
+        min_eig, tp, _ = self._defects(t)
+        assert min_eig >= -1.8e-15 and tp <= 6.7e-16
         assert not kernel._channel_certified(t, 1000)
 
     def test_drift_guard_bounds_the_run_length(self):

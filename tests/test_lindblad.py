@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -258,6 +259,14 @@ class TestConvergenceReport:
         assert [dt for dt, _ in rows] == [4.0, 2.0, 1.0]
         for r in linalg.successive_ratios(rows):
             assert 1.7 <= r <= 2.3
+
+    def test_step_count_is_a_whole_number_in_1_to_2_to_the_23(self):
+        assert lindblad._step_count(0.3, 0.1) == 3  # 2.9999999999999996 rounds to 3
+        assert lindblad._step_count(2.0 ** 23, 1.0) == 2 ** 23
+        for t_final, dt in ((2.0 ** 23 + 1, 1.0), (1e20, 3.0), (1e20, 7.0), (1e-310, 20.0), (100.0, 3.0)):
+            with pytest.raises(ValueError, match=re.escape(f"dt {dt} fs does not divide t_final {t_final} fs into "
+                                                          "1..8388608 whole steps")):
+                lindblad._step_count(t_final, dt)
 
     def test_rejects_non_dividing_dt(self):
         model = LindbladModel(np.zeros((2, 2)), np.zeros((2, 2)))

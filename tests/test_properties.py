@@ -1,10 +1,13 @@
 """Properties of every built channel over random valid models: jump probabilities with
 row sums <= 1 and a hermitian Hamiltonian, at d = 2..4; of model-file loading over
-every mix of valid and invalid bath fields; and of the CLI over generated argv."""
+every mix of valid and invalid bath fields; and of the CLI over generated argv and
+generated model files."""
 
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -193,6 +196,76 @@ def oracle_argv(*options):
 @example(oracle_argv("--t-final", "5e-324", "--dt-list", "5e-324"))
 @example(oracle_argv("--t-final", "1e308", "--dt-list", "1e308"))
 def test_every_argv_ends_in_an_exit_code_and_at_most_one_line(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    err = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    failures = [line for line in err if not line.startswith("warning: ")]
+    assert len(failures) == (code != 0), err
+    assert all(line.startswith("error: " if code == 1 else "numerical invariant violated: ") for line in failures)
+
+
+# model-file numbers: +-0, subnormals, +-1e308, NaN and Infinity as Python's json writes and reads them,
+# and an integer past the float range; one number in five is drawn from these and the rest from ordinary
+# values, so that some of the models load and run
+EXTREME = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.nan, math.inf, -math.inf, 10**400)
+ORDINARY = (-1.0, 0.01, 0.5, 1.0, 2.0, 7.0, 100.0, 0, 1)
+NUMBER = st.integers(0, 4).flatmap(lambda k: st.sampled_from(EXTREME if k == 0 else ORDINARY))
+ANY_JSON = st.recursive(st.none() | st.booleans() | NUMBER | st.text(max_size=3),
+                        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                                     max_size=3),
+                        max_leaves=8)
+
+
+@st.composite
+def model_files(draw):
+    """A model file's JSON value: now and then any JSON at all, else an object for 1 to 3 sites whose
+    fields, the bath's too, are each the right shape filled from NUMBER, any JSON, or missing."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(ANY_JSON)
+    n = draw(st.sampled_from((2, 2, 3, 1)))
+
+    def square(symmetric):
+        m = [[0.0 if i == j else draw(NUMBER) for j in range(n)] for i in range(n)]
+        return [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)] if symmetric else m
+
+    def fields(shaped):
+        raw = {}
+        for field, value in shaped.items():
+            kind = draw(st.sampled_from(("shaped",) * 14 + ("any", "missing")))
+            if kind != "missing":
+                raw[field] = value() if kind == "shaped" else draw(ANY_JSON)
+        return raw
+
+    return fields({
+        "site_energies_cm1": lambda: [draw(NUMBER) for _ in range(n)],
+        "couplings_cm1": lambda: square(symmetric=True),
+        "sink_sites": lambda: draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)),
+        "bath": lambda: fields({"lambda_cm1": lambda: draw(NUMBER), "omega_c_cm1": lambda: draw(NUMBER),
+                                "rates_per_fs": lambda: square(symmetric=False)}),
+    })
+
+
+# each subcommand that reads a model, at its defaults but for a short run
+MODEL_COMMANDS = (("simulate", "--steps", "2"), ("simulate", "--steps", "2", "--backend", "circuit"),
+                  ("simulate", "--steps", "2", "--backend", "lindblad-oracle"), ("sweep-chi", "--steps", "2"),
+                  ("oracle", "--steps", "2", "--convergence-out", os.devnull), ("circuit-verify",))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(model_files(), st.sampled_from(MODEL_COMMANDS), st.booleans())
+# found by this test: an exciton gap past the float range (Ohmic rates, then U at 10 fs)
+@example({"site_energies_cm1": [-1e308, 1e308], "couplings_cm1": [[0, 0], [0, 0]], "sink_sites": [1],
+          "bath": {"lambda_cm1": 1.0, "omega_c_cm1": 1.0}}, MODEL_COMMANDS[0], False)
+def test_every_model_file_ends_in_an_exit_code_and_at_most_one_line(model_dir, raw, command, ohmic):
+    text = json.dumps(raw)
+    path = model_dir / (hashlib.sha256(text.encode()).hexdigest() + ".json")
+    if not path.exists():  # a fresh file per model: truncating a file just written can wait on its flush
+        path.write_text(text)
+    argv = [command[0], "--config", str(path), "--out", os.devnull, *command[1:]]
+    if ohmic:
+        argv += ["--temperature", "77"]
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
