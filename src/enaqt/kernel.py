@@ -235,18 +235,19 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
     # buf[1 + j, l]: the state at step j * LANES + l of the chunk; buf[0] carries the
     # previous chunk's last block
     buf = np.empty((1 + CHUNK // LANES, LANES, d * d), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # holds no yield: the caller keeps its own error state
+        certified = not record_min_eig and _channel_certified(t, steps)
+        power = t.T  # the warm-up fills the first block while squaring T^T up to (T^T)^LANES
+        buf[1, 0] = np.asarray(rho0, dtype=complex).reshape(-1)
+        for i in range(LANES.bit_length() - 1):
+            width = 1 << i
+            np.matmul(buf[1, :width], power, buf[1, width:2 * width])
+            power = power @ power
     for start in range(0, steps + 1, CHUNK):
         n = min(CHUNK, steps + 1 - start)
         filled = -(-n // LANES)
-        with np.errstate(over="ignore", invalid="ignore"):  # a state past the float range fails its check
-            if start == 0:
-                certified = not record_min_eig and _channel_certified(t, steps)
-                power = t.T  # the warm-up fills the first block while squaring T^T up to (T^T)^LANES
-                buf[1, 0] = np.asarray(rho0, dtype=complex).reshape(-1)
-                for i in range(LANES.bit_length() - 1):
-                    width = 1 << i
-                    np.matmul(buf[1, :width], power, buf[1, width:2 * width])
-                    power = power @ power
+        # a state past the float range fails its check; certified runs too, as rho0 is stepped before its check
+        with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1 if start == 0 else 0, filled):
                 np.matmul(buf[j], power, buf[j + 1])  # out=, passed positionally: cheaper per call
             flat = buf[1:1 + filled].reshape(-1, d * d)
@@ -266,7 +267,7 @@ def _check_states(states: np.ndarray, at) -> np.ndarray:
     adj = np.conjugate(states.transpose(0, 2, 1), order="C")
     herm = np.abs(states - adj).max(axis=(1, 2))
     rho_h = (adj + states) * 0.5
-    finite = np.isfinite(herm)  # false for a state with an inf or nan entry, which fails on herm
+    finite = np.isfinite(rho_h).all(axis=(1, 2))  # false for an inf or nan entry, or a sum past the float range
     rho_h[~finite] = 0.0  # eigvalsh need not converge on such an entry
     eig = np.where(finite, np.linalg.eigvalsh(rho_h).min(axis=1), np.nan)
     bad = np.flatnonzero(~(eig >= -STATE_TOL) | ~(herm <= STATE_TOL))

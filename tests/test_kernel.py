@@ -469,18 +469,28 @@ class TestPropagate:
         assert len(printed.err.splitlines()) == 1
 
     @pytest.mark.parametrize("record", [True, False])
-    def test_positivity_boundary_is_eigvalsh_criterion(self, record):
+    def test_positivity_boundary_is_eigvalsh_criterion(self, record, monkeypatch):
         # min_eig exactly -STATE_TOL passes and -2 STATE_TOL fails, with or without recording,
         # on a certified T (the identity: without recording, only rho0 and the last state are
         # checked) and on an uncertified one (a coherence leak that breaks hermiticity
-        # preservation and leaves these diagonal states as they are: every state is checked)
+        # preservation and leaves these diagonal states as they are: every state is checked).
+        # Either way a run of one chunk makes one batched eigvalsh call
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         tol, obs, leaky = kernel.STATE_TOL, self._observers(2), np.eye(4, dtype=complex)
         leaky[1, 2] = 1e-3
         assert kernel._channel_certified(np.eye(4), 5) and not kernel._channel_certified(leaky, 5)
-        for t in (np.eye(4, dtype=complex), leaky):
+        for t, checked in ((np.eye(4, dtype=complex), 6 if record else 2), (leaky, 6)):
             for depth in (0.0, tol):
+                calls.clear()
                 rho = np.diag([1.0 + depth, -depth]).astype(complex)
                 traj = kernel.propagate(t, rho, 1.0, 5, obs, record_min_eig=record)
+                assert calls == [checked]
                 assert np.array_equal(traj.populations, np.tile([1.0 + depth, -depth], (6, 1)))
                 if record:
                     assert traj.min_eig.min() == -depth
@@ -511,6 +521,22 @@ class TestPropagate:
         with pytest.raises(StateInvalidError, match=r"^state invalid at step 1: min eigenvalue nan, "):
             kernel.propagate(t, np.diag([0.5, 0.5]).astype(complex), 1.0, 300, self._observers(2),
                              record_min_eig=record)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_state_whose_hermitian_part_overflows_fails_at_its_step(self, record, monkeypatch):
+        # T = 2 1 doubles every entry: at step 1024 the diagonal is 2^1023, finite, but the
+        # hermitized sum of two such entries passes the float range, so eigvalsh never sees it
+        eigvalsh = np.linalg.eigvalsh
+
+        def finite_only(a):
+            assert np.isfinite(a).all()
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+        with pytest.raises(StateInvalidError, match=r"^state invalid at step 1024: min eigenvalue nan, "
+                                                    r"hermiticity defect 0\.000e\+00 "):
+            kernel.propagate(2 * np.eye(4, dtype=complex), np.diag([0.5, 0.5]).astype(complex), 1.0, 1024,
+                             self._observers(2), record_min_eig=record)
 
     @pytest.mark.parametrize("record", [True, False])
     def test_certified_run_checks_hermiticity(self, record):
