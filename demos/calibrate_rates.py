@@ -65,11 +65,8 @@ def main():
     )
     args = parser.parse_args()
 
-    spec = fmo.HamiltonianSpec(
-        site_energies_cm1=np.array(CHO_SITE_ENERGIES),
-        couplings_cm1=np.array(CHO_COUPLINGS),
-    )
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(spec))
+    # the bath is what this script calibrates, so there is no FmoModel yet: H comes from the arrays
+    basis = fmo.exciton_basis(np.diag(CHO_SITE_ENERGIES) + np.array(CHO_COUPLINGS))
     lam = calibrated_lambda(basis)
     table = calibrated_table(basis)
 

@@ -41,7 +41,6 @@ from . import __version__, circuit, fmo, kernel, lindblad
 from .errors import ConfigError, EnaqtError, NumericalError, StateInvalidError
 from .linalg import frob_dist, successive_ratios, superoperator
 
-BACKENDS = ("operator", "circuit", "lindblad-oracle")
 MAX_GATECOUNT_DIM = 64  # building a step circuit costs ~d^2 gates: 64 runs in a fraction of a second
 MAX_STEPS = 10_000_000  # states one command may step: memory stays flat, so this bounds time (1e7 rows ~2.5 min)
 # (a sweep steps one trajectory per chi, so it counts len(chis) x steps)
@@ -128,7 +127,7 @@ def _emit(*outputs):
 def _step_model(args) -> fmo.StepModel:
     """The run's step model, built once its model file is read and any --initial-site checked against it."""
     model = fmo.load_model(args.model)
-    n = model.hamiltonian.n_sites
+    n = model.n_sites
     if "initial_site" in args and not 1 <= args.initial_site <= n:
         raise ConfigError(f"initial site must be in 1..{n}, got {args.initial_site}")
     return fmo.StepModel(model, args.dt_fs, args.temperature_k)
@@ -145,7 +144,7 @@ def _trajectory_csv(args, model: fmo.FmoModel, chunks):
     if not args.steps * args.dt_fs < math.inf:  # the last row's time, checked before any output is opened
         raise ConfigError(f"--steps {args.steps} x --dt-fs {args.dt_fs} fs is past the float range")
     lines = _config_lines(args, model, {"command": "simulate"})
-    header = ["t_fs"] + [f"site{m}" for m in range(1, model.hamiltonian.n_sites + 1)] + ["trace", "min_eig"]
+    header = ["t_fs"] + [f"site{m}" for m in range(1, model.n_sites + 1)] + ["trace", "min_eig"]
     lines.append(",".join(header))
     row = ",".join(["%.17g"] * len(header))  # the same bytes as _fmt per value
     blocks = (np.column_stack([np.arange(start, start + len(trace)) * args.dt_fs, pops, trace, min_eig]).tolist()
@@ -286,7 +285,7 @@ RUN_OPTIONS = {
     "--temperature": dict(type=_positive, dest="temperature_k",
                           help="generate rates from the Ohmic bath at this temperature (K)"),
     "--out": dict(help="output path (default: stdout)"),
-    "--backend": dict(choices=BACKENDS, default="operator"),
+    "--backend": dict(choices=fmo.StepModel.BACKENDS, default="operator"),
 }
 
 

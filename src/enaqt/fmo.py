@@ -13,12 +13,13 @@ the stationary distribution over excitons is thermal. Each pair rate is
 additionally weighted by the spatial overlap sum_m |c_m(M)|^2 |c_m(N)|^2 of
 the two excitons.
 
-A model file's bath carries the Ohmic parameters (lambda, omega_c), an
-explicit exciton-to-exciton rate table (fs^-1), or both; `load_model`
-validates every field it carries. `jump_rates` is the one place that picks
-the source: a temperature selects the Ohmic rates, otherwise the table is used
-verbatim when present, else the Ohmic rates at 300 K. Rates stay in fs^-1;
-`StepModel` forms the per-step probabilities Gamma * dt and the step of a run.
+A model's bath carries the Ohmic parameters (lambda, omega_c), an explicit
+exciton-to-exciton rate table (fs^-1), or both; `FmoModel` checks every model
+rule, and `load_model` only parses a file into one. `jump_rates` is the one
+place that picks the source: a temperature selects the Ohmic rates, otherwise
+the table is used verbatim when present, else the Ohmic rates at 300 K. Rates
+stay in fs^-1; `StepModel` forms the per-step probabilities Gamma * dt and the
+step of a run.
 """
 
 from __future__ import annotations
@@ -38,35 +39,6 @@ from .errors import IndexOutOfRangeError, ModelFileError, NumericalError, SpecIn
 from .linalg import HBAR_CM1_FS, KB_CM1_PER_K, eigh
 
 MAX_SITES = 32  # a step map T holds d^4 complex entries: 17 MB at 32 sites, 268 MB at 64
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Site energies (cm^-1) and symmetric coupling matrix (cm^-1, zero diagonal)."""
-
-    site_energies_cm1: np.ndarray
-    couplings_cm1: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.site_energies_cm1, dtype=float)
-        v = np.asarray(self.couplings_cm1, dtype=float)
-        if e.ndim != 1 or len(e) < 2:
-            raise SpecInvalidError(f"need >= 2 site energies, got shape {e.shape}")
-        n = len(e)
-        if v.shape != (n, n):
-            raise SpecInvalidError(f"couplings must be {n}x{n}, got {v.shape}")
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(v))):
-            raise SpecInvalidError("site energies and couplings must be finite")
-        if not np.array_equal(v, v.T):
-            raise SpecInvalidError("coupling matrix must be exactly symmetric")
-        if np.any(np.diag(v) != 0.0):
-            raise SpecInvalidError("coupling matrix diagonal must be zero")
-        object.__setattr__(self, "site_energies_cm1", e)
-        object.__setattr__(self, "couplings_cm1", v)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.site_energies_cm1)
 
 
 @dataclass(frozen=True)
@@ -98,9 +70,9 @@ class ExcitonBasis:
         return d.conj()[:, :, None] * d[:, None, :]
 
 
-def site_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
+def site_hamiltonian(model: FmoModel) -> np.ndarray:
     """Single-exciton Hamiltonian: diag(site energies) + couplings."""
-    return (np.diag(spec.site_energies_cm1) + spec.couplings_cm1).astype(complex)
+    return (np.diag(model.site_energies_cm1) + model.couplings_cm1).astype(complex)
 
 
 def exciton_basis(h_site: np.ndarray) -> ExcitonBasis:
@@ -201,15 +173,17 @@ def transfer_efficiency(populations, sink_sites) -> float:
 
 @dataclass(frozen=True)
 class FmoModel:
-    """Hamiltonian spec, sink sites and bath: the Ohmic pair, a rate table, or both.
+    """Site energies and couplings (cm^-1), sink sites and bath: the Ohmic pair, a rate table, or both.
 
-    lambda_cm1 (>= 0) and omega_c_cm1 (> 0) come together; rates_per_fs is an
-    n x n exciton-to-exciton table in fs^-1 (finite, >= 0, zero diagonal).
-    sha256 is the hex digest of the file bytes load_model parsed, None for a
-    model built in code.
+    Every model rule is checked here, for a file and a model built in code alike: 2 to MAX_SITES
+    sites, finite couplings, exactly symmetric with a zero diagonal, sink_sites a non-empty list or
+    tuple (kept as a tuple) of distinct integer labels 1..n, lambda_cm1 (>= 0) and omega_c_cm1 (> 0)
+    together, and rates_per_fs an n x n exciton-to-exciton table in fs^-1 (finite, >= 0, zero
+    diagonal). sha256 is the hex digest of the file bytes load_model parsed, None for a model built in code.
     """
 
-    hamiltonian: HamiltonianSpec
+    site_energies_cm1: np.ndarray
+    couplings_cm1: np.ndarray
     sink_sites: tuple
     lambda_cm1: float | None = None
     omega_c_cm1: float | None = None
@@ -217,6 +191,23 @@ class FmoModel:
     sha256: str | None = None
 
     def __post_init__(self):
+        e = np.asarray(self.site_energies_cm1, dtype=float)
+        v = np.asarray(self.couplings_cm1, dtype=float)
+        n = len(e) if e.ndim == 1 else 0
+        if n < 2:
+            raise SpecInvalidError(f"site_energies_cm1 needs >= 2 sites, got shape {e.shape}")
+        if n > MAX_SITES:
+            raise SpecInvalidError(f"{n} sites, more than the {MAX_SITES} a model may have")
+        if v.shape != (n, n):
+            raise SpecInvalidError(f"couplings_cm1 must be {n}x{n}, got shape {v.shape}")
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(v))):
+            raise SpecInvalidError("site_energies_cm1 and couplings_cm1 must be finite")
+        if not np.array_equal(v, v.T) or np.any(np.diag(v) != 0.0):
+            raise SpecInvalidError("couplings_cm1 must be exactly symmetric with a zero diagonal")
+        sinks = self.sink_sites
+        if (not isinstance(sinks, (list, tuple)) or not sinks
+                or any(type(s) is not int or not 1 <= s <= n for s in sinks) or len(set(sinks)) < len(sinks)):
+            raise SpecInvalidError(f"sink_sites must be a non-empty list of distinct integer labels 1..{n}")
         if (self.lambda_cm1 is None) != (self.omega_c_cm1 is None):
             raise SpecInvalidError("lambda_cm1 and omega_c_cm1 must be given together")
         if self.lambda_cm1 is not None:
@@ -226,7 +217,6 @@ class FmoModel:
             raise SpecInvalidError("needs lambda_cm1 and omega_c_cm1, rates_per_fs, or both")
         if self.rates_per_fs is not None:
             r = np.asarray(self.rates_per_fs, dtype=float)
-            n = self.hamiltonian.n_sites
             if r.shape != (n, n):
                 raise SpecInvalidError(f"rates_per_fs must be {n}x{n}, got shape {r.shape}")
             if not np.all(np.isfinite(r)) or np.any(r < 0.0):
@@ -234,6 +224,13 @@ class FmoModel:
             if np.any(np.diag(r) != 0.0):
                 raise SpecInvalidError("rates_per_fs diagonal must be zero")
             object.__setattr__(self, "rates_per_fs", r)
+        object.__setattr__(self, "site_energies_cm1", e)
+        object.__setattr__(self, "couplings_cm1", v)
+        object.__setattr__(self, "sink_sites", tuple(sinks))
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.site_energies_cm1)
 
 
 def default_model_path() -> Path:
@@ -242,12 +239,11 @@ def default_model_path() -> Path:
 
 
 def load_model(path) -> FmoModel:
-    """Read and validate a model JSON file, every field it carries.
+    """Parse a model JSON file into an FmoModel, whose rules raise here as a ModelFileError naming the file.
 
-    Required fields of the top-level object: site_energies_cm1 (2 to MAX_SITES
-    sites), couplings_cm1, sink_sites, and a bath object carrying {lambda_cm1,
-    omega_c_cm1} and/or rates_per_fs; any other field is free-form and ignored.
-    The file is read once: the model's sha256 is the digest of the bytes parsed.
+    Required fields of the top-level object: site_energies_cm1, couplings_cm1, sink_sites, and
+    a bath object carrying {lambda_cm1, omega_c_cm1} (JSON numbers) and/or rates_per_fs; any other
+    field is free-form and ignored. The file is read once: the model's sha256 is the digest of the bytes parsed.
     """
     path = Path(path)
     try:
@@ -275,16 +271,7 @@ def load_model(path) -> FmoModel:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ModelFileError(f"{path}: bad {field}: {exc}") from exc
 
-    try:
-        spec = HamiltonianSpec(
-            site_energies_cm1=floats("site_energies_cm1", require("site_energies_cm1")),
-            couplings_cm1=floats("couplings_cm1", require("couplings_cm1")),
-        )
-    except SpecInvalidError as exc:
-        raise ModelFileError(f"{path}: bad Hamiltonian data: {exc}") from exc
-    if spec.n_sites > MAX_SITES:
-        raise ModelFileError(f"{path}: {spec.n_sites} sites, more than the {MAX_SITES} a model may have")
-
+    site_energies, couplings = (floats(field, require(field)) for field in ("site_energies_cm1", "couplings_cm1"))
     bath = require("bath")
     if not isinstance(bath, dict):
         raise ModelFileError(f"{path}: field 'bath' must be an object")
@@ -294,32 +281,28 @@ def load_model(path) -> FmoModel:
             raise ModelFileError(f"{path}: bath.{field} must be a number, got {value!r}")
         floats(f"bath.{field}", value)  # an integer passes the type check however large
     rates = bath.get("rates_per_fs")
-    if rates is not None:
-        rates = floats("bath.rates_per_fs", rates)
-
-    sink = require("sink_sites")
-    if (not isinstance(sink, list) or not sink
-            or any(type(s) is not int or not 1 <= s <= spec.n_sites for s in sink) or len(set(sink)) < len(sink)):
-        raise ModelFileError(f"{path}: sink_sites must be a list of distinct integer labels 1..{spec.n_sites}")
-
     try:
-        return FmoModel(hamiltonian=spec, sink_sites=tuple(sink), lambda_cm1=bath.get("lambda_cm1"),
-                        omega_c_cm1=bath.get("omega_c_cm1"), rates_per_fs=rates,
+        return FmoModel(site_energies_cm1=site_energies, couplings_cm1=couplings, sink_sites=require("sink_sites"),
+                        lambda_cm1=bath.get("lambda_cm1"), omega_c_cm1=bath.get("omega_c_cm1"),
+                        rates_per_fs=None if rates is None else floats("bath.rates_per_fs", rates),
                         sha256=hashlib.sha256(data).hexdigest())
     except SpecInvalidError as exc:
-        raise ModelFileError(f"{path}: bad bath: {exc}") from exc
+        raise ModelFileError(f"{path}: {exc}") from exc
 
 
 class StepModel:
     """A model's step at dt_fs: exciton basis, rates (fs^-1, `jump_rates` at temperature_k) and
     their per-step probabilities Gamma * dt, exciton-basis Hamiltonian, U = diag(exp(-i E dt /
-    hbar)) and the site projectors that read populations. All of it is built here, so a bad rate
-    or time step raises on construction; the compiled circuit's T is built once, when first read.
+    hbar)) and the site projectors that read populations. All of it is built here, so a bad rate or
+    time step (dt_fs not finite and > 0) raises on construction; the circuit's T is built when first read.
     """
 
+    BACKENDS = ("operator", "circuit", "lindblad-oracle")  # the steps transfer_matrix builds
+
     def __init__(self, model: FmoModel, dt_fs: float, temperature_k: float | None = None):
+        _check_number("dt_fs", dt_fs)
         self.model, self.dt_fs = model, dt_fs
-        self.basis = exciton_basis(site_hamiltonian(model.hamiltonian))
+        self.basis = exciton_basis(site_hamiltonian(model))
         self.rates_per_fs = jump_rates(self.basis, model, temperature_k)
         with np.errstate(over="ignore", invalid="ignore"):  # past the float range: rejected by JumpRateSpec or below
             self.rates = kernel.JumpRateSpec(self.rates_per_fs * dt_fs)
@@ -344,7 +327,9 @@ class StepModel:
         return self.basis.to_exciton(rho)
 
     def transfer_matrix(self, chi: float, backend: str = "operator") -> np.ndarray:
-        """Row-major step T at chi of one backend: "operator", "circuit" or "lindblad-oracle"."""
+        """Row-major step T at chi of one of the BACKENDS; ValueError for any other name."""
+        if backend not in self.BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}: choose from {', '.join(self.BACKENDS)}")
         if backend == "lindblad-oracle":
             # chi scales the dissipator linearly, so the continuum counterpart of
             # the blended step is the master equation with rates chi * Gamma

@@ -219,7 +219,8 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
     fails it. Without record_min_eig, min_eig is None and a T that passes _channel_certified
     maps states to states, so only rho0 and the last state are checked; every other run checks
     every state. Raises StateInvalidError at the first step whose state fails a check: a
-    symptom of gamma/dt misconfiguration, or of a step map that is not positive.
+    symptom of gamma/dt misconfiguration, or of a step map that is not positive. A state at
+    step w or later is not finite when T^w overflows, and its failure names T^w.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -255,14 +256,14 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
             buf[0] = buf[filled]
             states = flat[:n].reshape(n, d, d)
             if not certified:
-                eig = _check_states(states, range(start, start + n))
+                eig = _check_states(states, range(start, start + n), t)
             elif ends := sorted({start, start + n - 1} & {0, steps}):  # rho0 and the last state only
-                _check_states(states[np.subtract(ends, start)], ends)
+                _check_states(states[np.subtract(ends, start)], ends, t)
         yield start, values[:, :-1], values[:, -1], eig if record_min_eig else None
 
 
-def _check_states(states: np.ndarray, at) -> np.ndarray:
-    """Check states[i], the state at step at[i], as chunks describes; their smallest eigenvalues."""
+def _check_states(states: np.ndarray, at, t: np.ndarray) -> np.ndarray:
+    """Check states[i], the state at step at[i] of a run of t, as chunks describes; their smallest eigenvalues."""
     # a contiguous adjoint: the elementwise loops below run slower on a strided view
     adj = np.conjugate(states.transpose(0, 2, 1), order="C")
     herm = np.abs(states - adj).max(axis=(1, 2))
@@ -273,9 +274,22 @@ def _check_states(states: np.ndarray, at) -> np.ndarray:
     bad = np.flatnonzero(~(eig >= -STATE_TOL) | ~(herm <= STATE_TOL))
     if bad.size:
         k = int(bad[0])
+        if not finite[k] and (w := _overflowing_power(t)) <= at[k]:
+            raise StateInvalidError(f"the state at step {at[k]} cannot be computed: T^{w}, the power of the step "
+                                    "map that carries it, overflows")
         raise StateInvalidError(f"state invalid at step {at[k]}: min eigenvalue {eig[k]:.3e}, "
                                 f"hermiticity defect {herm[k]:.3e} (tolerance {STATE_TOL:.1e})")
     return eig
+
+
+def _overflowing_power(t: np.ndarray) -> float:
+    """The least w in 2, 4 .. LANES at which T^w, squared up from a finite T as chunks squares it, is
+    not finite; else inf (a T that is not finite is handed in, not an overflow)."""
+    power, width = t.T, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while width < LANES and np.isfinite(power).all():
+            power, width = power @ power, 2 * width
+        return width if width > 1 and not np.isfinite(power).all() else math.inf
 
 
 def propagate(

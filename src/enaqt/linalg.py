@@ -58,7 +58,7 @@ def evolution_unitary(h: np.ndarray, dt: float) -> np.ndarray:
     """
     w, v = eigh(h)
     with np.errstate(over="ignore", invalid="ignore"):  # a phase past the float range is rejected below
-        phases = -1j * w * (dt / HBAR_CM1_FS)
+        phases = -1j * w * dt / HBAR_CM1_FS  # fmo.StepModel's order, so both give U bit for bit
     if not np.isfinite(phases).all():
         raise NumericalError(f"exp(-i H dt / hbar) at dt {dt!r} fs is not finite: E dt / hbar overflows")
     return (v * np.exp(phases)) @ v.conj().T

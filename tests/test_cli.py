@@ -709,7 +709,8 @@ class TestNonFiniteSteps:
         assert "is not finite" in err and "nan" not in out
 
     def test_state_past_the_float_range_fails_its_check(self, tmp_path, capsys):
-        # the RK4 step at 1e30 fs is finite, but T^4 overflows in the warm-up: states 4..7 are nan
+        # the RK4 step at 1e30 fs is finite, but T^4 overflows in the warm-up: states 4..7 are nan,
+        # though rho0 is a fixed point, so the line names the power, not the state
         model = tmp_path / "still.json"
         model.write_text(json.dumps(STILL_MODEL))
         with warnings.catch_warnings(record=True) as caught:
@@ -718,9 +719,22 @@ class TestNonFiniteSteps:
                             "--steps", "40"]) == 2
         assert [w.category for w in caught] == [StepTooLargeWarning]  # no numpy warning
         out, err = capsys.readouterr()
-        assert err == ("numerical invariant violated: state invalid at step 4: min eigenvalue nan, "
-                       "hermiticity defect nan (tolerance 1.0e-06)\n")
+        assert err == ("numerical invariant violated: the state at step 4 cannot be computed: T^4, the power of "
+                       "the step map that carries it, overflows\n")
         assert "nan" not in out
+
+    @pytest.mark.parametrize("dt_fs, steps", [("1e30", "3"), ("1e60", "1")])
+    def test_run_that_checks_no_state_of_the_overflowing_power_passes(self, dt_fs, steps, tmp_path, capsys):
+        # T^4 overflows at 1e30 fs and T^2 at 1e60 fs; the run stops short of the first state they carry
+        model = tmp_path / "still.json"
+        model.write_text(json.dumps(STILL_MODEL))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepTooLargeWarning)
+            assert run_cli(["simulate", "--config", str(model), "--backend", "lindblad-oracle", "--dt-fs", dt_fs,
+                            "--steps", steps]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "nan" not in out
+        assert out.splitlines()[-1].split(",")[1:4] == ["1", "0", "1"]  # site1, site2 and the trace
 
     @pytest.mark.parametrize("command", ["simulate", "oracle"])
     def test_time_column_past_the_float_range_is_a_config_error(self, command, tmp_path, capsys):
@@ -965,7 +979,7 @@ class TestBadInputCorpus:
         path = tmp_path / "largest.json"
         path.write_text(json.dumps({"site_energies_cm1": [0.0] * d, "couplings_cm1": np.zeros((d, d)).tolist(),
                                     "sink_sites": [1], "bath": {"lambda_cm1": 35.0, "omega_c_cm1": 150.0}}))
-        assert fmo.load_model(path).hamiltonian.n_sites == d
+        assert fmo.load_model(path).n_sites == d
 
     @pytest.mark.parametrize("args", ARG_CASES.values(), ids=ARG_CASES.keys())
     def test_run_arguments(self, args, default_config, tmp_path, capsys):

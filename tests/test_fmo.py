@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ from enaqt.errors import (
 @pytest.fixture(scope="module")
 def shipped():
     model = fmo.load_model(fmo.default_model_path())
-    h = fmo.site_hamiltonian(model.hamiltonian)
+    h = fmo.site_hamiltonian(model)
     basis = fmo.exciton_basis(h)
     return model, h, basis
 
@@ -29,34 +31,45 @@ def random_density(d, rng):
     return rho / np.trace(rho).real
 
 
-class TestHamiltonianSpec:
+def code_model(site_energies_cm1, couplings_cm1, sink_sites=(1,)):
+    """A model built in code, with an Ohmic bath."""
+    return fmo.FmoModel(site_energies_cm1=site_energies_cm1, couplings_cm1=couplings_cm1, sink_sites=sink_sites,
+                        lambda_cm1=35.0, omega_c_cm1=150.0)
+
+
+class TestFmoModel:
     def test_two_site(self):
-        spec = fmo.HamiltonianSpec(
-            site_energies_cm1=np.zeros(2),
-            couplings_cm1=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        )
-        assert np.allclose(fmo.site_hamiltonian(spec), [[0, 1], [1, 0]])
+        model = code_model(np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.allclose(fmo.site_hamiltonian(model), [[0, 1], [1, 0]])
 
     def test_zero_couplings(self):
-        spec = fmo.HamiltonianSpec(
-            site_energies_cm1=np.array([10.0, 20.0, 30.0]),
-            couplings_cm1=np.zeros((3, 3)),
-        )
-        assert np.allclose(fmo.site_hamiltonian(spec), np.diag([10.0, 20.0, 30.0]))
+        model = code_model(np.array([10.0, 20.0, 30.0]), np.zeros((3, 3)))
+        assert np.allclose(fmo.site_hamiltonian(model), np.diag([10.0, 20.0, 30.0]))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(SpecInvalidError):
-            fmo.HamiltonianSpec(
-                site_energies_cm1=np.zeros(2),
-                couplings_cm1=np.array([[0.0, 1.0], [2.0, 0.0]]),
-            )
+        with pytest.raises(SpecInvalidError, match="couplings_cm1 must be exactly symmetric"):
+            code_model(np.zeros(2), np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(SpecInvalidError):
-            fmo.HamiltonianSpec(
-                site_energies_cm1=np.zeros(2),
-                couplings_cm1=np.array([[1.0, 0.0], [0.0, 0.0]]),
-            )
+        with pytest.raises(SpecInvalidError, match="zero diagonal"):
+            code_model(np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("sink_sites", [(9,), (0,), (True,), (3, 3), (), (3.0,), "34", 3],
+                             ids=["past-n", "zero", "bool", "repeated", "empty", "float", "string", "int"])
+    def test_model_built_in_code_rejects_a_bad_sink(self, shipped, sink_sites):
+        # the rules of a model file hold for a model built in code too
+        with pytest.raises(SpecInvalidError, match=r"sink_sites must be a non-empty list of distinct integer "
+                                                   r"labels 1\.\.7"):
+            dataclasses.replace(shipped[0], sink_sites=sink_sites)
+
+    @pytest.mark.parametrize("n, message", [(1, r"site_energies_cm1 needs >= 2 sites, got shape \(1,\)"),
+                                            (fmo.MAX_SITES + 1, "33 sites, more than the 32 a model may have")])
+    def test_model_built_in_code_rejects_a_site_count_outside_2_to_max_sites(self, n, message):
+        with pytest.raises(SpecInvalidError, match=f"^{message}$"):
+            code_model(np.zeros(n), np.zeros((n, n)))
+
+    def test_sink_list_is_kept_as_a_tuple(self, shipped):
+        assert dataclasses.replace(shipped[0], sink_sites=[4, 3]).sink_sites == (4, 3)
 
     def test_shipped_file_round_trip(self, shipped):
         model, h, _ = shipped
@@ -124,9 +137,8 @@ class TestRates:
     def test_matches_pair_loop_on_disorder_ensemble(self, rng, shipped):
         model, _, _ = shipped
         for _ in range(16):
-            spec = fmo.HamiltonianSpec(
-                model.hamiltonian.site_energies_cm1 + rng.normal(0.0, 50.0, 7), model.hamiltonian.couplings_cm1)
-            basis = fmo.exciton_basis(fmo.site_hamiltonian(spec))
+            disordered = dataclasses.replace(model, site_energies_cm1=model.site_energies_cm1 + rng.normal(0.0, 50.0, 7))
+            basis = fmo.exciton_basis(fmo.site_hamiltonian(disordered))
             bath = (model.lambda_cm1, model.omega_c_cm1, rng.uniform(77.0, 300.0))
             assert np.array_equal(fmo.thermal_rate_matrix(basis, *bath), thermal_rate_matrix_loop(basis, *bath))
 
@@ -342,7 +354,7 @@ class TestLoadModel:
 
     def test_shipped_model_loads(self, shipped):
         model, _, _ = shipped
-        assert model.hamiltonian.n_sites == 7
+        assert model.n_sites == 7
         assert model.sink_sites == (3, 4)
         assert model.rates_per_fs is not None
         assert model.lambda_cm1 is not None
@@ -376,7 +388,7 @@ class TestLoadModel:
 
 def hand_built(model, dt, temperature_k):
     """A run's set-up built step by step, as each caller once built it: the reference for StepModel."""
-    basis = fmo.exciton_basis(fmo.site_hamiltonian(model.hamiltonian))
+    basis = fmo.exciton_basis(fmo.site_hamiltonian(model))
     rates_per_fs = fmo.jump_rates(basis, model, temperature_k)
     rates = kernel.JumpRateSpec(rates_per_fs * dt)
     h_exciton = np.diag(basis.energies_cm1).astype(complex)
@@ -442,3 +454,47 @@ class TestStepModel:
         # a label that numpy indexing would wrap (0 is site 7, -1 site 6) or overrun
         with pytest.raises(IndexOutOfRangeError, match=f"site {site} outside 1..7"):
             fmo.StepModel(shipped[0], 10.0).initial_state(site)
+
+    def test_unknown_backend_is_a_value_error_naming_the_backends(self, shipped):
+        with pytest.raises(ValueError, match="unknown backend 'bogus': choose from operator, circuit, lindblad-oracle"):
+            fmo.StepModel(shipped[0], 10.0).transfer_matrix(1.0, "bogus")
+
+    @pytest.mark.parametrize("dt_fs", [0.0, -0.0, -10.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_time_step_that_is_not_finite_and_positive(self, shipped, dt_fs):
+        with pytest.raises(SpecInvalidError, match=re.escape(f"dt_fs must be finite and > 0, got {dt_fs!r}")):
+            fmo.StepModel(shipped[0], dt_fs)
+
+    def test_unitary_is_the_evolution_unitary_of_its_hamiltonian(self, shipped):
+        # one formula for U: the shipped model and a seeded disorder ensemble (shipped couplings,
+        # N(0, 50 cm^-1) site energies, Ohmic rates) at 77 and 300 K
+        model = shipped[0]
+        rng = np.random.default_rng(1)
+        ensemble = [dataclasses.replace(model, site_energies_cm1=model.site_energies_cm1 + rng.normal(0.0, 50.0, 7),
+                                        rates_per_fs=None) for _ in range(32)]
+        runs = [(model, None)] + [(member, t) for member in ensemble for t in (77.0, 300.0)]
+        for member, temperature_k in runs:
+            step_model = fmo.StepModel(member, 10.0, temperature_k)
+            assert np.array_equal(linalg.evolution_unitary(step_model.h_exciton, 10.0), step_model.unitary)
+
+    def test_circuit_verify_row_is_the_same_with_or_without_the_built_circuit(self, shipped):
+        step_model = fmo.StepModel(shipped[0], 10.0)
+        args = (step_model.rates, step_model.h_exciton, 10.0, (1.0,))
+        assert (circuit.compare_step_channels(*args, step_model.circuit_t)
+                == circuit.compare_step_channels(*args))
+
+    def test_convergence_report_steps_the_operator_backends_t(self, shipped, monkeypatch):
+        # the oracle's discrete step at each dt is the step simulate runs
+        step_model, seen = fmo.StepModel(shipped[0], 10.0), []
+        final_state = lindblad._final_state
+
+        def spy(t, rho0, steps):
+            seen.append(t)
+            return final_state(t, rho0, steps)
+
+        monkeypatch.setattr(lindblad, "_final_state", spy)
+        dts = [20.0, 10.0, 5.0]
+        lindblad.convergence_report(lindblad.LindbladModel(step_model.h_exciton, step_model.rates_per_fs),
+                                    step_model.initial_state(1), 2000.0, dts)
+        assert len(seen) == 1 + len(dts)  # the RK4 reference first
+        for dt, t in zip(dts, seen[1:]):
+            assert np.array_equal(t, fmo.StepModel(shipped[0], dt).transfer_matrix(1.0)), dt

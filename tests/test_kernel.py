@@ -523,6 +523,15 @@ class TestPropagate:
                              record_min_eig=record)
 
     @pytest.mark.parametrize("record", [True, False])
+    def test_state_of_an_overflowing_lane_power_names_the_power(self, record):
+        # the coherences of T scale by 1e200: T^2 overflows, while the populations, all rho0 has, stay put
+        t = np.diag([1.0, 1e200, 1e200, 1.0]).astype(complex)
+        rho0 = np.diag([0.5, 0.5]).astype(complex)
+        assert len(kernel.propagate(t, rho0, 1.0, 1, self._observers(2), record_min_eig=record).trace) == 2
+        with pytest.raises(StateInvalidError, match=r"^the state at step 2 cannot be computed: T\^2, "):
+            kernel.propagate(t, rho0, 1.0, 300, self._observers(2), record_min_eig=record)
+
+    @pytest.mark.parametrize("record", [True, False])
     def test_state_whose_hermitian_part_overflows_fails_at_its_step(self, record, monkeypatch):
         # T = 2 1 doubles every entry: at step 1024 the diagonal is 2^1023, finite, but the
         # hermitized sum of two such entries passes the float range, so eigvalsh never sees it

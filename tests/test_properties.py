@@ -148,7 +148,7 @@ POOL = ("0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "1e-310", "1e308", "-1e30
         "", ",", "x", "-1", "0.5", "1", "2", "7")
 SCALAR = st.sampled_from(POOL)
 LIST = st.lists(SCALAR, min_size=1, max_size=3).map(",".join)
-BACKEND = st.sampled_from(cli.BACKENDS + ("x",))
+BACKEND = st.sampled_from(fmo.StepModel.BACKENDS + ("x",))
 # each subcommand's options besides --config and the output paths: (flag, values, always given)
 ARGV_OPTIONS = {
     "simulate": [("--initial-site", SCALAR, False), ("--dt-fs", SCALAR, False), ("--steps", SCALAR, True),
