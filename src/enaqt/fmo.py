@@ -98,8 +98,21 @@ def bose_occupation(omega_cm1, temperature_k: float):
 
 def _check_number(name: str, value, allow_zero: bool = False):
     """SpecInvalidError unless value is finite and > 0 (>= 0 with allow_zero)."""
-    if not (math.isfinite(value) and (value >= 0.0 if allow_zero else value > 0.0)):
-        raise SpecInvalidError(f"{name} must be finite and {'>=' if allow_zero else '>'} 0, got {value!r}")
+    rule = f"{name} must be finite and {'>=' if allow_zero else '>'} 0"
+    try:
+        ok = math.isfinite(value) and (value >= 0.0 if allow_zero else value > 0.0)
+    except OverflowError:
+        raise SpecInvalidError(f"{rule}, got an integer past the float range") from None
+    if not ok:
+        raise SpecInvalidError(f"{rule}, got {value!r}")
+
+
+def _floats(name: str, value) -> np.ndarray:
+    """value as a float array; SpecInvalidError when it has no such form, or holds an integer past the float range."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecInvalidError(f"bad {name}: {exc}") from exc
 
 
 def thermal_rate_matrix(
@@ -179,7 +192,9 @@ class FmoModel:
     sites, finite couplings, exactly symmetric with a zero diagonal, sink_sites a non-empty list or
     tuple (kept as a tuple) of distinct integer labels 1..n, lambda_cm1 (>= 0) and omega_c_cm1 (> 0)
     together, and rates_per_fs an n x n exciton-to-exciton table in fs^-1 (finite, >= 0, zero
-    diagonal). sha256 is the hex digest of the file bytes load_model parsed, None for a model built in code.
+    diagonal). A number that is not finite, or an integer past the float range, breaks a rule too,
+    so a model built in code from any numbers raises only SpecInvalidError. sha256 is the hex
+    digest of the file bytes load_model parsed, None for a model built in code.
     """
 
     site_energies_cm1: np.ndarray
@@ -191,8 +206,7 @@ class FmoModel:
     sha256: str | None = None
 
     def __post_init__(self):
-        e = np.asarray(self.site_energies_cm1, dtype=float)
-        v = np.asarray(self.couplings_cm1, dtype=float)
+        e, v = _floats("site_energies_cm1", self.site_energies_cm1), _floats("couplings_cm1", self.couplings_cm1)
         n = len(e) if e.ndim == 1 else 0
         if n < 2:
             raise SpecInvalidError(f"site_energies_cm1 needs >= 2 sites, got shape {e.shape}")
@@ -216,7 +230,7 @@ class FmoModel:
         elif self.rates_per_fs is None:
             raise SpecInvalidError("needs lambda_cm1 and omega_c_cm1, rates_per_fs, or both")
         if self.rates_per_fs is not None:
-            r = np.asarray(self.rates_per_fs, dtype=float)
+            r = _floats("rates_per_fs", self.rates_per_fs)
             if r.shape != (n, n):
                 raise SpecInvalidError(f"rates_per_fs must be {n}x{n}, got shape {r.shape}")
             if not np.all(np.isfinite(r)) or np.any(r < 0.0):
@@ -242,8 +256,10 @@ def load_model(path) -> FmoModel:
     """Parse a model JSON file into an FmoModel, whose rules raise here as a ModelFileError naming the file.
 
     Required fields of the top-level object: site_energies_cm1, couplings_cm1, sink_sites, and
-    a bath object carrying {lambda_cm1, omega_c_cm1} (JSON numbers) and/or rates_per_fs; any other
-    field is free-form and ignored. The file is read once: the model's sha256 is the digest of the bytes parsed.
+    a bath object carrying {lambda_cm1, omega_c_cm1} and/or rates_per_fs; any other field is
+    free-form and ignored. Every numeric field holds JSON numbers only, not strings or booleans,
+    nested to its shape, else it is a ModelFileError naming the field. The file is read once: the
+    model's sha256 is the digest of the bytes parsed.
     """
     path = Path(path)
     try:
@@ -257,6 +273,8 @@ def load_model(path) -> FmoModel:
         raise ModelFileError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # a JSON integer longer than Python converts (sys.get_int_max_str_digits)
+        raise ModelFileError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ModelFileError(f"{path}: the top level must be a JSON object")
 
@@ -265,27 +283,31 @@ def load_model(path) -> FmoModel:
             raise ModelFileError(f"{path}: missing field {field!r}")
         return raw[field]
 
-    def floats(field, value):
-        try:  # OverflowError: a JSON integer past the float range
-            return np.array(value, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelFileError(f"{path}: bad {field}: {exc}") from exc
+    def numbers(field, value, depth):
+        """value, if it holds JSON numbers (int or float, not bool) in lists nested `depth` deep: the one
+        reader of every numeric field; FmoModel converts them and checks their rules."""
+        level = [value]
+        for _ in range(depth):
+            if not set(map(type, level)) <= {list}:
+                break
+            level = [x for items in level for x in items]
+        else:  # a JSON bool is a Python bool, not an int here
+            if set(map(type, level)) <= {int, float}:
+                return value
+        shape = "a list of " + "lists of " * (depth - 1) + "JSON numbers" if depth else "a JSON number"
+        raise ModelFileError(f"{path}: {field} must be {shape}, got {json.dumps(value)[:40]}")
 
-    site_energies, couplings = (floats(field, require(field)) for field in ("site_energies_cm1", "couplings_cm1"))
+    site_energies = numbers("site_energies_cm1", require("site_energies_cm1"), 1)
+    couplings = numbers("couplings_cm1", require("couplings_cm1"), 2)
     bath = require("bath")
     if not isinstance(bath, dict):
         raise ModelFileError(f"{path}: field 'bath' must be an object")
-    for field in ("lambda_cm1", "omega_c_cm1"):
-        value = bath.get(field)
-        if value is not None and type(value) not in (int, float):
-            raise ModelFileError(f"{path}: bath.{field} must be a number, got {value!r}")
-        floats(f"bath.{field}", value)  # an integer passes the type check however large
-    rates = bath.get("rates_per_fs")
+    # a bath field that is missing or null is not given
+    given = {field: numbers(f"bath.{field}", bath[field], depth) for field, depth in
+             (("lambda_cm1", 0), ("omega_c_cm1", 0), ("rates_per_fs", 2)) if bath.get(field) is not None}
     try:
         return FmoModel(site_energies_cm1=site_energies, couplings_cm1=couplings, sink_sites=require("sink_sites"),
-                        lambda_cm1=bath.get("lambda_cm1"), omega_c_cm1=bath.get("omega_c_cm1"),
-                        rates_per_fs=None if rates is None else floats("bath.rates_per_fs", rates),
-                        sha256=hashlib.sha256(data).hexdigest())
+                        **given, sha256=hashlib.sha256(data).hexdigest())
     except SpecInvalidError as exc:
         raise ModelFileError(f"{path}: {exc}") from exc
 

@@ -215,12 +215,24 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
     only the states up to `steps` are checked.
 
     A checked state passes if its hermiticity defect is at most STATE_TOL and the smallest
-    eigenvalue of its hermitian part (eigvalsh) is at least -STATE_TOL; an inf or nan entry
-    fails it. Without record_min_eig, min_eig is None and a T that passes _channel_certified
-    maps states to states, so only rho0 and the last state are checked; every other run checks
-    every state. Raises StateInvalidError at the first step whose state fails a check: a
-    symptom of gamma/dt misconfiguration, or of a step map that is not positive. A state at
-    step w or later is not finite when T^w overflows, and its failure names T^w.
+    eigenvalue of its hermitian part rho_h is at least -STATE_TOL; an inf or nan entry fails it.
+    The checks of a chunk take that eigenvalue, min_eig, by one of two routes. Temple's route
+    reads it off the diagonal: with theta = d_1 the smallest diagonal entry of rho_h, at index
+    m, eps_m^2 the squared norm of column m off the diagonal, and beta = d_2 - ||offdiag
+    rho_h||_F, which is at most lambda_2 (Weyl), Temple's inequality gives theta - eps_m^2 /
+    (beta - theta) <= lambda_min <= theta when beta > theta. A chunk takes the route only when
+    each of its states has beta > theta, eps_m^2 / (beta - theta) <= eps ||rho_h||_F and theta -
+    eps_m^2 / (beta - theta) >= -STATE_TOL: its min_eig is then d_1, within eps ||rho_h||_F of
+    the exact eigenvalue, as eigvalsh is to rounding. Every other chunk (a coherent state, tied
+    smallest diagonal entries, or a failing state) runs one batched eigvalsh, so a failure is
+    always eigvalsh's verdict. Dephasing shrinks each coherence by a fixed factor per step, so a
+    long run at chi near 1 takes Temple's route on nearly every chunk.
+
+    Without record_min_eig, min_eig is None and a T that passes _channel_certified maps states
+    to states, so only rho0 and the last state are checked; every other run checks every state.
+    Raises StateInvalidError at the first step whose state fails a check: a symptom of gamma/dt
+    misconfiguration, or of a step map that is not positive. A state at step w or later is not
+    finite when T^w overflows, and its failure names T^w.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -263,14 +275,16 @@ def chunks(t: np.ndarray, rho0: np.ndarray, steps: int, observers: np.ndarray, r
 
 
 def _check_states(states: np.ndarray, at, t: np.ndarray) -> np.ndarray:
-    """Check states[i], the state at step at[i] of a run of t, as chunks describes; their smallest eigenvalues."""
+    """Check states[i], the state at step at[i] of a run of t, as chunks describes; their smallest eigenvalues,
+    all from Temple's route (_diagonal_min_eig) or all from one batched eigvalsh."""
     # a contiguous adjoint: the elementwise loops below run slower on a strided view
     adj = np.conjugate(states.transpose(0, 2, 1), order="C")
     herm = np.abs(states - adj).max(axis=(1, 2))
     rho_h = (adj + states) * 0.5
     finite = np.isfinite(rho_h).all(axis=(1, 2))  # false for an inf or nan entry, or a sum past the float range
-    rho_h[~finite] = 0.0  # eigvalsh need not converge on such an entry
-    eig = np.where(finite, np.linalg.eigvalsh(rho_h).min(axis=1), np.nan)
+    if (eig := _diagonal_min_eig(rho_h)) is None:
+        rho_h[~finite] = 0.0  # eigvalsh need not converge on such an entry
+        eig = np.where(finite, np.linalg.eigvalsh(rho_h).min(axis=1), np.nan)
     bad = np.flatnonzero(~(eig >= -STATE_TOL) | ~(herm <= STATE_TOL))
     if bad.size:
         k = int(bad[0])
@@ -280,6 +294,37 @@ def _check_states(states: np.ndarray, at, t: np.ndarray) -> np.ndarray:
         raise StateInvalidError(f"state invalid at step {at[k]}: min eigenvalue {eig[k]:.3e}, "
                                 f"hermiticity defect {herm[k]:.3e} (tolerance {STATE_TOL:.1e})")
     return eig
+
+
+def _diagonal_min_eig(rho_h: np.ndarray) -> np.ndarray | None:
+    """The smallest diagonal entries of the hermitian stack rho_h, if Temple's bound makes each one its smallest
+    eigenvalue to eps ||rho||_F and a passing one (see chunks); else None."""
+    eps = np.finfo(float).eps
+    # the last state is the most dephased, so test first, on it alone, what the bound below implies:
+    # eps_m^2 <= eps ||rho||_F (d_2 - d_1) <= sqrt(2) eps ||rho||_F^2, with a margin for rounding
+    last = rho_h[-1]
+    m = last.real.diagonal().argmin()
+    row = np.abs(last[m])
+    row[m] = 0.0
+    if not row @ row <= 2 * eps * np.vdot(last, last).real:
+        return None
+    n, d = rho_h.shape[:2]
+    diag = rho_h.real.diagonal(axis1=1, axis2=2)  # real: rho_h is hermitian
+    off = np.abs(rho_h)
+    off *= off
+    off.reshape(n, d * d)[:, ::d + 1] = 0.0  # |rho_ij|^2 off the diagonal, zeroed there, never subtracted
+    rows, m = np.arange(n), diag.argmin(axis=1)
+    theta = diag[rows, m]
+    eps2 = off[rows, m].sum(axis=1)  # row m holds the moduli of column m
+    rest = diag.copy()
+    rest[rows, m] = np.inf
+    off2 = off.sum(axis=(1, 2))
+    gap = rest.min(axis=1) - np.sqrt(off2) - theta  # beta - theta, with beta = d_2 - ||offdiag||_F <= lambda_2
+    bound = gap * (eps * np.sqrt(off2 + np.square(diag).sum(axis=1)))  # (beta - theta) eps ||rho||_F
+    # a bound that is a normal float, so no underflow in eps2 counts, and finite, so is every entry;
+    # eps2 / (beta - theta) within it, and theta - eps2 / (beta - theta) >= -STATE_TOL
+    ok = (bound >= np.finfo(float).tiny) & (bound < np.inf) & (eps2 <= bound) & (eps2 <= gap * (theta + STATE_TOL))
+    return theta if ok.all() else None
 
 
 def _overflowing_power(t: np.ndarray) -> float:

@@ -527,7 +527,9 @@ class TestSweepChi:
 
     def test_certified_sweep_does_no_per_chunk_checks(self, default_config, monkeypatch):
         # per chi: one Cholesky of its Choi matrix, and the state checks of rho0 and of the last
-        # state, one eigvalsh each (they fall in different chunks); nothing that grows with --steps
+        # state (they fall in different chunks); nothing that grows with --steps. Each check is one
+        # eigvalsh unless Temple's route takes it: the last state, dephased to a diagonal, at chi
+        # 0.75 and 1 after 1000 steps and at chi 0.4 and above after 2000
         counts = collections.Counter()
 
         def counted(name, fn):
@@ -545,11 +547,11 @@ class TestSweepChi:
             return check(states, *args)
 
         monkeypatch.setattr(kernel, "_check_states", check_counted)
-        for steps in ("1000", "2000"):
+        for steps, eigvalsh in (("1000", 14), ("2000", 12)):
             counts.clear()
             assert run_cli(["sweep-chi", "--config", default_config, "--chis", "0,0.06,0.125,0.25,0.4,0.5,0.75,1",
                             "--steps", steps, "--out", os.devnull]) == 0
-            assert counts == {"cholesky": 8, "eigvalsh": 16, "states": 16}
+            assert counts == {"cholesky": 8, "eigvalsh": eigvalsh, "states": 16}
 
     def test_circuit_backend_builds_its_step_once(self, default_config, tmp_path, monkeypatch):
         calls, build = [], circuit.circuit_transfer_matrix
@@ -854,6 +856,12 @@ MODEL_EDITS = {
     "site-energy-huge-int": lambda m: m["site_energies_cm1"].__setitem__(0, 10**400),
     "omega-c-huge-int": lambda m: m["bath"].update(omega_c_cm1=10**400),
     "table-huge-int": lambda m: m["bath"]["rates_per_fs"][0].__setitem__(1, 10**400),
+    # JSON strings and booleans are not numbers, whichever rates a run uses
+    "site-energy-string": lambda m: m["site_energies_cm1"].__setitem__(0, "0"),
+    "site-energy-bool": lambda m: m["site_energies_cm1"].__setitem__(1, True),
+    "coupling-string": lambda m: [m["couplings_cm1"][i].__setitem__(j, "1e1") for i, j in ((0, 1), (1, 0))],
+    "table-string": lambda m: m["bath"]["rates_per_fs"][0].__setitem__(1, "0.001"),
+    "table-bool": lambda m: m["bath"]["rates_per_fs"][1].__setitem__(0, True),
 }
 
 ARG_CASES = {

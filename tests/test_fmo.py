@@ -68,6 +68,19 @@ class TestFmoModel:
         with pytest.raises(SpecInvalidError, match=f"^{message}$"):
             code_model(np.zeros(n), np.zeros((n, n)))
 
+    @pytest.mark.parametrize("fields", [
+        {"site_energies_cm1": [10**400, 0.0]},
+        {"couplings_cm1": [[0, -10**400], [-10**400, 0]]},
+        {"lambda_cm1": 10**400},
+        {"omega_c_cm1": -10**400},
+        {"rates_per_fs": [[0, 10**400], [0, 0]]},
+    ], ids=["energy", "coupling", "lambda", "omega-c", "rate"])
+    def test_model_built_in_code_rejects_an_integer_past_the_float_range(self, fields):
+        model = {"site_energies_cm1": [0.0, 1.0], "couplings_cm1": [[0.0, 1.0], [1.0, 0.0]], "sink_sites": [2],
+                 "lambda_cm1": 35.0, "omega_c_cm1": 150.0, "rates_per_fs": None, **fields}
+        with pytest.raises(SpecInvalidError, match=next(iter(fields))):
+            fmo.FmoModel(**model)
+
     def test_sink_list_is_kept_as_a_tuple(self, shipped):
         assert dataclasses.replace(shipped[0], sink_sites=[4, 3]).sink_sites == (4, 3)
 
@@ -350,6 +363,35 @@ class TestLoadModel:
             )
         )
         with pytest.raises(ModelFileError, match="sink_sites"):
+            fmo.load_model(p)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda m: m.update(site_energies_cm1=["0", 1.0]), "site_energies_cm1"),
+        (lambda m: m.update(site_energies_cm1=[0.0, True]), "site_energies_cm1"),
+        (lambda m: m.update(couplings_cm1=[[0, "1e1"], ["1e1", 0]]), "couplings_cm1"),
+        (lambda m: m.update(couplings_cm1=[[0, False], [False, 0]]), "couplings_cm1"),
+        (lambda m: m.update(couplings_cm1=[0.0, 1.0]), "couplings_cm1"),
+        (lambda m: m["bath"].update(rates_per_fs=[["0", "0.001"], [0, 0]]), "bath.rates_per_fs"),
+        (lambda m: m["bath"].update(rates_per_fs=[[0, 0.001], [True, 0]]), "bath.rates_per_fs"),
+        (lambda m: m["bath"].update(lambda_cm1=True), "bath.lambda_cm1"),
+        (lambda m: m["bath"].update(omega_c_cm1="150"), "bath.omega_c_cm1"),
+    ], ids=["energy-string", "energy-bool", "coupling-string", "coupling-bool", "coupling-flat", "table-string",
+            "table-bool", "lambda-bool", "omega-c-string"])
+    def test_every_numeric_field_takes_json_numbers_only(self, tmp_path, edit, field):
+        # a JSON string or bool is not read as a number: the error names the field that holds it
+        raw = {"site_energies_cm1": [0.0, 1.0], "couplings_cm1": [[0.0, 1.0], [1.0, 0.0]], "sink_sites": [2],
+               "bath": {"lambda_cm1": 25.0, "omega_c_cm1": 150.0, "rates_per_fs": [[0.0, 0.001], [0.0, 0.0]]}}
+        edit(raw)
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ModelFileError, match=rf": {re.escape(field)} must be a"):
+            fmo.load_model(p)
+
+    def test_integer_longer_than_python_converts(self, tmp_path):
+        # json.loads raises a bare ValueError past sys.get_int_max_str_digits()
+        p = tmp_path / "m.json"
+        p.write_text('{"site_energies_cm1": [%s, 0]}' % ("1" * 5000))
+        with pytest.raises(ModelFileError, match=r"m\.json: invalid JSON: Exceeds the limit"):
             fmo.load_model(p)
 
     def test_shipped_model_loads(self, shipped):

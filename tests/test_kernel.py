@@ -472,9 +472,11 @@ class TestPropagate:
     def test_positivity_boundary_is_eigvalsh_criterion(self, record, monkeypatch):
         # min_eig exactly -STATE_TOL passes and -2 STATE_TOL fails, with or without recording,
         # on a certified T (the identity: without recording, only rho0 and the last state are
-        # checked) and on an uncertified one (a coherence leak that breaks hermiticity
-        # preservation and leaves these diagonal states as they are: every state is checked).
-        # Either way a run of one chunk makes one batched eigvalsh call
+        # checked) and on an uncertified one (a coherence mix that breaks hermiticity preservation
+        # and leaves real symmetric states as they are: every state is checked). The diagonal
+        # states take Temple's route, exact for them, and make no eigvalsh call; the same spectrum
+        # rotated by a fixed real rotation makes one batched eigvalsh call per run, and its min_eig
+        # is eigvalsh's, bit for bit. A failing state makes its chunk run eigvalsh on either route
         calls, eigvalsh = [], np.linalg.eigvalsh
 
         def counted(a):
@@ -483,20 +485,32 @@ class TestPropagate:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         tol, obs, leaky = kernel.STATE_TOL, self._observers(2), np.eye(4, dtype=complex)
-        leaky[1, 2] = 1e-3
+        leaky[1, 1] = leaky[1, 2] = 0.5  # rho_01 <- (rho_01 + rho_10) / 2
+        angle = 0.3
+        rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+        def rotated(spectrum):
+            m = rotation @ np.diag(spectrum) @ rotation.T
+            return ((m + m.T) * 0.5).astype(complex)  # exactly symmetric
+
         assert kernel._channel_certified(np.eye(4), 5) and not kernel._channel_certified(leaky, 5)
         for t, checked in ((np.eye(4, dtype=complex), 6 if record else 2), (leaky, 6)):
-            for depth in (0.0, tol):
+            # the rotated boundary is eigvalsh's rounding of -depth, so it is tested inside it
+            for state, depths, eig_calls in ((lambda s: np.diag(s).astype(complex), (0.0, tol), []),
+                                             (rotated, (0.0, tol / 2), [checked])):
+                for depth in depths:
+                    calls.clear()
+                    rho = state([1.0 + depth, -depth])
+                    traj = kernel.propagate(t, rho, 1.0, 5, obs, record_min_eig=record)
+                    assert calls == eig_calls
+                    assert np.array_equal(traj.populations, np.tile(np.diag(rho).real, (6, 1)))
+                    if record:
+                        expected = -depth if not eig_calls else eigvalsh(rho).min()
+                        assert np.array_equal(traj.min_eig, np.full(6, expected))
                 calls.clear()
-                rho = np.diag([1.0 + depth, -depth]).astype(complex)
-                traj = kernel.propagate(t, rho, 1.0, 5, obs, record_min_eig=record)
+                with pytest.raises(StateInvalidError, match=r"at step 0: min eigenvalue -2\.000e-06"):
+                    kernel.propagate(t, state([1.0 + 2 * tol, -2 * tol]), 1.0, 5, obs, record_min_eig=record)
                 assert calls == [checked]
-                assert np.array_equal(traj.populations, np.tile([1.0 + depth, -depth], (6, 1)))
-                if record:
-                    assert traj.min_eig.min() == -depth
-            with pytest.raises(StateInvalidError, match=r"at step 0: min eigenvalue -2\.000e-06"):
-                kernel.propagate(t, np.diag([1.0 + 2 * tol, -2 * tol]).astype(complex), 1.0, 5, obs,
-                                 record_min_eig=record)
 
     @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf], ids=["nan", "nan-imaginary", "inf"])

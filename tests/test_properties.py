@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from enaqt import circuit, cli, fmo, kernel, linalg  # noqa: E402
-from enaqt.errors import ModelFileError  # noqa: E402
+from enaqt.errors import ModelFileError, SpecInvalidError  # noqa: E402
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -76,6 +77,72 @@ def test_populations_stay_in_unit_interval(model, chi, amplitudes):
     pops = kernel.propagate(t, rho0, dt, 20, observers).populations
     assert pops.min() >= -1e-12 and pops.max() <= 1.0 + 1e-12
     assert np.max(np.abs(pops.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@st.composite
+def dephased_states(draw):
+    """(rho_h, tied): a hermitian d x d state, d = 2..7, with diagonal entries in [-1e-6, 1] and off-diagonal
+    entries of modulus up to a scale from 1e-30 to 1e-2; tied makes its two smallest diagonal entries equal."""
+    d = draw(st.integers(2, 7))
+    diag = draw(arrays(float, d, elements=st.floats(-1e-6, 1.0)))
+    tied = draw(st.booleans())
+    if tied:
+        m = int(diag.argmin())
+        diag[(m + 1) % d] = diag[m]
+    scale = draw(st.floats(-30.0, -2.0).map(lambda k: 10.0 ** k))
+    parts = draw(arrays(float, (2, d, d), elements=st.floats(-1.0, 1.0)))
+    upper = np.triu(parts[0] + 1j * parts[1], 1) * scale
+    return np.diag(diag).astype(complex) + upper + upper.conj().T, tied
+
+
+def exactly_positive_definite(rho_h, shift) -> bool:
+    """Whether rho_h - shift 1 is positive definite, by an LDL^dag elimination of its entries as exact rationals."""
+    d = len(rho_h)
+    re = [[Fraction(float(x.real)) for x in row] for row in rho_h]
+    im = [[Fraction(float(x.imag)) for x in row] for row in rho_h]
+    for k in range(d):
+        re[k][k] -= shift
+    for k in range(d):
+        pivot = re[k][k]  # real: the elimination keeps the trailing block hermitian
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):  # a_ij -= a_ik a_kj / pivot
+                re[i][j] -= (re[i][k] * re[k][j] - im[i][k] * im[k][j]) / pivot
+                im[i][j] -= (re[i][k] * im[k][j] + im[i][k] * re[k][j]) / pivot
+    return True
+
+
+def two_site(coherence, scale=1.0):
+    return np.array([[0.25, coherence], [coherence, 0.75]], dtype=complex) * scale, False
+
+
+@settings(PROPERTY, max_examples=100)
+@given(dephased_states())
+# about the edge of the route: eps^2 / (beta - theta) at 0.3, 1 and 3 times eps ||rho||_F
+@example(two_site(0.5e-8))
+@example(two_site(0.94e-8))
+@example(two_site(1.5e-8))
+# scaled down until eps^2 and the bound are both subnormal and round to the same float
+@example(two_site(1.05e-8, 3e-154))
+def test_temple_route_is_as_accurate_as_eigvalsh(state):
+    rho_h, tied = state
+    diag, norm = np.diag(rho_h).real, np.linalg.norm(rho_h)
+    eps = np.finfo(float).eps
+    routed = kernel._diagonal_min_eig(rho_h[None])
+    if tied:
+        assert routed is None  # beta - theta <= 0: Temple's bound does not apply
+    # off-diagonals below 1e-20 against a gap of 1e-3 leave the bound far inside eps ||rho||_F
+    d1, d2 = np.sort(diag)[:2]
+    if d2 - d1 >= 1e-3 and d1 >= 0.0 and np.abs(rho_h - np.diag(diag)).max() <= 1e-20:
+        assert routed is not None
+    if routed is not None:
+        # exactly, d_1 - eps ||rho||_F < lambda_min <= d_1 (a Rayleigh quotient)
+        assert routed[0] == diag.min()
+        assert exactly_positive_definite(rho_h, Fraction(d1) - Fraction(eps * norm))
+        assert not exactly_positive_definite(rho_h, Fraction(d1))
+        # eigvalsh is itself accurate only to a small multiple of eps ||rho||
+        assert abs(routed[0] - np.linalg.eigvalsh(rho_h).min()) <= 4 * eps * norm
 
 
 KINDS = ("missing", "valid", "negative", "zero", "nan", "inf", "huge", "string")
@@ -212,6 +279,9 @@ def test_every_argv_ends_in_an_exit_code_and_at_most_one_line(argv):
 EXTREME = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.nan, math.inf, -math.inf, 10**400)
 ORDINARY = (-1.0, 0.01, 0.5, 1.0, 2.0, 7.0, 100.0, 0, 1)
 NUMBER = st.integers(0, 4).flatmap(lambda k: st.sampled_from(EXTREME if k == 0 else ORDINARY))
+# a numeric field's entry: one in ten a JSON string or boolean, which is no number
+NOT_A_NUMBER = ("0", "1e1", "x", True, False)
+ENTRY = st.integers(0, 9).flatmap(lambda k: st.sampled_from(NOT_A_NUMBER) if k == 0 else NUMBER)
 ANY_JSON = st.recursive(st.none() | st.booleans() | NUMBER | st.text(max_size=3),
                         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                                      max_size=3),
@@ -221,13 +291,13 @@ ANY_JSON = st.recursive(st.none() | st.booleans() | NUMBER | st.text(max_size=3)
 @st.composite
 def model_files(draw):
     """A model file's JSON value: now and then any JSON at all, else an object for 1 to 3 sites whose
-    fields, the bath's too, are each the right shape filled from NUMBER, any JSON, or missing."""
+    fields, the bath's too, are each the right shape filled from ENTRY, any JSON, or missing."""
     if draw(st.integers(0, 9)) == 0:
         return draw(ANY_JSON)
     n = draw(st.sampled_from((2, 2, 3, 1)))
 
     def square(symmetric):
-        m = [[0.0 if i == j else draw(NUMBER) for j in range(n)] for i in range(n)]
+        m = [[0.0 if i == j else draw(ENTRY) for j in range(n)] for i in range(n)]
         return [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)] if symmetric else m
 
     def fields(shaped):
@@ -239,12 +309,29 @@ def model_files(draw):
         return raw
 
     return fields({
-        "site_energies_cm1": lambda: [draw(NUMBER) for _ in range(n)],
+        "site_energies_cm1": lambda: [draw(ENTRY) for _ in range(n)],
         "couplings_cm1": lambda: square(symmetric=True),
         "sink_sites": lambda: draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)),
-        "bath": lambda: fields({"lambda_cm1": lambda: draw(NUMBER), "omega_c_cm1": lambda: draw(NUMBER),
+        "bath": lambda: fields({"lambda_cm1": lambda: draw(ENTRY), "omega_c_cm1": lambda: draw(ENTRY),
                                 "rates_per_fs": lambda: square(symmetric=False)}),
     })
+
+
+def holds_a_non_number(raw) -> bool:
+    """Whether a numeric field of the model file `raw` holds a JSON string or boolean anywhere."""
+    def leaves(value):
+        if isinstance(value, (list, dict)):
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    if not isinstance(raw, dict):
+        return False
+    bath = raw.get("bath") if isinstance(raw.get("bath"), dict) else {}
+    fields = [raw.get("site_energies_cm1"), raw.get("couplings_cm1"),
+              *(bath.get(field) for field in ("lambda_cm1", "omega_c_cm1", "rates_per_fs"))]
+    return any(type(leaf) in (str, bool) for field in fields for leaf in leaves(field))
 
 
 # each subcommand that reads a model, at its defaults but for a short run
@@ -274,3 +361,36 @@ def test_every_model_file_ends_in_an_exit_code_and_at_most_one_line(model_dir, r
     failures = [line for line in err if not line.startswith("warning: ")]
     assert len(failures) == (code != 0), err
     assert all(line.startswith("error: " if code == 1 else "numerical invariant violated: ") for line in failures)
+    if holds_a_non_number(raw):  # a file error, whichever numbers a run reads
+        assert code == 1, err
+
+
+@st.composite
+def code_models(draw):
+    """FmoModel fields as a model built in code passes them: lists of numbers drawn from EXTREME, with
+    integers past the float range of either sign, and ORDINARY; each bath field given or None."""
+    number = st.integers(0, 2).flatmap(lambda k: st.sampled_from(EXTREME + (-10**400,) if k == 0 else ORDINARY))
+    n = draw(st.sampled_from((2, 2, 3, 1)))
+    upper = [[draw(number) for _ in range(n)] for _ in range(n)]
+    optional = st.booleans().flatmap(lambda given: number if given else st.none())
+    table = [[0 if i == j else draw(number) for j in range(n)] for i in range(n)]
+    return {
+        "site_energies_cm1": [draw(number) for _ in range(n)],
+        "couplings_cm1": [[0 if i == j else upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)],
+        "sink_sites": draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)),
+        "lambda_cm1": draw(optional),
+        "omega_c_cm1": draw(optional),
+        "rates_per_fs": table if draw(st.booleans()) else None,
+    }
+
+
+@settings(PROPERTY, max_examples=200)
+@given(code_models())
+@example({"site_energies_cm1": [0.0, 1.0], "couplings_cm1": [[0, 1.0], [1.0, 0]], "sink_sites": [2],
+          "lambda_cm1": 10**400, "omega_c_cm1": 150.0, "rates_per_fs": None})
+def test_a_model_built_in_code_fails_only_with_spec_invalid_error(fields):
+    try:
+        model = fmo.FmoModel(**fields)
+    except SpecInvalidError:
+        return
+    assert model.site_energies_cm1.dtype == float and np.isfinite(model.couplings_cm1).all()
